@@ -253,7 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budgets(p: argparse.ArgumentParser) -> None:
         p.add_argument("--align-budget", type=int, default=500_000, help="alignment state budget")
-        p.add_argument("--lang-budget", type=int, default=100_000, help="enumeration state budget")
+        p.add_argument(
+            "--lang-budget", type=int, default=100_000,
+            help="state budget of each precision silent closure",
+        )
 
     p = sub.add_parser("discover", help="run prototype selection and discovery")
     add_log_input(p)

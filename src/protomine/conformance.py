@@ -17,6 +17,10 @@ Precision follows the escaping-edges idea: replay the aligned model
 projection of every trace, weight each replay state by the traces passing
 through it, and compare the activities the model enables against the
 activities actually observed leaving the state.
+
+Every search here, the alignments and the precision replay alike, runs
+on the net's compiled form (``PetriNet.compiled``), so they share one
+memo of successors and silent closures per net.
 """
 
 from __future__ import annotations
@@ -29,11 +33,8 @@ from typing import Mapping, Sequence
 from .eventlog import EventLog, Sublog, Trace
 from .petrinet import (
     BudgetExceeded,
-    Marking,
     PetriNet,
     cardoso_metric,
-    enabled,
-    fire,
     shortest_visible_path,
     size_metric,
 )
@@ -68,42 +69,15 @@ def alignment_cost(
     more of the trace consumed, which does not affect optimality.
     Raises BudgetExceeded when more than ``budget`` states are expanded.
 
-    Markings are flattened to count vectors over a fixed place order for
-    the duration of the search; this is the hot loop of every
-    log-versus-model score.
+    Markings are the net's count vectors (``PetriNet.compiled``), whose
+    memoised successor map outlives the call: every alignment against the
+    same net reuses the successors earlier ones computed. This is the hot
+    loop of every log-versus-model score.
     """
+    compiled = net.compiled
     trace = tuple(trace)
-    places = sorted(net.places)
-    place_index = {p: i for i, p in enumerate(places)}
-
-    def to_vector(marking: Marking) -> tuple[int, ...]:
-        counts = marking.as_dict()
-        return tuple(counts.get(p, 0) for p in places)
-
-    # per transition: (visible label, input indices, output indices)
-    moves_table = [
-        (
-            net.label(t),
-            tuple(place_index[p] for p in net.inputs(t)),
-            tuple(place_index[p] for p in net.outputs(t)),
-        )
-        for t in net.transition_ids
-    ]
-
-    def successors(vector: tuple[int, ...]):
-        result = []
-        for label, inputs, outputs in moves_table:
-            if all(vector[i] >= 1 for i in inputs):
-                fired = list(vector)
-                for i in inputs:
-                    fired[i] -= 1
-                for i in outputs:
-                    fired[i] += 1
-                result.append((label, tuple(fired)))
-        return result
-
-    start = (to_vector(net.initial_marking), 0)
-    final_vector = to_vector(net.final_marking)
+    start = (compiled.initial, 0)
+    final_vector = compiled.final
     goal_pos = len(trace)
 
     dist: dict[tuple[tuple[int, ...], int], int] = {start: 0}
@@ -111,7 +85,6 @@ def alignment_cost(
     heap: list = [(0, 0, 0, start)]
     tie = 0
     expanded = 0
-    successor_cache: dict[tuple[int, ...], list] = {}
 
     while heap:
         cost, _, _, state = heapq.heappop(heap)
@@ -130,10 +103,8 @@ def alignment_cost(
         if expanded > budget:
             raise BudgetExceeded("alignment search", budget)
 
-        if vector not in successor_cache:
-            successor_cache[vector] = successors(vector)
         moves: list[tuple[tuple, int, str | None]] = []
-        for label, fired in successor_cache[vector]:
+        for _, label, fired in compiled.successors(vector):
             if label is None:
                 moves.append(((fired, pos), 0, None))
             else:
@@ -187,26 +158,6 @@ def log_fitness(log: EventLog, net: PetriNet, budget: int = DEFAULT_ALIGN_BUDGET
         cost = alignment_cost(trace, net, budget).cost
         total += count * _fitness_from_cost(cost, len(trace), shortest)
     return total / log.total_traces
-
-
-def _silent_closure(
-    net: PetriNet, markings: set[Marking], budget: int
-) -> set[Marking]:
-    """All markings reachable from the given ones by silent firings only."""
-    closure = set(markings)
-    frontier = list(markings)
-    while frontier:
-        marking = frontier.pop()
-        for t in enabled(net, marking):
-            if not net.is_silent(t):
-                continue
-            nxt = fire(net, marking, t)
-            if nxt not in closure:
-                closure.add(nxt)
-                if len(closure) > budget:
-                    raise BudgetExceeded("silent closure", budget)
-                frontier.append(nxt)
-    return closure
 
 
 def etc_precision(
@@ -332,11 +283,13 @@ def compute_report(
     """Assemble a QualityReport with a single alignment pass per variant.
 
     Callers that already hold per-variant alignments (the selection loop
-    does) can pass them in to avoid a second search.
+    does) can pass them in to avoid a second search. The shortest model
+    word is found first, so a net whose final marking is unreachable fails
+    with ValueError before any alignment search runs.
     """
+    shortest = shortest_visible_path(net)
     if alignments is None:
         alignments = variant_alignments(log, net, budget)
-    shortest = shortest_visible_path(net)
     fit = sum(
         count * _fitness_from_cost(alignments[trace].cost, len(trace), shortest)
         for trace, count in log.variants.items()
@@ -393,30 +346,30 @@ def _escaping_edges_precision(
 
     # subset construction along the prefix tree: the marking set of a
     # prefix is every marking reachable with exactly that visible word
-    marking_sets: dict[Trace, set[Marking]] = {
-        (): _silent_closure(net, {net.initial_marking}, closure_budget)
+    compiled = net.compiled
+    marking_sets: dict[Trace, set[tuple[int, ...]]] = {
+        (): compiled.silent_closure([compiled.initial], closure_budget)
     }
     for prefix in sorted(weight, key=len):
         if prefix == ():
             continue
-        base = marking_sets[prefix[:-1]]
         label = prefix[-1]
         stepped = {
-            fire(net, m, t)
-            for m in base
-            for t in enabled(net, m)
-            if net.label(t) == label
+            fired
+            for vector in marking_sets[prefix[:-1]]
+            for _, step_label, fired in compiled.successors(vector)
+            if step_label == label
         }
-        marking_sets[prefix] = _silent_closure(net, stepped, closure_budget)
+        marking_sets[prefix] = compiled.silent_closure(stepped, closure_budget)
 
     escaping_total = 0
     enabled_total = 0
     for prefix, w in weight.items():
         enabled_labels = {
-            net.label(t)
-            for m in marking_sets[prefix]
-            for t in enabled(net, m)
-            if not net.is_silent(t)
+            label
+            for vector in marking_sets[prefix]
+            for _, label, _ in compiled.successors(vector)
+            if label is not None
         }
         escaping = enabled_labels - observed[prefix]
         escaping_total += w * len(escaping)

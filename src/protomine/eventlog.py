@@ -202,12 +202,22 @@ def _parse_timestamp(text: str) -> object:
         raise LogFormatError(f"unparsable timestamp {text!r}") from None
 
 
+def _timestamp_kind(value: object) -> str:
+    """The comparable kind of a parsed timestamp; kinds do not order together."""
+    if isinstance(value, float):
+        return "a number"
+    return "a naive ISO datetime" if value.tzinfo is None else "an ISO datetime with an offset"
+
+
 def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
     """Parse CSV event rows into an event log.
 
     Events are grouped by the case id column. Within a case they are
     ordered by the timestamp column when one is mapped, otherwise by file
-    order; timestamp ties keep file order (stable sort).
+    order; timestamp ties keep file order (stable sort). A timestamp
+    column must hold a single kind: numbers, naive ISO datetimes, or ISO
+    datetimes with a UTC offset. The first row of another kind raises
+    LogFormatError.
     """
     text = document.decode("utf-8")
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -229,6 +239,7 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
 
     # case id -> list of (sort key, activity); cases keep first-appearance order
     cases: dict[str, list[tuple[object, str]]] = {}
+    first_kind: tuple[int, str] | None = None  # (row, kind) of the first timestamp
     for rownum, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -241,6 +252,14 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
                 key: object = _parse_timestamp(row[time_col])
             except LogFormatError as exc:
                 raise LogFormatError(f"row {rownum}: {exc}") from None
+            kind = _timestamp_kind(key)
+            if first_kind is None:
+                first_kind = (rownum, kind)
+            elif kind != first_kind[1]:
+                raise LogFormatError(
+                    f"row {rownum}: timestamp {row[time_col]!r} is {kind}, but the column's "
+                    f"first timestamp (row {first_kind[0]}) is {first_kind[1]}"
+                )
         else:
             key = 0
         cases.setdefault(case, []).append((key, activity))

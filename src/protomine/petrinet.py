@@ -6,9 +6,16 @@ of visible-label sequences along firing sequences from the initial to the
 final marking; silent transitions route tokens without emitting a label.
 Acceptance is reaching the final marking exactly, not deadlock.
 
-Nets and markings are immutable values; every operation here is a pure
-function. Enumeration and search operations take explicit state budgets
-so that misuse on oversized nets fails loudly instead of hanging.
+Nets and markings are immutable values. Every search runs on the net's
+compiled form (``PetriNet.compiled``, a ``CompiledNet``): markings as
+count vectors over the sorted places, and a successor map that is filled
+on demand and shared by every later search on the same net. ``Marking``
+appears only at the API boundary; ``enabled`` and ``fire`` are thin
+wrappers over the compiled form, so the package has one implementation
+of the firing rule. Results depend only on the arguments, never on what
+earlier searches left in the memo. Enumeration and search operations
+take explicit state budgets so that misuse on oversized nets fails
+loudly instead of hanging.
 
 PNML serialisation covers the place/transition subset: ``<place>`` with
 ``<initialMarking>``, ``<transition>`` with a ``<name>`` only when the
@@ -23,6 +30,7 @@ import io
 import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .eventlog import Trace
@@ -102,11 +110,9 @@ class PetriNet:
 
         self._inputs: dict[str, list[str]] = {t: [] for t in self.transitions}
         self._outputs: dict[str, list[str]] = {t: [] for t in self.transitions}
-        self._place_out: dict[str, list[str]] = {p: [] for p in self.places}
         for source, target in sorted(self.arcs):
             if source in self.places and target in self.transitions:
                 self._inputs[target].append(source)
-                self._place_out[source].append(target)
             elif source in self.transitions and target in self.places:
                 self._outputs[source].append(target)
             else:
@@ -138,8 +144,10 @@ class PetriNet:
     def outputs(self, transition: str) -> tuple[str, ...]:
         return tuple(self._outputs[transition])
 
-    def place_outputs(self, place: str) -> tuple[str, ...]:
-        return tuple(self._place_out[place])
+    @cached_property
+    def compiled(self) -> "CompiledNet":
+        """The vector form every search runs on, built on first use."""
+        return CompiledNet(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PetriNet):
@@ -159,26 +167,116 @@ class PetriNet:
         )
 
 
+Vector = tuple[int, ...]
+# one enabled transition at a vector: (transition id, label, successor vector)
+Step = tuple[str, "str | None", Vector]
+
+
+class CompiledNet:
+    """A net's firing rule over count vectors, with memoised successors.
+
+    Places are indexed in sorted order and transitions kept in
+    ``transition_ids`` order as (id, label, input indices, output
+    indices). The successors of a vector and the silent closure of a
+    single vector are computed once and kept for every later query, so
+    all alignments, the precision replay and the path searches on one
+    net share that work. The memo grows with the states the searches
+    visit and lives as long as the net.
+    """
+
+    def __init__(self, net: PetriNet):
+        self.places: tuple[str, ...] = tuple(sorted(net.places))
+        index = {p: i for i, p in enumerate(self.places)}
+        self.transitions = tuple(
+            (
+                t,
+                net.label(t),
+                tuple(index[p] for p in net.inputs(t)),
+                tuple(index[p] for p in net.outputs(t)),
+            )
+            for t in net.transition_ids
+        )
+        self._successors: dict[Vector, list[Step]] = {}
+        self._closures: dict[Vector, frozenset[Vector]] = {}
+        self.initial = self.vector(net.initial_marking)
+        self.final = self.vector(net.final_marking)
+
+    def vector(self, marking: Marking) -> Vector:
+        unknown = marking.places().difference(self.places)
+        if unknown:
+            raise ValueError(f"marking references unknown places: {sorted(unknown)}")
+        counts = marking.as_dict()
+        return tuple(counts.get(p, 0) for p in self.places)
+
+    def marking(self, vector: Vector) -> Marking:
+        return Marking(tuple((p, n) for p, n in zip(self.places, vector) if n))
+
+    def successors(self, vector: Vector) -> list[Step]:
+        """Every enabled transition with its successor, in transition_ids order.
+
+        A transition is enabled when each input place holds a token;
+        firing takes one token per input arc and adds one per output arc.
+        The returned list is shared: callers must not mutate it.
+        """
+        steps = self._successors.get(vector)
+        if steps is None:
+            steps = []
+            for t, label, inputs, outputs in self.transitions:
+                if all(vector[i] for i in inputs):
+                    fired = list(vector)
+                    for i in inputs:
+                        fired[i] -= 1
+                    for i in outputs:
+                        fired[i] += 1
+                    steps.append((t, label, tuple(fired)))
+            self._successors[vector] = steps
+        return steps
+
+    def silent_closure(self, vectors: Iterable[Vector], budget: int) -> set[Vector]:
+        """All vectors reachable from the given ones by silent firings only.
+
+        The union of the memoised closures of each start vector. Raises
+        BudgetExceeded when the closure grows past ``budget`` states; a
+        start set that is itself larger than the budget is not an overrun.
+        """
+        start = set(vectors)
+        limit = max(budget, len(start))
+        closure = set(start)
+        for vector in start:
+            closure |= self._single_closure(vector, limit, budget)
+            if len(closure) > limit:
+                raise BudgetExceeded("silent closure", budget)
+        return closure
+
+    def _single_closure(self, vector: Vector, limit: int, budget: int) -> frozenset[Vector]:
+        closure = self._closures.get(vector)
+        if closure is None:
+            seen = {vector}
+            frontier = [vector]
+            while frontier:
+                for _, label, nxt in self.successors(frontier.pop()):
+                    if label is None and nxt not in seen:
+                        seen.add(nxt)
+                        if len(seen) > limit:
+                            raise BudgetExceeded("silent closure", budget)
+                        frontier.append(nxt)
+            closure = self._closures[vector] = frozenset(seen)
+        return closure
+
+
 def enabled(net: PetriNet, marking: Marking) -> set[str]:
     """Transitions whose every input place holds at least one token."""
-    counts = marking.as_dict()
-    return {
-        t
-        for t in net.transition_ids
-        if all(counts.get(p, 0) >= 1 for p in net.inputs(t))
-    }
+    compiled = net.compiled
+    return {t for t, _, _ in compiled.successors(compiled.vector(marking))}
 
 
 def fire(net: PetriNet, marking: Marking, transition: str) -> Marking:
     """Fire a transition: one token per input arc in, one per output arc out."""
-    counts = marking.as_dict()
-    for p in net.inputs(transition):
-        if counts.get(p, 0) < 1:
-            raise ValueError(f"transition {transition!r} is not enabled at {marking}")
-        counts[p] -= 1
-    for p in net.outputs(transition):
-        counts[p] = counts.get(p, 0) + 1
-    return Marking.of(counts)
+    compiled = net.compiled
+    for t, _, fired in compiled.successors(compiled.vector(marking)):
+        if t == transition:
+            return compiled.marking(fired)
+    raise ValueError(f"transition {transition!r} is not enabled at {marking}")
 
 
 def language_upto(net: PetriNet, max_len: int, max_states: int = 100_000) -> set[Trace]:
@@ -191,27 +289,27 @@ def language_upto(net: PetriNet, max_len: int, max_states: int = 100_000) -> set
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
+    compiled = net.compiled
     words: set[Trace] = set()
-    start = (net.initial_marking, ())
+    start = (compiled.initial, ())
     seen_pairs = {start}
-    seen_markings = {net.initial_marking}
+    seen_vectors = {compiled.initial}
     queue = deque([start])
     while queue:
-        marking, word = queue.popleft()
-        if marking == net.final_marking:
+        vector, word = queue.popleft()
+        if vector == compiled.final:
             words.add(word)
-        for t in sorted(enabled(net, marking)):
-            label = net.label(t)
+        for _, label, fired in compiled.successors(vector):
             next_word = word if label is None else word + (label,)
             if len(next_word) > max_len:
                 continue
-            state = (fire(net, marking, t), next_word)
+            state = (fired, next_word)
             if state in seen_pairs:
                 continue
             seen_pairs.add(state)
-            if state[0] not in seen_markings:
-                seen_markings.add(state[0])
-                if len(seen_markings) > max_states:
+            if fired not in seen_vectors:
+                seen_vectors.add(fired)
+                if len(seen_vectors) > max_states:
                     raise BudgetExceeded("language enumeration", max_states)
             queue.append(state)
     return words
@@ -222,18 +320,18 @@ def shortest_visible_path(net: PetriNet, max_states: int = 100_000) -> int:
 
     Uniform-cost search over markings; silent moves cost nothing.
     """
-    dist: dict[Marking, int] = {net.initial_marking: 0}
-    heap: list[tuple[int, int, Marking]] = [(0, 0, net.initial_marking)]
+    compiled = net.compiled
+    dist: dict[Vector, int] = {compiled.initial: 0}
+    heap: list[tuple[int, int, Vector]] = [(0, 0, compiled.initial)]
     tie = 0
     while heap:
-        cost, _, marking = heapq.heappop(heap)
-        if cost > dist.get(marking, cost):
+        cost, _, vector = heapq.heappop(heap)
+        if cost > dist.get(vector, cost):
             continue
-        if marking == net.final_marking:
+        if vector == compiled.final:
             return cost
-        for t in sorted(enabled(net, marking)):
-            step = 0 if net.is_silent(t) else 1
-            nxt = fire(net, marking, t)
+        for _, label, nxt in compiled.successors(vector):
+            step = 0 if label is None else 1
             if cost + step < dist.get(nxt, cost + step + 1):
                 if nxt not in dist and len(dist) >= max_states:
                     raise BudgetExceeded("shortest path search", max_states)

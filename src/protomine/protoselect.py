@@ -27,7 +27,7 @@ from .conformance import (
 )
 from .discovery import discover
 from .eventlog import EventLog, Sublog, Trace, variants
-from .petrinet import PetriNet, enabled, fire
+from .petrinet import PetriNet
 from .tracedist import distance_matrix
 
 STOP_NO_IMPROVEMENT = "no_improvement"
@@ -210,20 +210,19 @@ def gen_synthetic(
 
 
 def _simulate_trace(net: PetriNet, rng: random.Random, max_steps: int) -> Trace:
+    compiled = net.compiled
     for _ in range(100):  # retries in case a walk dead-ends
-        marking = net.initial_marking
+        vector = compiled.initial
         word: list[str] = []
         for _ in range(max_steps):
-            if marking == net.final_marking:
+            if vector == compiled.final:
                 return tuple(word)
-            options = sorted(enabled(net, marking))
+            options = compiled.successors(vector)  # in transition_ids (sorted) order
             if not options:
                 break
-            t = rng.choice(options)
-            label = net.label(t)
+            _, label, vector = rng.choice(options)
             if label is not None:
                 word.append(label)
-            marking = fire(net, marking, t)
     raise RuntimeError("simulation repeatedly failed to reach the final marking")
 
 

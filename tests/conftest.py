@@ -4,7 +4,10 @@ The oracles here deliberately avoid the implementation paths they check:
 the LCS oracle is a plain quadratic table (the library uses a two-row
 variant inside an LCS reduction), the edit-distance oracle is the direct
 insert/delete dynamic program, and the alignment oracle minimises edit
-distance over a brute-force enumeration of the model language.
+distance over a brute-force enumeration of the model language. The
+reference interpreter (``reference_enabled``/``reference_fire``) plays
+the token game on ``Marking`` dicts, independent of the library's
+compiled count-vector form.
 """
 
 from __future__ import annotations
@@ -13,13 +16,68 @@ import random
 
 import pytest
 
-from protomine import PetriNet, choice_parallel_net, language_upto
+from protomine import Marking, PetriNet, choice_parallel_net, language_upto
 from protomine.discovery import ProcessTree, leaf, parallel, seq, tree_to_net, xor
 
 
 @pytest.fixture
 def fixture_net() -> PetriNet:
     return choice_parallel_net()
+
+
+def reference_enabled(net: PetriNet, marking: Marking) -> set[str]:
+    """Transitions whose every input place holds at least one token."""
+    counts = marking.as_dict()
+    return {
+        t
+        for t in net.transition_ids
+        if all(counts.get(p, 0) >= 1 for p in net.inputs(t))
+    }
+
+
+def reference_fire(net: PetriNet, marking: Marking, transition: str) -> Marking:
+    """Fire a transition: one token per input arc in, one per output arc out."""
+    counts = marking.as_dict()
+    for p in net.inputs(transition):
+        if counts.get(p, 0) < 1:
+            raise ValueError(f"transition {transition!r} is not enabled at {marking}")
+        counts[p] -= 1
+    for p in net.outputs(transition):
+        counts[p] = counts.get(p, 0) + 1
+    return Marking.of(counts)
+
+
+def reference_silent_closure(net: PetriNet, markings) -> set[Marking]:
+    """Every marking reachable from the given ones by silent firings only."""
+    closure = set(markings)
+    frontier = list(closure)
+    while frontier:
+        marking = frontier.pop()
+        for t in reference_enabled(net, marking):
+            if net.is_silent(t):
+                nxt = reference_fire(net, marking, t)
+                if nxt not in closure:
+                    closure.add(nxt)
+                    frontier.append(nxt)
+    return closure
+
+
+def reference_simulate_trace(net: PetriNet, rng: random.Random, max_steps: int = 1000):
+    """A random walk from the initial to the final marking, as gen_synthetic walks."""
+    for _ in range(100):
+        marking = net.initial_marking
+        word = []
+        for _ in range(max_steps):
+            if marking == net.final_marking:
+                return tuple(word)
+            options = sorted(reference_enabled(net, marking))
+            if not options:
+                break
+            t = rng.choice(options)
+            if net.label(t) is not None:
+                word.append(net.label(t))
+            marking = reference_fire(net, marking, t)
+    raise RuntimeError("simulation repeatedly failed to reach the final marking")
 
 
 def lcs_oracle(a, b) -> int:

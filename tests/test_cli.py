@@ -1,10 +1,22 @@
 import json
+import random
 
 import pytest
 
-from protomine import export_pnml, export_xes, gen_synthetic, parse_xes, three_group_net, two_group_net
+from protomine import (
+    EventLog,
+    export_pnml,
+    export_xes,
+    gen_synthetic,
+    parse_xes,
+    three_group_net,
+    two_group_net,
+)
 from protomine.builtin_models import choice_parallel_net
 from protomine.cli import main
+from protomine.protoselect import _perturb
+
+from .conftest import reference_simulate_trace
 
 
 @pytest.fixture
@@ -31,6 +43,18 @@ class TestGen:
         for out in (first, second):
             assert run("gen", "--model", "two-group", "--n", "25", "--noise", "0.2", "--seed", "3", "--out", out) == 0
         assert (first / "log.xes").read_bytes() == (second / "log.xes").read_bytes()
+
+    def test_matches_reference_interpreter(self, tmp_path):
+        assert run("gen", "--model", "two-group", "--n", "200", "--noise", "0.2", "--seed", "3", "--out", tmp_path) == 0
+        rng = random.Random(3)
+        traces = []
+        for _ in range(200):
+            trace = reference_simulate_trace(two_group_net(), rng)
+            if rng.random() < 0.2:
+                trace = _perturb(trace, rng)
+            traces.append(trace)
+        expected = export_xes(EventLog.from_traces(traces))
+        assert (tmp_path / "log.xes").read_bytes() == expected
 
     def test_unknown_model(self, tmp_path):
         assert run("gen", "--model", "nope", "--n", "1", "--out", tmp_path) == 2

@@ -6,6 +6,8 @@ import pytest
 from protomine import (
     BudgetExceeded,
     EventLog,
+    Marking,
+    PetriNet,
     alignment_cost,
     compute_report,
     coverage,
@@ -252,6 +254,29 @@ class TestCoverage:
 
 
 class TestQualityReport:
+    def test_unreachable_final_marking_fails_before_aligning(self):
+        # four independent two-place cycles: 16 markings, all visited by the
+        # shortest-path check, while aligning a 10-event trace has 176
+        # product states, more than the alignment budget below
+        places, transitions, arcs = ["end"], {}, []
+        for i in range(4):
+            a, b = f"c{i}a", f"c{i}b"
+            places += [a, b]
+            transitions.update({f"f{i}": f"x{i}", f"g{i}": f"y{i}"})
+            arcs += [(a, f"f{i}"), (f"f{i}", b), (b, f"g{i}"), (f"g{i}", a)]
+        net = PetriNet(
+            places=places,
+            transitions=transitions,
+            arcs=arcs,
+            initial_marking=Marking.of([f"c{i}a" for i in range(4)]),
+            final_marking=Marking.of({"end": 1}),
+        )
+        trace = ("x0",) * 10
+        with pytest.raises(BudgetExceeded):
+            alignment_cost(trace, net, budget=50)
+        with pytest.raises(ValueError, match="not reachable"):
+            compute_report(EventLog({trace: 1}), net, [], 1.0, budget=50)
+
     def test_report_fields_and_json_names(self, fixture_net):
         log = EventLog({("a", "b", "d", "e"): 1, ("a", "e"): 1})
         report = compute_report(log, fixture_net, [("a", "b", "d", "e")], beta=2.0)

@@ -113,6 +113,18 @@ class TestParseCsv:
         with pytest.raises(LogFormatError, match="row 3"):
             parse_csv(doc, CsvColumns(case_id="case", activity="act", timestamp="ts"))
 
+    def test_mixed_iso_and_numeric_timestamps_name_the_row(self):
+        doc = (CSV_HEADER + "c1,a,12.5\nc2,a,7\nc1,b,2024-01-01T00:00:00\n").encode()
+        expected = r"row 4: .* is a naive ISO datetime, .*\(row 2\) is a number"
+        with pytest.raises(LogFormatError, match=expected):
+            parse_csv(doc, CsvColumns(case_id="case", activity="act", timestamp="ts"))
+
+    def test_mixed_naive_and_aware_timestamps_name_the_row(self):
+        doc = (CSV_HEADER + "c1,a,2024-01-01T00:00:00Z\nc1,b,2024-01-01T01:00:00\n").encode()
+        expected = r"row 3: .* is a naive ISO datetime, .*\(row 2\) is an ISO datetime with an offset"
+        with pytest.raises(LogFormatError, match=expected):
+            parse_csv(doc, CsvColumns(case_id="case", activity="act", timestamp="ts"))
+
     def test_timestamp_ties_keep_file_order(self):
         doc = (CSV_HEADER + "c1,a,5\nc1,b,5\nc1,c,1\n").encode()
         log = parse_csv(doc, CsvColumns(case_id="case", activity="act", timestamp="ts"))

@@ -7,6 +7,7 @@ from protomine import (
     Marking,
     PetriNet,
     cardoso_metric,
+    choice_parallel_net,
     enabled,
     export_pnml,
     fire,
@@ -15,10 +16,17 @@ from protomine import (
     parse_pnml,
     shortest_visible_path,
     size_metric,
+    two_group_net,
 )
 from protomine.builtin_models import silent_only_net
+from protomine.discovery import leaf, loop, parallel, seq, silent_leaf, tree_to_net
 
-from .conftest import random_acyclic_net
+from .conftest import (
+    random_acyclic_net,
+    reference_enabled,
+    reference_fire,
+    reference_silent_closure,
+)
 
 
 def single_transition_net(label="a"):
@@ -104,6 +112,100 @@ class TestEnabledAndFire:
                     indeg = net.inputs(t).count(place)
                     assert delta == outdeg - indeg
                 marking = nxt
+
+
+def producer_net():
+    """Unbounded: the visible ``make`` adds a token to q, the silent ``move`` shifts it to r."""
+    return PetriNet(
+        places=["p", "q", "r", "end"],
+        transitions={"make": "m", "move": None, "take": "t", "stop": None},
+        arcs=[
+            ("p", "make"), ("make", "p"), ("make", "q"),
+            ("q", "move"), ("move", "r"),
+            ("r", "take"), ("take", "q"),
+            ("p", "stop"), ("stop", "end"),
+        ],
+        initial_marking=Marking.of({"p": 1}),
+        final_marking=Marking.of({"end": 1}),
+    )
+
+
+def differential_nets():
+    """Random acyclic nets plus flower, silent-only, cyclic and multi-token nets."""
+    rng = random.Random(7)
+    nets = [random_acyclic_net(rng)[0] for _ in range(25)]
+    nets += [
+        flower_net(["a", "b", "c"]),
+        silent_only_net(),
+        choice_parallel_net(),
+        two_group_net(),
+        tree_to_net(loop(seq(leaf("a"), leaf("b")), leaf("c"))),
+        tree_to_net(loop(silent_leaf(), parallel(leaf("a"), leaf("b")), leaf("c"))),
+        producer_net(),
+        PetriNet([], {}, [], Marking.of({}), Marking.of({})),
+    ]
+    return nets
+
+
+def reachable_markings(net, bound=150):
+    """Markings reachable under the reference interpreter, breadth first, at most ``bound``."""
+    seen = [net.initial_marking]
+    index = 0
+    while index < len(seen) and len(seen) < bound:
+        marking = seen[index]
+        index += 1
+        for t in sorted(reference_enabled(net, marking)):
+            nxt = reference_fire(net, marking, t)
+            if nxt not in seen:
+                seen.append(nxt)
+    return seen
+
+
+class TestCompiledNetAgainstReference:
+    def test_successors_match_reference(self):
+        for net in differential_nets():
+            compiled = net.compiled
+            assert compiled.marking(compiled.initial) == net.initial_marking
+            assert compiled.marking(compiled.final) == net.final_marking
+            for marking in reachable_markings(net):
+                vector = compiled.vector(marking)
+                assert compiled.marking(vector) == marking
+                expected = reference_enabled(net, marking)
+                steps = compiled.successors(vector)
+                assert [t for t, _, _ in steps] == sorted(expected)
+                assert enabled(net, marking) == expected
+                for t, label, fired in steps:
+                    assert label == net.label(t)
+                    assert compiled.marking(fired) == reference_fire(net, marking, t)
+                    assert fire(net, marking, t) == reference_fire(net, marking, t)
+
+    def test_silent_closures_match_reference(self):
+        for net in differential_nets():
+            compiled = net.compiled
+            markings = reachable_markings(net, bound=40)
+            for marking in markings:
+                closure = compiled.silent_closure([compiled.vector(marking)], 10_000)
+                assert {compiled.marking(v) for v in closure} == reference_silent_closure(net, [marking])
+            pair = markings[-2:]
+            union = compiled.silent_closure([compiled.vector(m) for m in pair], 10_000)
+            assert {compiled.marking(v) for v in union} == reference_silent_closure(net, pair)
+
+    def test_closure_budget_trips_exactly_past_the_union(self):
+        # two start markings of a flower: p_in closes over the hub and
+        # p_out, the hub over p_out; the union has three markings
+        net = flower_net(["a"])
+        compiled = net.compiled
+        start = [compiled.vector(Marking.of(["p_in"])), compiled.vector(Marking.of(["hub"]))]
+        assert len(compiled.silent_closure(start, 3)) == 3
+        with pytest.raises(BudgetExceeded, match="silent closure"):
+            compiled.silent_closure(start, 2)
+        # a start set larger than the budget is not an overrun by itself
+        end = compiled.vector(Marking.of(["p_out"]))
+        assert compiled.silent_closure([end], 0) == {end}
+
+    def test_marking_with_unknown_place_rejected(self):
+        with pytest.raises(ValueError, match="unknown places"):
+            enabled(single_transition_net(), Marking.of({"zz": 1}))
 
 
 class TestLanguage:
