@@ -169,7 +169,7 @@ class PetriNet:
 
 Vector = tuple[int, ...]
 # one enabled transition at a vector: (transition id, label, successor vector)
-Step = tuple[str, "str | None", Vector]
+Step = tuple[str, str | None, Vector]
 
 
 class CompiledNet:
