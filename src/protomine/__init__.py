@@ -20,12 +20,7 @@ from .conformance import (
     QualityReport,
     alignment_cost,
     compute_report,
-    coverage,
-    deviating_traces,
-    etc_precision,
     f_beta,
-    log_fitness,
-    trace_fitness,
     variant_alignments,
 )
 from .discovery import (
@@ -96,15 +91,12 @@ __all__ = [
     "cardoso_metric",
     "choice_parallel_net",
     "compute_report",
-    "coverage",
-    "deviating_traces",
     "dfg",
     "discover",
     "discover_tree",
     "distance_matrix",
     "edit_distance",
     "enabled",
-    "etc_precision",
     "export_pnml",
     "export_xes",
     "f_beta",
@@ -114,7 +106,6 @@ __all__ = [
     "kmedoids",
     "language_upto",
     "lcs_length",
-    "log_fitness",
     "parse_csv",
     "parse_pnml",
     "parse_xes",
@@ -123,7 +114,6 @@ __all__ = [
     "shortest_visible_path",
     "size_metric",
     "three_group_net",
-    "trace_fitness",
     "tree_to_net",
     "two_group_net",
     "variant_alignments",

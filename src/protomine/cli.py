@@ -111,7 +111,6 @@ def cmd_discover(args: argparse.Namespace) -> int:
         k=args.k,
         beta=args.beta,
         max_iterations=args.max_iter,
-        seed=args.seed,
         align_budget=args.align_budget,
         closure_budget=args.lang_budget,
     )
@@ -154,11 +153,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows: list[list[str]] = []
     failures: list[str] = []
 
-    def add_row(method: str, net, selected) -> None:
-        report = compute_report(
-            log, net, selected, args.beta,
-            budget=args.align_budget, closure_budget=args.lang_budget,
-        )
+    def add_row(method: str, report, n: int) -> None:
         f1 = f_beta(report.precision, report.fitness, 1.0)
         rows.append(
             [
@@ -169,22 +164,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 f"{report.precision:.6f}",
                 str(report.size),
                 str(report.cardoso),
-                str(len(selected)),
+                str(n),
             ]
         )
 
-    def sub_model(selected):
+    def score_baseline(selected):
         sub = Sublog({t: log.count(t) for t in selected}, parent=log)
-        return discover(sub)
+        return compute_report(
+            log, discover(sub), selected, args.beta,
+            budget=args.align_budget, closure_budget=args.lang_budget,
+        )
 
     n_selected = None
     try:
         result = select_incremental(
             log, k=args.k, beta=args.beta, max_iterations=args.max_iter,
-            seed=args.seed, align_budget=args.align_budget, closure_budget=args.lang_budget,
+            align_budget=args.align_budget, closure_budget=args.lang_budget,
         )
         n_selected = len(result.prototypes)
-        add_row("prototypes", result.model, list(result.prototypes))
+        # the loop already scored its returned model against the whole log
+        add_row("prototypes", result.best_report, n_selected)
     except Exception as exc:  # flagged, remaining methods still run
         failures.append(f"prototypes: {exc}")
     if n_selected is None:
@@ -197,7 +196,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ):
         try:
             selected = pick()
-            add_row(method, sub_model(selected), selected)
+            add_row(method, score_baseline(selected), len(selected))
         except Exception as exc:
             failures.append(f"{method}: {exc}")
 
@@ -247,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--k", type=int, default=3, help="cluster count per selection step")
         p.add_argument("--beta", type=float, default=1.0, help="F_beta weighting")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--miner", default="inductive", help="discovery backend")
         p.add_argument("--max-iter", type=int, default=20, help="selection iteration cap")
 
@@ -281,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_log_input(p)
     add_run_options(p)
     add_budgets(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random baseline")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_compare)
 

@@ -8,9 +8,8 @@ singleton, while distances stay per-variant.
 
 The implementation is Lloyd-style alternation with deterministic
 tie-breaking (lowest index everywhere) and greedy farthest-point
-initialisation seeded at the most frequent variant. The ``seed``
-argument is accepted for API stability and reserved for randomized
-restarts; the default procedure is fully deterministic.
+initialisation starting at the most frequent variant, so the same input
+always gives the same clustering.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ def kmedoids(
     variant_counts: Sequence[tuple[Trace, int]],
     k: int,
     matrix: DistanceMatrix,
-    seed: int = 0,
 ) -> Clustering:
     """Cluster weighted variants into k groups around medoid traces.
 

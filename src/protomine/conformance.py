@@ -1,22 +1,27 @@
 """Alignment-based model quality: fitness, precision, F_beta, coverage.
 
-Fitness of a trace against a net is computed from an optimal alignment
-over the synchronous product: synchronous moves and silent model moves
-are free, a trace-only move (deleting an activity) or a visible
-model-only move (inserting one) costs one. The alignment cost therefore
-equals the minimum insert/delete edit distance from the trace to any word
-of the model language, and
+``alignment_cost`` finds an optimal alignment of one trace over the
+synchronous product: synchronous moves and silent model moves are free,
+a trace-only move (deleting an activity) or a visible model-only move
+(inserting one) costs one. The alignment cost therefore equals the
+minimum insert/delete edit distance from the trace to any word of the
+model language, and
 
     fitness(trace, net) = 1 - cost / (len(trace) + shortest_word(net))
 
 so 1 means the trace is a word of the model. The cost ratio is kept as an
-exact rational, which makes "fitness < 1" (the deviating-trace test)
-float-free.
+exact rational, and a trace deviates (fitness < 1) exactly when its
+alignment cost is positive, so no float comparison is involved.
 
 Precision follows the escaping-edges idea: replay the aligned model
 projection of every trace, weight each replay state by the traces passing
 through it, and compare the activities the model enables against the
 activities actually observed leaving the state.
+
+``variant_alignments`` aligns each variant of a log once, and
+``compute_report`` derives every metric from those alignments in one
+pass: fitness, precision, F_beta and both coverages. No other function
+turns alignments into metrics.
 
 Every search here, the alignments and the precision replay alike, runs
 on the net's compiled form (``PetriNet.compiled``), so they share one
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .eventlog import EventLog, Sublog, Trace
+from .eventlog import EventLog, Trace
 from .petrinet import (
     BudgetExceeded,
     PetriNet,
@@ -49,11 +54,6 @@ class AlignmentResult:
 
     cost: int
     model_projection: Trace
-
-    @property
-    def closest_model_trace_length_bound(self) -> int:
-        """Length of the aligned model word; bounds the nearest word length."""
-        return len(self.model_projection)
 
 
 def alignment_cost(
@@ -132,55 +132,12 @@ def variant_alignments(
     return {trace: alignment_cost(trace, net, budget) for trace in sorted(log.variants)}
 
 
-def trace_fitness(
-    trace: Sequence[str], net: PetriNet, budget: int = DEFAULT_ALIGN_BUDGET
-) -> Fraction:
-    """Alignment fitness in [0, 1]; exactly 1 iff the trace is a model word."""
-    cost = alignment_cost(trace, net, budget).cost
-    return _fitness_from_cost(cost, len(trace), shortest_visible_path(net))
-
-
 def _fitness_from_cost(cost: int, trace_len: int, shortest_word: int) -> Fraction:
     denominator = trace_len + shortest_word
     if denominator == 0:
         # empty trace against a model accepting the empty word
         return Fraction(1)
     return 1 - Fraction(cost, denominator)
-
-
-def log_fitness(log: EventLog, net: PetriNet, budget: int = DEFAULT_ALIGN_BUDGET) -> Fraction:
-    """Frequency-weighted mean of per-variant fitness."""
-    if len(log) == 0:
-        raise ValueError("cannot compute fitness of an empty log")
-    shortest = shortest_visible_path(net)
-    total = Fraction(0)
-    for trace, count in log.variants.items():
-        cost = alignment_cost(trace, net, budget).cost
-        total += count * _fitness_from_cost(cost, len(trace), shortest)
-    return total / log.total_traces
-
-
-def etc_precision(
-    log: EventLog,
-    net: PetriNet,
-    budget: int = DEFAULT_ALIGN_BUDGET,
-    closure_budget: int = DEFAULT_CLOSURE_BUDGET,
-) -> float:
-    """Escaping-edges precision of the net against the log.
-
-    Every variant contributes its aligned model projection (for fitting
-    traces that is the trace itself), so deviating behaviour is replayed
-    as the closest model word. States are the prefixes of the replayed
-    words; at each state the escaping edges are the activities the model
-    enables (through silent moves) that never occur there in the log.
-    """
-    if len(log) == 0:
-        raise ValueError("cannot compute precision of an empty log")
-    projected: dict[Trace, int] = {}
-    for trace, count in log.variants.items():
-        word = alignment_cost(trace, net, budget).model_projection
-        projected[word] = projected.get(word, 0) + count
-    return _escaping_edges_precision(net, projected, closure_budget)
 
 
 def f_beta(precision: float, fitness: float, beta: float) -> float:
@@ -200,49 +157,6 @@ def f_beta(precision: float, fitness: float, beta: float) -> float:
     if denominator == 0:
         return 0.0
     return (1 + b2) * (precision * fitness) / denominator
-
-
-def deviating_traces(
-    log: EventLog, net: PetriNet, budget: int = DEFAULT_ALIGN_BUDGET
-) -> Sublog:
-    """The sublog of variants with fitness strictly below 1.
-
-    Fitness is below 1 exactly when the optimal alignment has positive
-    cost, so no floating-point comparison is involved.
-    """
-    deviating = {
-        trace: count
-        for trace, count in log.variants.items()
-        if alignment_cost(trace, net, budget).cost > 0
-    }
-    return Sublog(deviating, parent=log)
-
-
-def coverage(
-    prototype_list: Sequence[Trace],
-    log: EventLog,
-    net: PetriNet,
-    budget: int = DEFAULT_ALIGN_BUDGET,
-) -> tuple[float, float]:
-    """(log coverage, model trace coverage) of a prototype set and net.
-
-    Log coverage is the fraction of traces equal to some prototype; model
-    trace coverage is the fraction replaying with alignment cost zero.
-    """
-    selected = {tuple(p) for p in prototype_list}
-    for p in selected:
-        if p not in log:
-            raise ValueError(f"prototype {p!r} is not a variant of the log")
-    total = log.total_traces
-    if total == 0:
-        raise ValueError("cannot compute coverage of an empty log")
-    log_cov = sum(count for trace, count in log.variants.items() if trace in selected)
-    model_cov = sum(
-        count
-        for trace, count in log.variants.items()
-        if alignment_cost(trace, net, budget).cost == 0
-    )
-    return log_cov / total, model_cov / total
 
 
 @dataclass(frozen=True)
@@ -280,30 +194,42 @@ def compute_report(
     alignments: Mapping[Trace, AlignmentResult] | None = None,
     closure_budget: int = DEFAULT_CLOSURE_BUDGET,
 ) -> QualityReport:
-    """Assemble a QualityReport with a single alignment pass per variant.
+    """Score a net against a log from one alignment per variant.
+
+    Fitness is the frequency-weighted mean of per-variant fitness.
+    Precision replays every variant's aligned model projection (for a
+    fitting trace, the trace itself), so deviating behaviour counts as
+    its closest model word. Log coverage is the share of traces equal to
+    a prototype, model trace coverage the share aligning at cost zero.
 
     Callers that already hold per-variant alignments (the selection loop
-    does) can pass them in to avoid a second search. The shortest model
-    word is found first, so a net whose final marking is unreachable fails
-    with ValueError before any alignment search runs.
+    does) can pass them in to avoid a second search. An empty log, or a
+    prototype that is not a variant of the log, raises ValueError. The
+    shortest model word is found before any alignment search runs, so a
+    net whose final marking is unreachable fails fast with ValueError.
     """
+    table = log.variants
+    total = log.total_traces
+    if total == 0:
+        raise ValueError("cannot score a model against an empty log")
+    selected = {tuple(p) for p in prototype_list}
+    unknown = sorted(selected - table.keys())
+    if unknown:
+        raise ValueError(f"prototype {unknown[0]!r} is not a variant of the log")
     shortest = shortest_visible_path(net)
     if alignments is None:
         alignments = variant_alignments(log, net, budget)
     fit = sum(
         count * _fitness_from_cost(alignments[trace].cost, len(trace), shortest)
-        for trace, count in log.variants.items()
-    ) / log.total_traces
-    precision = _precision_from_projections(log, net, alignments, closure_budget)
-    selected = {tuple(p) for p in prototype_list}
-    log_cov = (
-        sum(count for trace, count in log.variants.items() if trace in selected)
-        / log.total_traces
-    )
-    model_cov = (
-        sum(count for trace, count in log.variants.items() if alignments[trace].cost == 0)
-        / log.total_traces
-    )
+        for trace, count in table.items()
+    ) / total
+    projected: dict[Trace, int] = {}
+    for trace, count in table.items():
+        word = alignments[trace].model_projection
+        projected[word] = projected.get(word, 0) + count
+    precision = _escaping_edges_precision(net, projected, closure_budget)
+    log_cov = sum(count for trace, count in table.items() if trace in selected) / total
+    model_cov = sum(count for trace, count in table.items() if alignments[trace].cost == 0) / total
     return QualityReport(
         fitness=float(fit),
         precision=precision,
@@ -314,19 +240,6 @@ def compute_report(
         log_coverage=log_cov,
         model_trace_coverage=model_cov,
     )
-
-
-def _precision_from_projections(
-    log: EventLog,
-    net: PetriNet,
-    alignments: Mapping[Trace, AlignmentResult],
-    closure_budget: int = DEFAULT_CLOSURE_BUDGET,
-) -> float:
-    projected: dict[Trace, int] = {}
-    for trace, count in log.variants.items():
-        word = alignments[trace].model_projection
-        projected[word] = projected.get(word, 0) + count
-    return _escaping_edges_precision(net, projected, closure_budget)
 
 
 def _escaping_edges_precision(

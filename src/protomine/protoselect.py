@@ -72,7 +72,6 @@ def select_incremental(
     k: int,
     beta: float = 1.0,
     max_iterations: int = 20,
-    seed: int = 0,
     align_budget: int = DEFAULT_ALIGN_BUDGET,
     closure_budget: int = DEFAULT_CLOSURE_BUDGET,
 ) -> SelectionResult:
@@ -95,7 +94,7 @@ def select_incremental(
 
     def medoids_of(subset: list[tuple[Trace, int]], clusters: int) -> list[Trace]:
         sub = matrix.submatrix([position[t] for t, _ in subset])
-        return cluster_prototypes(kmedoids(subset, clusters, sub, seed))
+        return cluster_prototypes(kmedoids(subset, clusters, sub))
 
     selected: list[Trace] = medoids_of(ordered, k)
     added: list[Trace] = list(selected)

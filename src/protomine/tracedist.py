@@ -50,12 +50,6 @@ class DistanceMatrix:
     variant_index: tuple[Trace, ...]
     entries: np.ndarray
 
-    def index_of(self, trace: Trace) -> int:
-        return self.variant_index.index(trace)
-
-    def distance(self, a: Trace, b: Trace) -> int:
-        return int(self.entries[self.index_of(a), self.index_of(b)])
-
     def submatrix(self, indices: Sequence[int]) -> "DistanceMatrix":
         """Restriction to a subset of variants, preserving their order."""
         idx = list(indices)

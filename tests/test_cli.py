@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 
@@ -100,7 +101,7 @@ class TestDiscover:
     def test_deterministic_outputs(self, small_log_path, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         for out in (first, second):
-            assert run("discover", "--in", small_log_path, "--k", "2", "--seed", "5", "--out", out) == 0
+            assert run("discover", "--in", small_log_path, "--k", "2", "--out", out) == 0
         for name in ("model.pnml", "prototypes.xes", "report.json", "history.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
@@ -131,6 +132,14 @@ class TestEvaluate:
 
     def test_missing_model_file(self, small_log_path, tmp_path):
         assert run("evaluate", "--in", small_log_path, "--model", tmp_path / "no.pnml", "--out", tmp_path) == 2
+
+    def test_empty_log_is_runtime_error_naming_it(self, tmp_path, capsys):
+        log_path = tmp_path / "empty.xes"
+        log_path.write_bytes(b"<log></log>")
+        model_path = tmp_path / "model.pnml"
+        model_path.write_bytes(export_pnml(choice_parallel_net()))
+        assert run("evaluate", "--in", log_path, "--model", model_path, "--out", tmp_path) == 1
+        assert "empty log" in capsys.readouterr().err
 
     def test_invalid_pnml_is_runtime_error(self, small_log_path, tmp_path):
         bad = tmp_path / "bad.pnml"
@@ -166,6 +175,17 @@ class TestCompare:
         for out in (first, second):
             assert run("compare", "--in", log_path, "--k", "2", "--seed", "4", "--out", out) == 0
         assert (first / "compare.csv").read_bytes() == (second / "compare.csv").read_bytes()
+
+    def test_prototypes_row_matches_discover_report(self, tmp_path):
+        log_path = tmp_path / "noisy.xes"
+        log_path.write_bytes(export_xes(gen_synthetic(two_group_net(), 120, 0.1, seed=2)))
+        assert run("discover", "--in", log_path, "--k", "2", "--out", tmp_path / "d") == 0
+        assert run("compare", "--in", log_path, "--k", "2", "--out", tmp_path / "c") == 0
+        report = json.loads((tmp_path / "d" / "report.json").read_text())
+        with open(tmp_path / "c" / "compare.csv", newline="") as handle:
+            row = next(r for r in csv.DictReader(handle) if r["method"] == "prototypes")
+        for key in ("fitness", "precision", "f_beta"):
+            assert row[key] == f"{report[key]:.6f}", key
 
 
 class TestCsvInput:

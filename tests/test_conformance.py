@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -10,15 +9,12 @@ from protomine import (
     PetriNet,
     alignment_cost,
     compute_report,
-    coverage,
-    deviating_traces,
-    etc_precision,
     f_beta,
     flower_net,
     language_upto,
-    log_fitness,
-    trace_fitness,
+    variant_alignments,
 )
+from protomine import conformance
 from protomine.builtin_models import silent_only_net
 from protomine.discovery import leaf, seq, tree_to_net
 
@@ -27,6 +23,23 @@ from .conftest import brute_force_alignment_cost, lcs_oracle as _lcs, random_acy
 
 def sequence_net(*labels):
     return tree_to_net(seq(*(leaf(l) for l in labels)))
+
+
+def fitness_of(trace, net):
+    return compute_report(EventLog({tuple(trace): 1}), net, [], 1.0).fitness
+
+
+def precision_of(log, net, **budgets):
+    return compute_report(log, net, [], 1.0, **budgets).precision
+
+
+def deviating(log, net):
+    alignments = variant_alignments(log, net)
+    return {t: c for t, c in log.variants.items() if alignments[t].cost > 0}
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("input checks must run before any net search")
 
 
 class TestAlignmentCost:
@@ -43,7 +56,7 @@ class TestAlignmentCost:
         # every model word has four visible labels
         result = alignment_cost((), fixture_net)
         assert result.cost == 4
-        assert result.closest_model_trace_length_bound == 4
+        assert len(result.model_projection) == 4
 
     def test_zero_cost_iff_in_language(self, fixture_net):
         words = language_upto(fixture_net, 4)
@@ -84,22 +97,22 @@ class TestAlignmentCost:
 
 class TestTraceFitness:
     def test_perfect(self, fixture_net):
-        assert trace_fitness(("a", "d", "c", "e"), fixture_net) == 1
+        assert fitness_of(("a", "d", "c", "e"), fixture_net) == 1
 
     def test_partial(self, fixture_net):
-        assert trace_fitness(("a", "e"), fixture_net) == Fraction(2, 3)
+        assert fitness_of(("a", "e"), fixture_net) == 2 / 3
 
     def test_empty_trace_zero_fitness(self, fixture_net):
-        assert trace_fitness((), fixture_net) == 0
+        assert fitness_of((), fixture_net) == 0
 
     def test_degenerate_empty_on_empty_model(self):
-        assert trace_fitness((), silent_only_net()) == 1
+        assert fitness_of((), silent_only_net()) == 1
 
     def test_always_in_unit_interval(self, fixture_net):
         rng = random.Random(8)
         for _ in range(60):
             trace = random_trace(rng, "abcdez", 7)
-            fit = trace_fitness(trace, fixture_net)
+            fit = fitness_of(trace, fixture_net)
             assert 0 <= fit <= 1
             cost = alignment_cost(trace, fixture_net).cost
             assert (fit == 1) == (cost == 0)
@@ -108,31 +121,32 @@ class TestTraceFitness:
 class TestLogFitness:
     def test_all_fitting(self, fixture_net):
         log = EventLog({("a", "b", "d", "e"): 3, ("a", "d", "c", "e"): 2})
-        assert log_fitness(log, fixture_net) == 1
+        assert compute_report(log, fixture_net, [], 1.0).fitness == 1
 
     def test_mixed(self, fixture_net):
         log = EventLog({("a", "d", "c", "e"): 1, ("a", "e"): 1})
-        assert log_fitness(log, fixture_net) == Fraction(5, 6)
+        assert compute_report(log, fixture_net, [], 1.0).fitness == 5 / 6
 
     def test_weighting(self, fixture_net):
-        assert log_fitness(EventLog({("a", "e"): 3}), fixture_net) == Fraction(2, 3)
+        log = EventLog({("a", "e"): 3})
+        assert compute_report(log, fixture_net, [], 1.0).fitness == 2 / 3
 
     def test_empty_log_rejected(self, fixture_net):
         with pytest.raises(ValueError):
-            log_fitness(EventLog({}), fixture_net)
+            compute_report(EventLog({}), fixture_net, [], 1.0)
 
 
 class TestEtcPrecision:
     def test_exact_sequence_is_precise(self):
         log = EventLog({("a", "b"): 1})
-        assert etc_precision(log, sequence_net("a", "b")) == 1.0
+        assert precision_of(log, sequence_net("a", "b")) == 1.0
 
     def test_flower_is_less_precise(self):
         log = EventLog({("a", "b"): 1})
         flower = flower_net(["a", "b", "c"])
-        assert etc_precision(log, flower) < etc_precision(log, sequence_net("a", "b"))
+        assert precision_of(log, flower) < precision_of(log, sequence_net("a", "b"))
         # escaping/enabled is 7/9 by direct count over the three states
-        assert etc_precision(log, flower) == pytest.approx(2 / 9)
+        assert precision_of(log, flower) == pytest.approx(2 / 9)
 
     def test_observed_equals_enabled(self, fixture_net):
         log = EventLog(
@@ -143,17 +157,17 @@ class TestEtcPrecision:
                 ("a", "d", "c", "e"): 1,
             }
         )
-        assert etc_precision(log, fixture_net) == 1.0
+        assert precision_of(log, fixture_net) == 1.0
 
     def test_deviating_traces_replay_as_model_words(self, fixture_net):
         # the non-fitting trace contributes its aligned projection
         log = EventLog({("a", "e"): 1})
-        value = etc_precision(log, fixture_net)
+        value = precision_of(log, fixture_net)
         assert 0.0 < value <= 1.0
 
     def test_empty_log_rejected(self, fixture_net):
         with pytest.raises(ValueError):
-            etc_precision(EventLog({}), fixture_net)
+            precision_of(EventLog({}), fixture_net)
 
     def test_silent_closure_budget_enforced(self):
         log = EventLog({("a",): 1})
@@ -161,7 +175,7 @@ class TestEtcPrecision:
         # reaching the hub through the opening silent move already needs
         # two closure markings, so a budget of one must trip
         with pytest.raises(BudgetExceeded):
-            etc_precision(log, flower, closure_budget=1)
+            precision_of(log, flower, closure_budget=1)
 
 
 class TestFBeta:
@@ -209,23 +223,21 @@ class TestFBeta:
 class TestDeviatingTraces:
     def test_all_fit(self, fixture_net):
         log = EventLog({("a", "b", "d", "e"): 2})
-        assert deviating_traces(log, fixture_net).variants == {}
+        assert deviating(log, fixture_net) == {}
 
     def test_partial(self, fixture_net):
         log = EventLog({("a", "d", "c", "e"): 9, ("a", "e"): 2})
-        sub = deviating_traces(log, fixture_net)
-        assert sub.variants == {("a", "e"): 2}
-        assert sub.parent is log
+        assert deviating(log, fixture_net) == {("a", "e"): 2}
 
     def test_flower_fits_everything(self):
         log = EventLog({("a", "b"): 1, ("b", "b", "a"): 4})
-        assert deviating_traces(log, flower_net(["a", "b"])).variants == {}
+        assert deviating(log, flower_net(["a", "b"])) == {}
 
     def test_partition(self, fixture_net):
         log = EventLog({("a", "b", "d", "e"): 2, ("a",): 1, ("z",): 3})
-        sub = deviating_traces(log, fixture_net)
-        fitting = {t: c for t, c in log.variants.items() if t not in sub.variants}
-        merged = dict(sub.variants)
+        sub = deviating(log, fixture_net)
+        fitting = {t: c for t, c in log.variants.items() if t not in sub}
+        merged = dict(sub)
         merged.update(fitting)
         assert merged == log.variants
 
@@ -233,27 +245,40 @@ class TestDeviatingTraces:
 class TestCoverage:
     def test_all_variants_selected(self, fixture_net):
         log = EventLog({("a", "b", "d", "e"): 2, ("a", "e"): 1})
-        log_cov, _ = coverage(list(log.variants), log, fixture_net)
-        assert log_cov == 1.0
+        report = compute_report(log, fixture_net, list(log.variants), 1.0)
+        assert report.log_coverage == 1.0
 
     def test_fitting_net_full_model_coverage(self, fixture_net):
         log = EventLog({("a", "b", "d", "e"): 2, ("a", "d", "c", "e"): 1})
-        _, model_cov = coverage([("a", "b", "d", "e")], log, fixture_net)
-        assert model_cov == 1.0
+        report = compute_report(log, fixture_net, [("a", "b", "d", "e")], 1.0)
+        assert report.model_trace_coverage == 1.0
 
     def test_partial_counts(self, fixture_net):
         log = EventLog({("a", "b", "d", "e"): 3, ("a", "e"): 1})
-        log_cov, model_cov = coverage([("a", "b", "d", "e")], log, fixture_net)
-        assert log_cov == 0.75
-        assert model_cov == 0.75
+        report = compute_report(log, fixture_net, [("a", "b", "d", "e")], 1.0)
+        assert report.log_coverage == 0.75
+        assert report.model_trace_coverage == 0.75
 
     def test_unknown_prototype_rejected(self, fixture_net):
         log = EventLog({("a", "e"): 1})
         with pytest.raises(ValueError, match="not a variant"):
-            coverage([("z",)], log, fixture_net)
+            compute_report(log, fixture_net, [("z",)], 1.0)
 
 
 class TestQualityReport:
+    def test_empty_log_rejected_before_any_search(self, fixture_net, monkeypatch):
+        monkeypatch.setattr(conformance, "shortest_visible_path", _never_called)
+        monkeypatch.setattr(conformance, "alignment_cost", _never_called)
+        with pytest.raises(ValueError, match="empty log"):
+            compute_report(EventLog({}), fixture_net, [], 1.0)
+
+    def test_unknown_prototype_rejected_before_any_search(self, fixture_net, monkeypatch):
+        log = EventLog({("a", "e"): 1})
+        monkeypatch.setattr(conformance, "shortest_visible_path", _never_called)
+        monkeypatch.setattr(conformance, "alignment_cost", _never_called)
+        with pytest.raises(ValueError, match=r"\('z',\) is not a variant of the log"):
+            compute_report(log, fixture_net, [("a", "e"), ("z",)], 1.0)
+
     def test_unreachable_final_marking_fails_before_aligning(self):
         # four independent two-place cycles: 16 markings, all visited by the
         # shortest-path check, while aligning a 10-event trace has 176

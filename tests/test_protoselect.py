@@ -9,9 +9,11 @@ from protomine import (
     baseline_frequency,
     baseline_random,
     choice_parallel_net,
+    compute_report,
     gen_synthetic,
     select_incremental,
     three_group_net,
+    two_group_net,
 )
 
 THREE_GROUP_LOG = EventLog(
@@ -111,6 +113,26 @@ class TestSelectIncremental:
             scores = [r.report.f_beta for r in result.history]
             assert scores[-1] <= scores[-2]
             assert result.best_report.f_beta == max(scores)
+
+    def test_best_report_equals_a_fresh_score_of_the_result(self):
+        # compare's prototypes row reuses best_report instead of rescoring
+        group_logs = [  # the three logs of acceptance criterion 7
+            THREE_GROUP_LOG,
+            EventLog({("k", "l", "m"): 5, ("n", "o", "p"): 5, ("q", "r", "s"): 5}),
+            EventLog({("k", "l", "m"): 100, ("n", "o", "p"): 1, ("q", "r", "s"): 1}),
+        ]
+        noisy = gen_synthetic(two_group_net(), 200, 0.2, seed=1)
+        runs = [(log, 1, 20) for log in group_logs]
+        runs += [(log, 1, 2) for log in group_logs]
+        runs.append((noisy, 2, 20))
+        stop_reasons = set()
+        for log, k, cap in runs:
+            for beta in (0.5, 1.0, 2.0):
+                result = select_incremental(log, k=k, beta=beta, max_iterations=cap)
+                fresh = compute_report(log, result.model, list(result.prototypes), beta)
+                assert result.best_report == fresh
+                stop_reasons.add(result.stop_reason)
+        assert stop_reasons == {"no_improvement", "no_deviating_traces", "iteration_cap"}
 
 
 class TestBaselines:
