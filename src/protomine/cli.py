@@ -74,6 +74,8 @@ def _check_common(args: argparse.Namespace, log: EventLog | None = None) -> None
     if getattr(args, "miner", "inductive") != "inductive":
         raise UsageError(f"unknown miner {args.miner!r}; available: inductive")
     if log is not None and hasattr(args, "k"):
+        if not len(log):
+            raise ValueError("cannot select prototypes from an empty log")
         if args.k < 1 or args.k > len(log):
             raise UsageError(
                 f"--k must lie in 1..{len(log)} (the log has {len(log)} variants), got {args.k}"

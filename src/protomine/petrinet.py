@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .eventlog import Trace
+from .eventlog import Trace, _local
 
 SILENT = None
 
@@ -396,10 +396,6 @@ def export_pnml(net: PetriNet) -> bytes:
     buf = io.BytesIO()
     tree.write(buf, encoding="UTF-8", xml_declaration=True)
     return buf.getvalue()
-
-
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
 
 
 def _find_child(element: ET.Element, name: str) -> ET.Element | None:

@@ -1,8 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the implementation paths they check:
-the LCS oracle is a plain quadratic table (the library uses a two-row
-variant inside an LCS reduction), the edit-distance oracle is the direct
+the LCS oracle is a plain quadratic table (the library uses a bit-parallel
+kernel inside an LCS reduction), the edit-distance oracle is the direct
 insert/delete dynamic program, and the alignment oracle minimises edit
 distance over a brute-force enumeration of the model language. The
 reference interpreter (``reference_enabled``/``reference_fire``) plays
@@ -81,7 +81,7 @@ def reference_simulate_trace(net: PetriNet, rng: random.Random, max_steps: int =
 
 
 def lcs_oracle(a, b) -> int:
-    """Full-table LCS, independent of the two-row version in the library."""
+    """Full-table LCS DP, independent of the library's bit-parallel kernel."""
     table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
     for i in range(1, len(a) + 1):
         for j in range(1, len(b) + 1):

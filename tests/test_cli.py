@@ -88,6 +88,13 @@ class TestDiscover:
     def test_missing_input(self, tmp_path):
         assert run("discover", "--in", tmp_path / "absent.xes", "--out", tmp_path) == 2
 
+    def test_empty_log_is_runtime_error_naming_it(self, tmp_path, capsys):
+        log_path = tmp_path / "empty.xes"
+        log_path.write_bytes(b"<log></log>")
+        assert run("discover", "--in", log_path, "--out", tmp_path / "d") == 1
+        err = capsys.readouterr().err
+        assert "empty log" in err and "--k" not in err
+
     def test_unknown_miner(self, small_log_path, tmp_path):
         assert run("discover", "--in", small_log_path, "--miner", "ilp", "--out", tmp_path) == 2
 
@@ -166,6 +173,14 @@ class TestCompare:
         for line in lines[1:]:
             fitness = float(line.split(",")[3])
             assert fitness == pytest.approx(1.0)
+
+    def test_empty_log_is_runtime_error_naming_it(self, tmp_path, capsys):
+        log_path = tmp_path / "empty.xes"
+        log_path.write_bytes(b"<log></log>")
+        assert run("compare", "--in", log_path, "--out", tmp_path / "c") == 1
+        err = capsys.readouterr().err
+        assert "empty log" in err and "--k" not in err
+        assert not (tmp_path / "c" / "compare.csv").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         log_path = tmp_path / "noisy.xes"

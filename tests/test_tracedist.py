@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from protomine import distance_matrix, edit_distance
+from protomine import distance_matrix, edit_distance, lcs_length
 
 from .conftest import insert_delete_dp, lcs_oracle, random_trace
 
@@ -87,3 +89,59 @@ class TestDistanceMatrix:
         sub = m.submatrix([2, 0])
         assert sub.variant_index == (("a", "b", "c"), ("a",))
         assert sub.entries[0, 1] == m.entries[2, 0]
+
+
+# labels sharing prefixes catch a kernel that matches on joined strings
+LABEL_SETS = {
+    "one-label": ["a"],
+    "shared-prefixes": ["a", "ab", "b a", "b"],
+    "twenty-labels": [f"act{i}" for i in range(20)],
+}
+
+hyp_traces = st.lists(st.sampled_from(LABEL_SETS["shared-prefixes"]), max_size=80).map(tuple)
+
+
+def wide_variants(rng: random.Random, labels, count: int) -> list[tuple[str, ...]]:
+    """Distinct traces: the empty one, short ones, and 65-150 events long."""
+    found = {()}
+    while len(found) < count:
+        length = rng.randint(65, 150) if len(found) % 2 else rng.randint(1, 64)
+        found.add(tuple(rng.choice(labels) for _ in range(length)))
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+class TestBitParallelKernel:
+    @pytest.mark.parametrize("labels", list(LABEL_SETS.values()), ids=list(LABEL_SETS))
+    def test_matrix_and_lcs_match_oracles(self, labels):
+        rng = random.Random(len(labels))
+        traces = wide_variants(rng, labels, 12)
+        assert max(map(len, traces)) > 64  # wider than one machine word
+        m = distance_matrix(traces)
+        assert m.entries.dtype == np.int32
+        assert np.array_equal(m.entries, m.entries.T)
+        for i, a in enumerate(traces):
+            for j in range(i, len(traces)):
+                b = traces[j]
+                assert m.entries[i, j] == insert_delete_dp(a, b)
+                assert lcs_length(a, b) == lcs_oracle(a, b) == lcs_length(b, a)
+
+    @settings(deadline=None)
+    @given(hyp_traces, hyp_traces)
+    def test_pair_matches_oracles(self, a, b):
+        assert lcs_length(a, b) == lcs_oracle(a, b)
+        assert edit_distance(a, b) == insert_delete_dp(a, b)
+
+    @settings(deadline=None)
+    @given(st.lists(hyp_traces, min_size=1, max_size=6, unique=True))
+    def test_matrix_matches_direct_dp(self, traces):
+        m = distance_matrix(traces)
+        for i, a in enumerate(traces):
+            for j, b in enumerate(traces):
+                assert m.entries[i, j] == insert_delete_dp(a, b)
+
+    @settings(deadline=None)
+    @given(hyp_traces, hyp_traces, hyp_traces)
+    def test_metric_axioms(self, a, b, c):
+        assert edit_distance(a, b) == edit_distance(b, a)
+        assert (edit_distance(a, b) == 0) == (a == b)
+        assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
