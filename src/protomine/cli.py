@@ -100,7 +100,7 @@ def _dump_distances(log: EventLog, path: Path) -> None:
     labels = [" ".join(t) for t in ordered]
     writer.writerow(["variant"] + labels)
     for label, row in zip(labels, matrix.entries):
-        writer.writerow([label] + [str(int(d)) for d in row])
+        writer.writerow([label] + [str(d) for d in row])
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 

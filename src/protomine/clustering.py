@@ -15,9 +15,8 @@ always gives the same clustering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from operator import itemgetter, mul
+from typing import Callable, Sequence
 
 from .eventlog import Trace
 from .tracedist import DistanceMatrix
@@ -40,6 +39,12 @@ class Clustering:
         return [(m, frozenset(ms)) for m, ms in zip(self.medoids, self.members)]
 
 
+def _gatherer(positions: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
+    """Reads the entries at positions from a matrix row, in their order."""
+    first = positions[0]
+    return itemgetter(*positions) if len(positions) > 1 else lambda row: (row[first],)
+
+
 def kmedoids(
     variant_counts: Sequence[tuple[Trace, int]],
     k: int,
@@ -51,61 +56,62 @@ def kmedoids(
     (2) moving each medoid to the cluster member minimising the
     frequency-weighted distance sum, until assignments stabilise or the
     round cap is hit. The weighted sum of distances to medoids is
-    non-increasing from round to round.
+    non-increasing from round to round. ``matrix`` may index more variants.
     """
     n = len(variant_counts)
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > n:
         raise ValueError(f"k={k} exceeds the number of variants ({n})")
-    traces = tuple(t for t, _ in variant_counts)
-    if traces != matrix.variant_index:
-        raise ValueError("distance matrix is not indexed over the given variants")
-    counts = np.array([c for _, c in variant_counts], dtype=np.int64)
-    dist = matrix.entries
+    traces, counts = zip(*variant_counts)
+    index = {t: i for i, t in enumerate(matrix.variant_index)}
+    positions = [index.get(t, -1) for t in traces]
+    if -1 in positions:
+        raise ValueError(f"variant {traces[positions.index(-1)]!r} is not in the distance matrix")
+    if len(set(positions)) != n:
+        raise ValueError("variant list contains duplicates")
+    rows = [matrix.entries[p] for p in positions]
+    gather = _gatherer(positions)  # row -> distances to the given variants
 
     # farthest-point init: start at the most frequent variant, then
     # repeatedly take the variant farthest from all chosen medoids
-    medoid_idx = [int(np.argmax(counts))]
+    medoid_idx = [counts.index(max(counts))]
+    nearest = gather(rows[medoid_idx[0]])
     while len(medoid_idx) < k:
-        nearest = dist[:, medoid_idx].min(axis=1)
-        medoid_idx.append(int(np.argmax(nearest)))
+        medoid_idx.append(nearest.index(max(nearest)))
+        nearest = list(map(min, nearest, gather(rows[medoid_idx[-1]])))
 
     iteration_costs: list[int] = []
-    assign = None
-    for _ in range(MAX_LLOYD_ROUNDS):
-        new_assign = np.argmin(dist[:, medoid_idx], axis=1)
-        if assign is not None and np.array_equal(new_assign, assign):
+    assign: list[int] | None = None
+    while True:
+        # the matrix is symmetric, so a medoid's row is its column
+        columns = [gather(rows[m]) for m in medoid_idx]
+        new_assign = [d.index(min(d)) for d in zip(*columns)]
+        if new_assign == assign or len(iteration_costs) == MAX_LLOYD_ROUNDS:
             break
         assign = new_assign
         round_cost = 0
         for c in range(k):
-            members = np.flatnonzero(assign == c)
-            if members.size == 0:  # unreachable for metric distances; keep medoid
+            members = [i for i, a in enumerate(assign) if a == c]
+            if not members:  # unreachable for metric distances; keep medoid
                 continue
             # weighted cost of each member as the candidate medoid
-            candidate_costs = counts[members] @ dist[np.ix_(members, members)]
-            best = int(np.argmin(candidate_costs))
-            medoid_idx[c] = int(members[best])
-            round_cost += int(candidate_costs[best])
+            weights = [counts[i] for i in members]
+            pick = _gatherer([positions[i] for i in members])
+            candidate_costs = [sum(map(mul, weights, pick(rows[i]))) for i in members]
+            best = candidate_costs.index(min(candidate_costs))
+            medoid_idx[c] = members[best]
+            round_cost += candidate_costs[best]
         iteration_costs.append(round_cost)
-    else:
-        # round cap reached: refresh the assignment for the final medoids
-        assign = np.argmin(dist[:, medoid_idx], axis=1)
+    assign = new_assign  # differs from the last one only at the round cap
 
-    medoids = tuple(traces[i] for i in medoid_idx)
-    members = tuple(
-        tuple(traces[i] for i in np.flatnonzero(assign == c)) for c in range(k)
-    )
-    assignment = {traces[i]: int(assign[i]) for i in range(n)}
-    total_cost = int(
-        sum(counts[i] * dist[i, medoid_idx[assign[i]]] for i in range(n))
-    )
     return Clustering(
-        medoids=medoids,
-        members=members,
-        assignment=assignment,
-        total_cost=total_cost,
+        medoids=tuple(traces[i] for i in medoid_idx),
+        members=tuple(tuple(t for t, a in zip(traces, assign) if a == c) for c in range(k)),
+        assignment=dict(zip(traces, assign)),
+        total_cost=sum(
+            count * row[positions[medoid_idx[c]]] for count, row, c in zip(counts, rows, assign)
+        ),
         iteration_costs=tuple(iteration_costs),
     )
 

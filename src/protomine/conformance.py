@@ -67,7 +67,7 @@ def alignment_cost(
     (cost 1, an insertion), or skip the next input activity (cost 1, a
     deletion). Among equal-cost states the search prefers those with
     more of the trace consumed, which does not affect optimality.
-    Raises BudgetExceeded when more than ``budget`` states are expanded.
+    Raises BudgetExceeded naming the trace when over ``budget`` states expand.
 
     Markings are the net's count vectors (``PetriNet.compiled``), whose
     memoised successor map outlives the call: every alignment against the
@@ -101,7 +101,8 @@ def alignment_cost(
             return AlignmentResult(cost=cost, model_projection=tuple(reversed(projection)))
         expanded += 1
         if expanded > budget:
-            raise BudgetExceeded("alignment search", budget)
+            shown = " ".join(trace[:8]) + (" ..." if goal_pos > 8 else "")
+            raise BudgetExceeded(f"alignment search of trace [{shown}] ({goal_pos} events)", budget)
 
         moves: list[tuple[tuple, int, str | None]] = []
         for _, label, fired in compiled.successors(vector):

@@ -90,13 +90,7 @@ def select_incremental(
         raise ValueError("max_iterations must be at least 1")
 
     matrix = distance_matrix([t for t, _ in ordered])
-    position = {t: i for i, (t, _) in enumerate(ordered)}
-
-    def medoids_of(subset: list[tuple[Trace, int]], clusters: int) -> list[Trace]:
-        sub = matrix.submatrix([position[t] for t, _ in subset])
-        return cluster_prototypes(kmedoids(subset, clusters, sub))
-
-    selected: list[Trace] = medoids_of(ordered, k)
+    selected: list[Trace] = cluster_prototypes(kmedoids(ordered, k, matrix))
     added: list[Trace] = list(selected)
     history: list[IterationRecord] = []
     previous: tuple[PetriNet, tuple[Trace, ...], QualityReport] | None = None
@@ -146,7 +140,7 @@ def select_incremental(
                 stop_reason=STOP_ITERATION_CAP,
             )
 
-        new_medoids = medoids_of(deviating, min(k, len(deviating)))
+        new_medoids = cluster_prototypes(kmedoids(deviating, min(k, len(deviating)), matrix))
         added = [m for m in new_medoids if m not in selected]
         if not added:
             # all medoids already selected (possible with miners that do

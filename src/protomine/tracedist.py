@@ -9,15 +9,15 @@ triangle inequality), and all entries are integers.
 LCS runs on the bit-parallel kernel of Allison & Dix (1986) and Hyyrö
 (2004): one bit per position of ``a``, whose match masks are built once,
 and one big-integer step per symbol of ``b``, so O(len(a) * len(b) / w)
-word operations for word size w.
+word operations for word size w. Matrix rows are ``array("i")``, 4 bytes
+an entry, mirrored by C-level slice copies with no third-party dependency.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .eventlog import Trace
 
@@ -48,18 +48,10 @@ def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Dense symmetric matrix of edit distances over a variant list."""
+    """Symmetric edit distances: ``entries[i][j]`` between variants i and j."""
 
     variant_index: tuple[Trace, ...]
-    entries: np.ndarray
-
-    def submatrix(self, indices: Sequence[int]) -> "DistanceMatrix":
-        """Restriction to a subset of variants, preserving their order."""
-        idx = list(indices)
-        return DistanceMatrix(
-            variant_index=tuple(self.variant_index[i] for i in idx),
-            entries=self.entries[np.ix_(idx, idx)],
-        )
+    entries: tuple[array, ...]
 
 
 def distance_matrix(variant_list: Sequence[Trace]) -> DistanceMatrix:
@@ -69,10 +61,12 @@ def distance_matrix(variant_list: Sequence[Trace]) -> DistanceMatrix:
     traces = tuple(tuple(v) for v in variant_list)
     if len(set(traces)) != len(traces):
         raise ValueError("variant list contains duplicates")
-    entries = np.zeros((len(traces), len(traces)), dtype=np.int32)
+    n = len(traces)
+    flat = array("i", [0]) * (n * n)  # row-major: entry (i, j) at i * n + j
     for i, a in enumerate(traces):
         rest = traces[i + 1 :]
-        lcs = _lcs_lengths(a, rest)
-        entries[i, i + 1 :] = [len(a) + len(b) - 2 * c for b, c in zip(rest, lcs)]
-    entries = entries + entries.T
+        row = array("i", [len(a) + len(b) - 2 * c for b, c in zip(rest, _lcs_lengths(a, rest))])
+        flat[i * n + i + 1 : (i + 1) * n] = row  # (i, j) for j > i
+        flat[(i + 1) * n + i :: n] = row  # mirrored: (j, i), down column i
+    entries = tuple(flat[i * n : (i + 1) * n] for i in range(n))
     return DistanceMatrix(variant_index=traces, entries=entries)

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the implementation paths they check:
 the LCS oracle is a plain quadratic table (the library uses a bit-parallel
 kernel inside an LCS reduction), the edit-distance oracle is the direct
 insert/delete dynamic program, and the alignment oracle minimises edit
-distance over a brute-force enumeration of the model language. The
+distance over a brute-force enumeration of the model language, and the
+K-Medoids reference loops over variants without a distance matrix. The
 reference interpreter (``reference_enabled``/``reference_fire``) plays
 the token game on ``Marking`` dicts, independent of the library's
 compiled count-vector form.
@@ -106,6 +107,68 @@ def insert_delete_dp(a, b) -> int:
             else:
                 table[i][j] = 1 + min(table[i - 1][j], table[i][j - 1])
     return table[len(a)][len(b)]
+
+
+def _first_best(values, better) -> int:
+    """Index of the best value; on ties the lowest index wins."""
+    best = 0
+    for i in range(1, len(values)):
+        if better(values[i], values[best]):
+            best = i
+    return best
+
+
+def reference_kmedoids(variant_counts, k: int, distance=insert_delete_dp) -> dict:
+    """K-Medoids as the clustering module describes it, one loop per step.
+
+    Farthest-point initialisation from the most frequent variant, then
+    Lloyd rounds (assign to the nearest medoid, move each medoid to the
+    member with the least weighted distance sum) until the assignment
+    repeats or 100 rounds ran; every tie goes to the lowest index. It
+    computes distances itself, with no distance matrix.
+    """
+    traces = [t for t, _ in variant_counts]
+    counts = [c for _, c in variant_counts]
+    n = len(traces)
+    table = {(a, b): distance(a, b) for a in traces for b in traces}
+
+    def d(i: int, j: int) -> int:
+        return table[traces[i], traces[j]]
+
+    def nearest(medoids):
+        return [_first_best([d(i, m) for m in medoids], lambda x, y: x < y) for i in range(n)]
+
+    medoids = [_first_best(counts, lambda x, y: x > y)]
+    while len(medoids) < k:
+        spread = [min(d(i, m) for m in medoids) for i in range(n)]
+        medoids.append(_first_best(spread, lambda x, y: x > y))
+    assign, costs = None, []
+    for _ in range(100):
+        new_assign = nearest(medoids)
+        if new_assign == assign:
+            break
+        assign = new_assign
+        round_cost = 0
+        for c in range(k):
+            members = [i for i in range(n) if assign[i] == c]
+            if not members:
+                continue
+            candidates = [sum(counts[i] * d(i, j) for i in members) for j in members]
+            best = _first_best(candidates, lambda x, y: x < y)
+            medoids[c] = members[best]
+            round_cost += candidates[best]
+        costs.append(round_cost)
+    else:
+        assign = nearest(medoids)
+    return {
+        "medoids": tuple(traces[m] for m in medoids),
+        "members": tuple(
+            tuple(traces[i] for i in range(n) if assign[i] == c) for c in range(k)
+        ),
+        "assignment": {traces[i]: assign[i] for i in range(n)},
+        "total_cost": sum(counts[i] * d(i, medoids[assign[i]]) for i in range(n)),
+        "iteration_costs": tuple(costs),
+    }
 
 
 def brute_force_alignment_cost(trace, net: PetriNet, max_len: int) -> int:

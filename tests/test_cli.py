@@ -1,9 +1,14 @@
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import protomine
 from protomine import (
     EventLog,
     export_pnml,
@@ -94,6 +99,12 @@ class TestDiscover:
         assert run("discover", "--in", log_path, "--out", tmp_path / "d") == 1
         err = capsys.readouterr().err
         assert "empty log" in err and "--k" not in err
+
+    def test_malformed_xes_is_runtime_error(self, tmp_path, capsys):
+        log_path = tmp_path / "bad.xes"
+        log_path.write_bytes(b"<log><trace>")
+        assert run("discover", "--in", log_path, "--out", tmp_path / "d") == 1
+        assert "malformed XES" in capsys.readouterr().err
 
     def test_unknown_miner(self, small_log_path, tmp_path):
         assert run("discover", "--in", small_log_path, "--miner", "ilp", "--out", tmp_path) == 2
@@ -212,6 +223,13 @@ class TestCsvInput:
         assert (out / "model.pnml").is_file()
 
 
+    def test_missing_case_column_is_runtime_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "events.csv"
+        csv_path.write_text("id,activity\n1,a\n")
+        assert run("discover", "--in", csv_path, "--case-col", "case", "--out", tmp_path / "run") == 1
+        assert "mapped column 'case' not present" in capsys.readouterr().err
+
+
 class TestPipelines:
     def test_gen_then_evaluate_closes_the_loop(self, tmp_path):
         # a noise-free synthetic log scores a perfect fit on its base model
@@ -224,6 +242,20 @@ class TestPipelines:
         report = json.loads((out / "report.json").read_text())
         assert report["fitness"] == 1.0
         assert report["model_trace_coverage"] == 1.0
+
+    def test_cli_import_loads_no_third_party_module(self):
+        # what importing the CLI adds to sys.modules from site-packages, protomine aside
+        code = (
+            "import sys, sysconfig\n"
+            "before = set(sys.modules)\n"
+            "import protomine.cli\n"
+            "site = tuple({sysconfig.get_paths()[key] for key in ('purelib', 'platlib')})\n"
+            "print(sorted(name for name in set(sys.modules) - before if not name.startswith('protomine')"
+            " and (getattr(sys.modules[name], '__file__', None) or '').startswith(site)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(protomine.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_gzipped_xes_input(self, tmp_path):
         import gzip

@@ -5,7 +5,7 @@ import pytest
 
 from protomine import distance_matrix, kmedoids, prototypes
 
-from .conftest import random_trace
+from .conftest import random_trace, reference_kmedoids
 
 FOUR_VARIANTS = [
     (("a", "b"), 10),
@@ -22,12 +22,23 @@ def brute_force_best_medoids(variant_counts, k):
     best_cost, best = None, None
     for combo in itertools.combinations(range(len(traces)), k):
         cost = sum(
-            count * min(int(matrix.entries[i, j]) for j in combo)
+            count * min(matrix.entries[i][j] for j in combo)
             for i, (_, count) in enumerate(variant_counts)
         )
         if best_cost is None or cost < best_cost:
             best_cost, best = cost, {traces[j] for j in combo}
     return best, best_cost
+
+
+def fields(clustering):
+    """Every field of a Clustering, as reference_kmedoids returns them."""
+    return {
+        "medoids": clustering.medoids,
+        "members": clustering.members,
+        "assignment": clustering.assignment,
+        "total_cost": clustering.total_cost,
+        "iteration_costs": clustering.iteration_costs,
+    }
 
 
 class TestKMedoids:
@@ -95,10 +106,7 @@ class TestKMedoids:
             # every member sits with its nearest medoid, ties to the lowest index
             position = {t: i for i, t in enumerate(matrix.variant_index)}
             for trace in traces:
-                row = [
-                    int(matrix.entries[position[trace], position[m]])
-                    for m in clustering.medoids
-                ]
+                row = [matrix.entries[position[trace]][position[m]] for m in clustering.medoids]
                 assigned = clustering.assignment[trace]
                 assert row[assigned] == min(row)
                 assert assigned == row.index(min(row))
@@ -107,6 +115,47 @@ class TestKMedoids:
             costs = clustering.iteration_costs
             assert all(a >= b for a, b in zip(costs, costs[1:]))
             assert clustering.total_cost == costs[-1]
+
+    def test_matches_reference_on_random_instances(self):
+        rng = random.Random(13)
+        for trial in range(60):
+            # tiny alphabets and short traces force ties in every argmin/argmax
+            alphabet, max_len = rng.choice([("ab", 3), ("abc", 4), ("abcde", 8)])
+            pool = sorted({random_trace(rng, alphabet, max_len) for _ in range(rng.randint(2, 30))})
+            matrix = distance_matrix(pool)
+            # a subset of the matrix's variants, in shuffled order
+            subset = rng.sample(pool, rng.randint(1, len(pool))) if trial % 2 else pool
+            heavy = rng.choice([1, 5])  # equal weights tie the initial medoid
+            variant_counts = [(t, rng.choice([1, heavy])) for t in subset]
+            for k in range(1, min(4, len(subset)) + 1):
+                clustering = kmedoids(variant_counts, k, matrix)
+                assert fields(clustering) == reference_kmedoids(variant_counts, k)
+
+    def test_singleton_clusters_match_reference(self):
+        variant_counts = [(("a",), 3), (("b",), 3), (("a", "b"), 1), (("b", "a"), 1)]
+        matrix = distance_matrix([t for t, _ in variant_counts] + [("c", "c")])
+        for k in (3, 4):
+            clustering = kmedoids(variant_counts, k, matrix)
+            assert any(len(members) == 1 for members in clustering.members)
+            assert fields(clustering) == reference_kmedoids(variant_counts, k)
+
+    def test_subset_of_larger_matrix_in_any_order(self):
+        matrix = distance_matrix([("a",), ("a", "b"), ("a", "b", "c"), ("x", "y", "z")])
+        variant_counts = [(("a", "b", "c"), 1), (("a",), 2)]
+        clustering = kmedoids(variant_counts, 1, matrix)
+        assert clustering.medoids == (("a",),)
+        assert clustering.total_cost == matrix.entries[2][0] == 2
+        assert clustering.assignment == {("a", "b", "c"): 0, ("a",): 0}
+
+    def test_variant_missing_from_matrix_rejected(self):
+        matrix = distance_matrix([("a",), ("b",)])
+        with pytest.raises(ValueError, match=r"\('c',\) is not in the distance matrix"):
+            kmedoids([(("a",), 1), (("c",), 1)], 1, matrix)
+
+    def test_duplicate_variants_rejected(self):
+        matrix = distance_matrix([("a",), ("b",)])
+        with pytest.raises(ValueError, match="duplicates"):
+            kmedoids([(("a",), 1), (("a",), 2)], 1, matrix)
 
 
 class TestPrototypes:

@@ -302,6 +302,16 @@ class TestQualityReport:
         with pytest.raises(ValueError, match="not reachable"):
             compute_report(EventLog({trace: 1}), net, [], 1.0, budget=50)
 
+    def test_alignment_budget_error_names_the_trace(self, fixture_net):
+        with pytest.raises(BudgetExceeded, match=r"alignment search of trace \[a b d e\] \(4 events\)") as info:
+            compute_report(EventLog({("a", "b", "d", "e"): 1}), fixture_net, [], 1.0, budget=1)
+        assert info.value.budget == 1
+        long_trace = tuple(f"act{i}" for i in range(40))
+        with pytest.raises(BudgetExceeded, match=r"\[act0 act1 .* \.\.\.\] \(40 events\)") as info:
+            compute_report(EventLog({long_trace: 1}), fixture_net, [], 1.0, budget=1)
+        assert len(str(info.value)) < 140
+        assert info.value.budget == 1
+
     def test_report_fields_and_json_names(self, fixture_net):
         log = EventLog({("a", "b", "d", "e"): 1, ("a", "e"): 1})
         report = compute_report(log, fixture_net, [("a", "b", "d", "e")], beta=2.0)
