@@ -29,7 +29,7 @@ for i, row in enumerate(matrix.entries):
 
 clustering = kmedoids(variant_counts, k=2, matrix=matrix)
 print("\nclusters (medoid first):")
-for medoid, members in clustering.clusters:
+for medoid, members in zip(clustering.medoids, clustering.members):
     print("  medoid:", " -> ".join(medoid))
     for member in members:
         print("     member:", " -> ".join(member))

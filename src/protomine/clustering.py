@@ -34,10 +34,6 @@ class Clustering:
     total_cost: int = 0
     iteration_costs: tuple[int, ...] = ()
 
-    @property
-    def clusters(self) -> list[tuple[Trace, frozenset[Trace]]]:
-        return [(m, frozenset(ms)) for m, ms in zip(self.medoids, self.members)]
-
 
 def _gatherer(positions: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
     """Reads the entries at positions from a matrix row, in their order."""

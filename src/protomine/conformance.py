@@ -26,6 +26,20 @@ turns alignments into metrics.
 Every search here, the alignments and the precision replay alike, runs
 on the net's compiled form (``PetriNet.compiled``), so they share one
 memo of successors and silent closures per net.
+
+The alignment search encodes a (marking, trace position) state as the
+single int ``marking id * (len(trace) + 1) + pos``, using the compiled
+net's dense marking ids, so its dicts and heap hash an int instead of a
+marking tuple. Its pop order is that of a search on (marking vector,
+pos) tuples: heap entries break ties on a unique counter before they
+reach the state, so the encoding is never compared, and the moves are
+pushed in the same order. Costs, projections and budget overruns are
+therefore the same as well.
+
+Log fitness is folded exactly in integers: the deviating variants'
+``count * cost`` are summed per denominator ``len(trace) + shortest``,
+and one Fraction per distinct denominator gives the same rational as a
+per-variant sum.
 """
 
 from __future__ import annotations
@@ -69,59 +83,82 @@ def alignment_cost(
     more of the trace consumed, which does not affect optimality.
     Raises BudgetExceeded naming the trace when over ``budget`` states expand.
 
-    Markings are the net's count vectors (``PetriNet.compiled``), whose
-    memoised successor map outlives the call: every alignment against the
-    same net reuses the successors earlier ones computed. This is the hot
-    loop of every log-versus-model score.
+    A state is one int, ``marking id * (len(trace) + 1) + pos``. The
+    marking ids and their move lists come from ``PetriNet.compiled``
+    (``state_id``, ``moves``) and outlive the call, so every alignment
+    against the same net reuses what earlier ones built. Heap entries
+    are ``(cost, events left, tie, state)`` with a strictly decreasing
+    ``tie``: equal cost and progress pop last-in first-out, diving down
+    silent chains first. ``tie`` is unique, so the state is never
+    compared and its encoding cannot change the pop order; moves are
+    pushed in ``successors`` order (silent, or synchronous then
+    insertion, per transition; the deletion last). Costs, projections
+    and budget overruns are therefore those of the same search on
+    (marking vector, pos) tuples. This is the hot loop of every
+    log-versus-model score.
     """
     compiled = net.compiled
+    moves_of = compiled.moves
     trace = tuple(trace)
-    start = (compiled.initial, 0)
-    final_vector = compiled.final
     goal_pos = len(trace)
+    width = goal_pos + 1
+    start = compiled.state_id(compiled.initial) * width
+    goal = compiled.state_id(compiled.final) * width + goal_pos
 
-    dist: dict[tuple[tuple[int, ...], int], int] = {start: 0}
-    parent: dict = {start: None}
-    heap: list = [(0, 0, 0, start)]
+    dist: dict[int, int] = {start: 0}
+    parent: dict[int, tuple[int, str | None] | None] = {start: None}
+    heap: list[tuple[int, int, int, int]] = [(0, 0, 0, start)]
+    push, pop = heapq.heappush, heapq.heappop
     tie = 0
     expanded = 0
 
     while heap:
-        cost, _, _, state = heapq.heappop(heap)
-        if cost > dist.get(state, cost):
+        cost, _, _, state = pop(heap)
+        if cost > dist[state]:
             continue
-        vector, pos = state
-        if pos == goal_pos and vector == final_vector:
+        if state == goal:
             projection: list[str] = []
-            cursor = state
-            while parent[cursor] is not None:
-                cursor, label = parent[cursor]
+            step = parent[state]
+            while step is not None:
+                state, label = step
                 if label is not None:
                     projection.append(label)
+                step = parent[state]
             return AlignmentResult(cost=cost, model_projection=tuple(reversed(projection)))
         expanded += 1
         if expanded > budget:
             shown = " ".join(trace[:8]) + (" ..." if goal_pos > 8 else "")
             raise BudgetExceeded(f"alignment search of trace [{shown}] ({goal_pos} events)", budget)
 
-        moves: list[tuple[tuple, int, str | None]] = []
-        for _, label, fired in compiled.successors(vector):
+        sid, pos = divmod(state, width)
+        left = goal_pos - pos
+        symbol = trace[pos] if left else None
+        paid = cost + 1
+        for label, succ in moves_of(sid):
+            nxt = succ * width + pos
             if label is None:
-                moves.append(((fired, pos), 0, None))
-            else:
-                if pos < goal_pos and trace[pos] == label:
-                    moves.append(((fired, pos + 1), 0, label))  # synchronous
-                moves.append(((fired, pos), 1, label))  # model-only (insertion)
-        if pos < goal_pos:
-            moves.append(((vector, pos + 1), 1, None))  # trace-only (deletion)
-
-        for nxt, step, label in moves:
-            new_cost = cost + step
-            if new_cost < dist.get(nxt, new_cost + 1):
-                dist[nxt] = new_cost
+                if cost < dist.get(nxt, paid):
+                    dist[nxt] = cost
+                    parent[nxt] = (state, None)
+                    tie -= 1
+                    push(heap, (cost, left, tie, nxt))
+                continue
+            if label == symbol:  # synchronous
+                if cost < dist.get(nxt + 1, paid):
+                    dist[nxt + 1] = cost
+                    parent[nxt + 1] = (state, label)
+                    tie -= 1
+                    push(heap, (cost, left - 1, tie, nxt + 1))
+            if paid < dist.get(nxt, paid + 1):  # model-only (insertion)
+                dist[nxt] = paid
                 parent[nxt] = (state, label)
-                tie -= 1  # LIFO among equals: dive down silent chains first
-                heapq.heappush(heap, (new_cost, goal_pos - nxt[1], tie, nxt))
+                tie -= 1
+                push(heap, (paid, left, tie, nxt))
+        if left and paid < dist.get(state + 1, paid + 1):  # trace-only (deletion)
+            dist[state + 1] = paid
+            parent[state + 1] = (state, None)
+            tie -= 1
+            push(heap, (paid, left - 1, tie, state + 1))
 
     raise ValueError("net has no accepting firing sequence; final marking unreachable")
 
@@ -131,14 +168,6 @@ def variant_alignments(
 ) -> dict[Trace, AlignmentResult]:
     """Optimal alignment per variant (computed once per distinct trace)."""
     return {trace: alignment_cost(trace, net, budget) for trace in sorted(log.variants)}
-
-
-def _fitness_from_cost(cost: int, trace_len: int, shortest_word: int) -> Fraction:
-    denominator = trace_len + shortest_word
-    if denominator == 0:
-        # empty trace against a model accepting the empty word
-        return Fraction(1)
-    return 1 - Fraction(cost, denominator)
 
 
 def f_beta(precision: float, fitness: float, beta: float) -> float:
@@ -220,10 +249,17 @@ def compute_report(
     shortest = shortest_visible_path(net)
     if alignments is None:
         alignments = variant_alignments(log, net, budget)
-    fit = sum(
-        count * _fitness_from_cost(alignments[trace].cost, len(trace), shortest)
-        for trace, count in table.items()
-    ) / total
+    # 1 - fitness is sum(count * cost / (len(trace) + shortest)) / total;
+    # fitting variants add nothing (nor does the empty trace against a
+    # model accepting the empty word, the one zero denominator), so only
+    # deviating costs are summed, one exact Fraction per denominator
+    deviation: dict[int, int] = {}
+    for trace, count in table.items():
+        cost = alignments[trace].cost
+        if cost:
+            denominator = len(trace) + shortest
+            deviation[denominator] = deviation.get(denominator, 0) + count * cost
+    fit = 1 - Fraction(sum(Fraction(v, d) for d, v in deviation.items()), total)
     projected: dict[Trace, int] = {}
     for trace, count in table.items():
         word = alignments[trace].model_projection

@@ -35,8 +35,6 @@ from typing import Iterable, Mapping
 
 from .eventlog import Trace, _local
 
-SILENT = None
-
 PNML_NAMESPACE = "http://www.pnml.org/version-2009/grammar/pnml"
 PTNET_TYPE = "http://www.pnml.org/version-2009/grammar/ptnet"
 
@@ -67,12 +65,6 @@ class Marking:
             if n < 0:
                 raise ValueError(f"negative multiplicity for place {place!r}")
         return Marking(tuple(sorted((p, n) for p, n in counts.items() if n > 0)))
-
-    def count(self, place: str) -> int:
-        for p, n in self.tokens:
-            if p == place:
-                return n
-        return 0
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.tokens)
@@ -131,13 +123,6 @@ class PetriNet:
     def label(self, transition: str) -> str | None:
         return self.transitions[transition]
 
-    def is_silent(self, transition: str) -> bool:
-        return self.transitions[transition] is SILENT
-
-    @property
-    def visible_labels(self) -> frozenset[str]:
-        return frozenset(l for l in self.transitions.values() if l is not None)
-
     def inputs(self, transition: str) -> tuple[str, ...]:
         return tuple(self._inputs[transition])
 
@@ -182,6 +167,15 @@ class CompiledNet:
     all alignments, the precision replay and the path searches on one
     net share that work. The memo grows with the states the searches
     visit and lives as long as the net.
+
+    For searches that only need a state's identity, ``state_id`` numbers
+    each vector densely (0, 1, 2, ... in order of first request) and
+    ``moves`` lists, per id, the ``(label, successor id)`` pair of every
+    enabled transition in ``successors`` order. An int hashes in
+    constant time where a vector tuple rehashes every count, so these
+    two id tables are what the alignment search keys its states on. Ids
+    depend on the order earlier searches reached the vectors, so a
+    search may use them only as identities, never to order states.
     """
 
     def __init__(self, net: PetriNet):
@@ -198,6 +192,9 @@ class CompiledNet:
         )
         self._successors: dict[Vector, list[Step]] = {}
         self._closures: dict[Vector, frozenset[Vector]] = {}
+        self._ids: dict[Vector, int] = {}
+        self._vectors: list[Vector] = []  # id -> vector
+        self._moves: list[list[tuple[str | None, int]] | None] = []  # id -> moves, None until asked
         self.initial = self.vector(net.initial_marking)
         self.final = self.vector(net.final_marking)
 
@@ -231,6 +228,28 @@ class CompiledNet:
                     steps.append((t, label, tuple(fired)))
             self._successors[vector] = steps
         return steps
+
+    def state_id(self, vector: Vector) -> int:
+        """The dense int id of a vector, assigned on first request."""
+        sid = self._ids.get(vector)
+        if sid is None:
+            sid = self._ids[vector] = len(self._vectors)
+            self._vectors.append(vector)
+            self._moves.append(None)
+        return sid
+
+    def moves(self, sid: int) -> list[tuple[str | None, int]]:
+        """``(label, successor id)`` per enabled transition of a state id.
+
+        The same transitions in the same order as ``successors`` of the
+        id's vector. The returned list is shared: callers must not mutate it.
+        """
+        moves = self._moves[sid]
+        if moves is None:
+            moves = self._moves[sid] = [
+                (label, self.state_id(fired)) for _, label, fired in self.successors(self._vectors[sid])
+            ]
+        return moves
 
     def silent_closure(self, vectors: Iterable[Vector], budget: int) -> set[Vector]:
         """All vectors reachable from the given ones by silent firings only.

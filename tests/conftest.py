@@ -8,16 +8,21 @@ distance over a brute-force enumeration of the model language, and the
 K-Medoids reference loops over variants without a distance matrix. The
 reference interpreter (``reference_enabled``/``reference_fire``) plays
 the token game on ``Marking`` dicts, independent of the library's
-compiled count-vector form.
+compiled count-vector form. ``reference_alignment_cost`` runs the
+alignment search on (marking vector, pos) tuple states; the library's
+int-keyed search must match it in cost, projection and budget overrun.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
+from typing import Sequence
 
 import pytest
 
-from protomine import Marking, PetriNet, choice_parallel_net, language_upto
+from protomine import AlignmentResult, BudgetExceeded, Marking, PetriNet, choice_parallel_net, language_upto
+from protomine.conformance import DEFAULT_ALIGN_BUDGET
 from protomine.discovery import ProcessTree, leaf, parallel, seq, tree_to_net, xor
 
 
@@ -55,7 +60,7 @@ def reference_silent_closure(net: PetriNet, markings) -> set[Marking]:
     while frontier:
         marking = frontier.pop()
         for t in reference_enabled(net, marking):
-            if net.is_silent(t):
+            if net.label(t) is None:
                 nxt = reference_fire(net, marking, t)
                 if nxt not in closure:
                     closure.add(nxt)
@@ -215,3 +220,77 @@ def count_activity_leaves(tree: ProcessTree) -> int:
 def random_acyclic_net(rng: random.Random, max_leaves: int = 6):
     tree = random_acyclic_tree(rng, max_leaves)
     return tree_to_net(tree), count_activity_leaves(tree)
+
+
+def reference_alignment_cost(
+    trace: Sequence[str], net: PetriNet, budget: int = DEFAULT_ALIGN_BUDGET
+) -> AlignmentResult:
+    """Optimal insert/delete alignment of a trace against the net.
+
+    The same search keyed on (marking vector, pos) tuples in dist,
+    parent and the heap: the oracle the library's int-state kernel must
+    reproduce, cost, projection and budget overrun alike.
+
+    Uniform-cost search over (marking, trace position) states. Moves:
+    fire a transition matching the next activity (free), fire a silent
+    transition (free), fire a visible transition without consuming input
+    (cost 1, an insertion), or skip the next input activity (cost 1, a
+    deletion). Among equal-cost states the search prefers those with
+    more of the trace consumed, which does not affect optimality.
+    Raises BudgetExceeded naming the trace when over ``budget`` states expand.
+
+    Markings are the net's count vectors (``PetriNet.compiled``), whose
+    memoised successor map outlives the call: every alignment against the
+    same net reuses the successors earlier ones computed. This is the hot
+    loop of every log-versus-model score.
+    """
+    compiled = net.compiled
+    trace = tuple(trace)
+    start = (compiled.initial, 0)
+    final_vector = compiled.final
+    goal_pos = len(trace)
+
+    dist: dict[tuple[tuple[int, ...], int], int] = {start: 0}
+    parent: dict = {start: None}
+    heap: list = [(0, 0, 0, start)]
+    tie = 0
+    expanded = 0
+
+    while heap:
+        cost, _, _, state = heapq.heappop(heap)
+        if cost > dist.get(state, cost):
+            continue
+        vector, pos = state
+        if pos == goal_pos and vector == final_vector:
+            projection: list[str] = []
+            cursor = state
+            while parent[cursor] is not None:
+                cursor, label = parent[cursor]
+                if label is not None:
+                    projection.append(label)
+            return AlignmentResult(cost=cost, model_projection=tuple(reversed(projection)))
+        expanded += 1
+        if expanded > budget:
+            shown = " ".join(trace[:8]) + (" ..." if goal_pos > 8 else "")
+            raise BudgetExceeded(f"alignment search of trace [{shown}] ({goal_pos} events)", budget)
+
+        moves: list[tuple[tuple, int, str | None]] = []
+        for _, label, fired in compiled.successors(vector):
+            if label is None:
+                moves.append(((fired, pos), 0, None))
+            else:
+                if pos < goal_pos and trace[pos] == label:
+                    moves.append(((fired, pos + 1), 0, label))  # synchronous
+                moves.append(((fired, pos), 1, label))  # model-only (insertion)
+        if pos < goal_pos:
+            moves.append(((vector, pos + 1), 1, None))  # trace-only (deletion)
+
+        for nxt, step, label in moves:
+            new_cost = cost + step
+            if new_cost < dist.get(nxt, new_cost + 1):
+                dist[nxt] = new_cost
+                parent[nxt] = (state, label)
+                tie -= 1  # LIFO among equals: dive down silent chains first
+                heapq.heappush(heap, (new_cost, goal_pos - nxt[1], tie, nxt))
+
+    raise ValueError("net has no accepting firing sequence; final marking unreachable")

@@ -95,7 +95,7 @@ class TestKMedoids:
             # medoids are input variants, one per cluster, each in its own cluster
             assert set(clustering.medoids) <= set(traces)
             assert len(set(clustering.medoids)) == k
-            for index, (medoid, members) in enumerate(clustering.clusters):
+            for index, (medoid, members) in enumerate(zip(clustering.medoids, clustering.members)):
                 assert medoid in members
                 for member in members:
                     assert clustering.assignment[member] == index

@@ -1,24 +1,38 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from protomine import (
+    AlignmentResult,
     BudgetExceeded,
     EventLog,
     Marking,
     PetriNet,
     alignment_cost,
+    choice_parallel_net,
     compute_report,
+    discover,
     f_beta,
     flower_net,
+    gen_synthetic,
     language_upto,
+    shortest_visible_path,
+    two_group_net,
     variant_alignments,
 )
 from protomine import conformance
 from protomine.builtin_models import silent_only_net
 from protomine.discovery import leaf, seq, tree_to_net
 
-from .conftest import brute_force_alignment_cost, lcs_oracle as _lcs, random_acyclic_net, random_trace
+from .conftest import (
+    brute_force_alignment_cost,
+    lcs_oracle as _lcs,
+    random_acyclic_net,
+    random_trace,
+    reference_alignment_cost,
+)
+from .test_petrinet import differential_nets
 
 
 def sequence_net(*labels):
@@ -40,6 +54,23 @@ def deviating(log, net):
 
 def _never_called(*args, **kwargs):
     raise AssertionError("input checks must run before any net search")
+
+
+def unreachable_final_net():
+    """Four independent two-place cycles whose final marking is never reached."""
+    places, transitions, arcs = ["end"], {}, []
+    for i in range(4):
+        a, b = f"c{i}a", f"c{i}b"
+        places += [a, b]
+        transitions.update({f"f{i}": f"x{i}", f"g{i}": f"y{i}"})
+        arcs += [(a, f"f{i}"), (f"f{i}", b), (b, f"g{i}"), (f"g{i}", a)]
+    return PetriNet(
+        places=places,
+        transitions=transitions,
+        arcs=arcs,
+        initial_marking=Marking.of([f"c{i}a" for i in range(4)]),
+        final_marking=Marking.of({"end": 1}),
+    )
 
 
 class TestAlignmentCost:
@@ -95,6 +126,75 @@ class TestAlignmentCost:
             assert edit == result.cost
 
 
+def _outcome(search, trace, net, budget):
+    """A search's result, or the type, message and budget of what it raised."""
+    try:
+        return search(trace, net, budget)
+    except (BudgetExceeded, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "budget", None)
+
+
+def _reference_expansions(trace, net) -> int:
+    """The states the reference search expands: the least budget it finishes under."""
+    def overruns(budget):
+        try:
+            reference_alignment_cost(trace, net, budget)
+        except BudgetExceeded:
+            return True
+        return False
+
+    low, high = 0, 1
+    while overruns(high):
+        low, high = high + 1, 2 * high
+    while low < high:
+        mid = (low + high) // 2
+        if overruns(mid):
+            low = mid + 1
+        else:
+            high = mid
+    return low
+
+
+class TestIntStateKernel:
+    """``alignment_cost`` against the tuple-keyed reference search in conftest."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(31)
+        for net in differential_nets():
+            alphabet = sorted({l for l in net.transitions.values() if l is not None} | {"z"})
+            traces = [()] + [random_trace(rng, alphabet, 7) for _ in range(6)]
+            yield from ((trace, net) for trace in traces)
+        log = gen_synthetic(two_group_net(), 200, noise_rate=0.4, seed=3)
+        # the base net, and a net discovered from the most frequent variant,
+        # which most of the log deviates from
+        narrow = discover(EventLog({max(log.variants, key=log.variants.get): 1}))
+        for net in (two_group_net(), narrow):
+            yield from ((trace, net) for trace in sorted(log.variants))
+
+    def test_equal_results_and_budget_boundary(self):
+        checked = 0
+        for trace, net in self.cases():
+            expansions = _reference_expansions(trace, net)
+            expected = reference_alignment_cost(trace, net, expansions)
+            assert alignment_cost(trace, net, expansions) == expected, (trace, net)
+            assert alignment_cost(trace, net) == expected
+            if expansions:
+                overrun = _outcome(alignment_cost, trace, net, expansions - 1)
+                assert overrun[0] is BudgetExceeded
+                assert overrun == _outcome(reference_alignment_cost, trace, net, expansions - 1)
+            checked += 1
+        assert checked > 300
+
+    def test_unreachable_final_marking_raises_alike(self):
+        net = unreachable_final_net()
+        for trace in [(), ("x0",) * 10, ("x1", "y1", "z")]:
+            outcome = _outcome(alignment_cost, trace, net, 10_000)
+            assert outcome[0] is ValueError
+            assert outcome == _outcome(reference_alignment_cost, trace, net, 10_000)
+            assert _outcome(alignment_cost, trace, net, 50) == _outcome(reference_alignment_cost, trace, net, 50)
+
+
 class TestTraceFitness:
     def test_perfect(self, fixture_net):
         assert fitness_of(("a", "d", "c", "e"), fixture_net) == 1
@@ -134,6 +234,34 @@ class TestLogFitness:
     def test_empty_log_rejected(self, fixture_net):
         with pytest.raises(ValueError):
             compute_report(EventLog({}), fixture_net, [], 1.0)
+
+    def test_empty_trace_on_a_model_accepting_the_empty_word(self):
+        # the empty trace has denominator 0 + 0 and fits; ("a",) costs 1 of 1
+        log = EventLog({(): 3, ("a",): 1})
+        assert compute_report(log, silent_only_net(), [], 1.0).fitness == 0.75
+
+    def test_fold_equals_per_variant_fraction_sum(self):
+        rng = random.Random(23)
+        nets = [choice_parallel_net(), flower_net(["a", "b"]), silent_only_net()]
+        for _ in range(200):
+            net = rng.choice(nets)
+            shortest = shortest_visible_path(net)
+            table = {random_trace(rng, "abcde", 7): rng.randint(1, 1000) for _ in range(rng.randint(1, 12))}
+            if rng.random() < 0.3:
+                table[()] = rng.randint(1, 50)
+            # a cost never exceeds len(trace) + shortest, so it is 0 when that is
+            alignments = {t: AlignmentResult(rng.randint(0, len(t) + shortest), ()) for t in table}
+            log = EventLog(table)
+            expected = Fraction(0)
+            for trace, count in table.items():
+                denominator = len(trace) + shortest
+                if denominator == 0:
+                    expected += count
+                else:
+                    expected += count * (1 - Fraction(alignments[trace].cost, denominator))
+            expected /= log.total_traces
+            report = compute_report(log, net, [], 1.0, alignments=alignments)
+            assert report.fitness == float(expected)
 
 
 class TestEtcPrecision:
@@ -283,19 +411,7 @@ class TestQualityReport:
         # four independent two-place cycles: 16 markings, all visited by the
         # shortest-path check, while aligning a 10-event trace has 176
         # product states, more than the alignment budget below
-        places, transitions, arcs = ["end"], {}, []
-        for i in range(4):
-            a, b = f"c{i}a", f"c{i}b"
-            places += [a, b]
-            transitions.update({f"f{i}": f"x{i}", f"g{i}": f"y{i}"})
-            arcs += [(a, f"f{i}"), (f"f{i}", b), (b, f"g{i}"), (f"g{i}", a)]
-        net = PetriNet(
-            places=places,
-            transitions=transitions,
-            arcs=arcs,
-            initial_marking=Marking.of([f"c{i}a" for i in range(4)]),
-            final_marking=Marking.of({"end": 1}),
-        )
+        net = unreachable_final_net()
         trace = ("x0",) * 10
         with pytest.raises(BudgetExceeded):
             alignment_cost(trace, net, budget=50)
