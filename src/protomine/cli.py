@@ -71,8 +71,6 @@ def _load_log(args: argparse.Namespace) -> EventLog:
 def _check_common(args: argparse.Namespace, log: EventLog | None = None) -> None:
     if getattr(args, "beta", 0.0) < 0:
         raise UsageError("--beta must be non-negative")
-    if getattr(args, "miner", "inductive") != "inductive":
-        raise UsageError(f"unknown miner {args.miner!r}; available: inductive")
     if log is not None and hasattr(args, "k"):
         if not len(log):
             raise ValueError("cannot select prototypes from an empty log")
@@ -248,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--k", type=int, default=3, help="cluster count per selection step")
         p.add_argument("--beta", type=float, default=1.0, help="F_beta weighting")
-        p.add_argument("--miner", default="inductive", help="discovery backend")
         p.add_argument("--max-iter", type=int, default=20, help="selection iteration cap")
 
     def add_budgets(p: argparse.ArgumentParser) -> None:

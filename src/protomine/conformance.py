@@ -24,16 +24,15 @@ pass: fitness, precision, F_beta and both coverages. No other function
 turns alignments into metrics.
 
 Every search here, the alignments and the precision replay alike, runs
-on the net's compiled form (``PetriNet.compiled``), so they share one
-memo of successors and silent closures per net.
+on the net's compiled form (``PetriNet.compiled``), so they share its one
+id-keyed table of moves and its silent closures.
 
 The alignment search encodes a (marking, trace position) state as the
-single int ``marking id * (len(trace) + 1) + pos``, using the compiled
-net's dense marking ids, so its dicts and heap hash an int instead of a
-marking tuple. Its pop order is that of a search on (marking vector,
-pos) tuples: heap entries break ties on a unique counter before they
-reach the state, so the encoding is never compared, and the moves are
-pushed in the same order. Costs, projections and budget overruns are
+single int ``marking id * (len(trace) + 1) + pos``, so its dicts and heap
+hash an int instead of a marking. Its pop order is that of a search on
+(marking, pos) tuples: heap entries break ties on a unique counter before
+they reach the state, so the encoding is never compared, and the moves
+are pushed in the same order. Costs, projections and budget overruns are
 therefore the same as well.
 
 Log fitness is folded exactly in integers: the deviating variants'
@@ -47,7 +46,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .eventlog import EventLog, Trace
 from .petrinet import (
@@ -85,25 +84,25 @@ def alignment_cost(
 
     A state is one int, ``marking id * (len(trace) + 1) + pos``. The
     marking ids and their move lists come from ``PetriNet.compiled``
-    (``state_id``, ``moves``) and outlive the call, so every alignment
-    against the same net reuses what earlier ones built. Heap entries
-    are ``(cost, events left, tie, state)`` with a strictly decreasing
-    ``tie``: equal cost and progress pop last-in first-out, diving down
-    silent chains first. ``tie`` is unique, so the state is never
-    compared and its encoding cannot change the pop order; moves are
-    pushed in ``successors`` order (silent, or synchronous then
+    (``initial``, ``final``, ``moves``) and outlive the call, so every
+    alignment against the same net reuses what earlier ones built. Heap
+    entries are ``(cost, events left, tie, state)`` with a strictly
+    decreasing ``tie``: equal cost and progress pop last-in first-out,
+    diving down silent chains first. ``tie`` is unique, so the state is
+    never compared and its encoding cannot change the pop order; moves
+    are pushed in ``moves`` order (silent, or synchronous then
     insertion, per transition; the deletion last). Costs, projections
     and budget overruns are therefore those of the same search on
-    (marking vector, pos) tuples. This is the hot loop of every
-    log-versus-model score.
+    (marking, pos) tuples. This is the hot loop of every log-versus-model
+    score.
     """
     compiled = net.compiled
     moves_of = compiled.moves
     trace = tuple(trace)
     goal_pos = len(trace)
     width = goal_pos + 1
-    start = compiled.state_id(compiled.initial) * width
-    goal = compiled.state_id(compiled.final) * width + goal_pos
+    start = compiled.initial * width
+    goal = compiled.final * width + goal_pos
 
     dist: dict[int, int] = {start: 0}
     parent: dict[int, tuple[int, str | None] | None] = {start: None}
@@ -127,14 +126,13 @@ def alignment_cost(
             return AlignmentResult(cost=cost, model_projection=tuple(reversed(projection)))
         expanded += 1
         if expanded > budget:
-            shown = " ".join(trace[:8]) + (" ..." if goal_pos > 8 else "")
-            raise BudgetExceeded(f"alignment search of trace [{shown}] ({goal_pos} events)", budget)
+            raise BudgetExceeded(f"alignment search of trace {_events(trace)}", budget)
 
         sid, pos = divmod(state, width)
         left = goal_pos - pos
         symbol = trace[pos] if left else None
         paid = cost + 1
-        for label, succ in moves_of(sid):
+        for _, label, succ in moves_of(sid):
             nxt = succ * width + pos
             if label is None:
                 if cost < dist.get(nxt, paid):
@@ -161,6 +159,12 @@ def alignment_cost(
             push(heap, (paid, left - 1, tie, state + 1))
 
     raise ValueError("net has no accepting firing sequence; final marking unreachable")
+
+
+def _events(trace: Trace) -> str:
+    """A trace for an error message: its first 8 labels and its length."""
+    shown = " ".join(trace[:8]) + (" ..." if len(trace) > 8 else "")
+    return f"[{shown}] ({len(trace)} events)"
 
 
 def variant_alignments(
@@ -282,47 +286,42 @@ def compute_report(
 def _escaping_edges_precision(
     net: PetriNet, projected: dict[Trace, int], closure_budget: int
 ) -> float:
-    # prefix tree of the replayed words: weight = traces passing through,
-    # observed = activities seen leaving the state
-    weight: dict[Trace, int] = {}
-    observed: dict[Trace, set[str]] = {}
-    for word, count in sorted(projected.items()):
-        for i in range(len(word) + 1):
-            prefix = word[:i]
-            weight[prefix] = weight.get(prefix, 0) + count
-            observed.setdefault(prefix, set())
-            if i < len(word):
-                observed[prefix].add(word[i])
-
-    # subset construction along the prefix tree: the marking set of a
-    # prefix is every marking reachable with exactly that visible word
+    # prefix tree of the replayed words with int nodes, 0 the empty
+    # prefix: per node the traces passing through, its children by label
+    # (the activities seen leaving it) and, by subset construction from
+    # its parent's set when the node is created, the ids of every marking
+    # reachable with exactly that visible word
     compiled = net.compiled
-    marking_sets: dict[Trace, set[tuple[int, ...]]] = {
-        (): compiled.silent_closure([compiled.initial], closure_budget)
-    }
-    for prefix in sorted(weight, key=len):
-        if prefix == ():
-            continue
-        label = prefix[-1]
-        stepped = {
-            fired
-            for vector in marking_sets[prefix[:-1]]
-            for _, step_label, fired in compiled.successors(vector)
-            if step_label == label
-        }
-        marking_sets[prefix] = compiled.silent_closure(stepped, closure_budget)
+    moves = compiled.moves
+
+    def closure(prefix: Trace, start: Iterable[int]) -> set[int]:
+        try:
+            return compiled.silent_closure(start, closure_budget)
+        except BudgetExceeded:
+            raise BudgetExceeded(f"silent closure after prefix {_events(prefix)}", closure_budget) from None
+
+    weight = [0]
+    children: list[dict[str, int]] = [{}]
+    states = [closure((), [compiled.initial])]
+    for word, count in sorted(projected.items()):
+        node = 0
+        weight[0] += count
+        for i, label in enumerate(word):
+            child = children[node].get(label)
+            if child is None:
+                stepped = {nxt for sid in states[node] for _, step, nxt in moves(sid) if step == label}
+                child = children[node][label] = len(weight)
+                weight.append(0)
+                children.append({})
+                states.append(closure(word[: i + 1], stepped))
+            weight[child] += count
+            node = child
 
     escaping_total = 0
     enabled_total = 0
-    for prefix, w in weight.items():
-        enabled_labels = {
-            label
-            for vector in marking_sets[prefix]
-            for _, label, _ in compiled.successors(vector)
-            if label is not None
-        }
-        escaping = enabled_labels - observed[prefix]
-        escaping_total += w * len(escaping)
+    for w, observed, sids in zip(weight, children, states):
+        enabled_labels = {label for sid in sids for _, label, _ in moves(sid) if label is not None}
+        escaping_total += w * len(enabled_labels - observed.keys())
         enabled_total += w * len(enabled_labels)
     if enabled_total == 0:
         return 1.0

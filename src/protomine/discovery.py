@@ -1,6 +1,6 @@
 """Process discovery: directly-follows graphs, process trees, Petri nets.
 
-The default (and only built-in) miner is a basic inductive-style
+The one miner is a basic inductive-style
 recursion: detect a cut of the directly-follows graph (exclusive choice,
 then sequence, then parallel, then loop), split the log accordingly and
 recurse; when no cut applies, fall through to the flower model over the

@@ -7,15 +7,16 @@ final marking; silent transitions route tokens without emitting a label.
 Acceptance is reaching the final marking exactly, not deadlock.
 
 Nets and markings are immutable values. Every search runs on the net's
-compiled form (``PetriNet.compiled``, a ``CompiledNet``): markings as
-count vectors over the sorted places, and a successor map that is filled
-on demand and shared by every later search on the same net. ``Marking``
-appears only at the API boundary; ``enabled`` and ``fire`` are thin
-wrappers over the compiled form, so the package has one implementation
-of the firing rule. Results depend only on the arguments, never on what
-earlier searches left in the memo. Enumeration and search operations
-take explicit state budgets so that misuse on oversized nets fails
-loudly instead of hanging.
+compiled form (``PetriNet.compiled``, a ``CompiledNet``): each reached
+marking gets a dense int id, and one move table per id, filled on demand,
+is shared by every later search on the same net. ``Marking`` appears
+only at the API boundary (``state_id``, ``marking``); ``enabled`` and
+``fire`` are thin wrappers over the compiled form, so the package has
+one implementation of the firing rule. Results depend only on the
+arguments, never on what earlier searches left in the memo or on the
+order in which they numbered the markings. Enumeration and search
+operations take explicit state budgets so that misuse on oversized nets
+fails loudly instead of hanging.
 
 PNML serialisation covers the place/transition subset: ``<place>`` with
 ``<initialMarking>``, ``<transition>`` with a ``<name>`` only when the
@@ -131,7 +132,7 @@ class PetriNet:
 
     @cached_property
     def compiled(self) -> "CompiledNet":
-        """The vector form every search runs on, built on first use."""
+        """The marking-id form every search runs on, built on first use."""
         return CompiledNet(self)
 
     def __eq__(self, other: object) -> bool:
@@ -152,30 +153,30 @@ class PetriNet:
         )
 
 
-Vector = tuple[int, ...]
-# one enabled transition at a vector: (transition id, label, successor vector)
-Step = tuple[str, str | None, Vector]
+# one enabled transition at a marking id: (transition id, label, successor id)
+Move = tuple[str, str | None, int]
 
 
 class CompiledNet:
-    """A net's firing rule over count vectors, with memoised successors.
+    """A net's firing rule over dense marking ids, with memoised moves.
 
     Places are indexed in sorted order and transitions kept in
     ``transition_ids`` order as (id, label, input indices, output
-    indices). The successors of a vector and the silent closure of a
-    single vector are computed once and kept for every later query, so
-    all alignments, the precision replay and the path searches on one
-    net share that work. The memo grows with the states the searches
-    visit and lives as long as the net.
+    indices). Each reached marking is stored once as a count vector over
+    the places and numbered densely (0, 1, 2, ... in order of first
+    reach); ``state_id`` and ``marking`` convert between ``Marking`` and
+    id at the API boundary, and every search keys its states on the ids,
+    which hash in constant time where a vector rehashes every count.
 
-    For searches that only need a state's identity, ``state_id`` numbers
-    each vector densely (0, 1, 2, ... in order of first request) and
-    ``moves`` lists, per id, the ``(label, successor id)`` pair of every
-    enabled transition in ``successors`` order. An int hashes in
-    constant time where a vector tuple rehashes every count, so these
-    two id tables are what the alignment search keys its states on. Ids
-    depend on the order earlier searches reached the vectors, so a
-    search may use them only as identities, never to order states.
+    One table, ``moves``, lists per id the ``(transition, label,
+    successor id)`` triple of every enabled transition, and one table
+    holds the silent closure of each single id. Both are filled on
+    demand and kept for every later query, so all alignments, the
+    precision replay and the path searches on one net share that work;
+    the memo grows with the states the searches visit and lives as long
+    as the net. Ids depend on the order earlier searches reached the
+    markings, so a search may use them only as identities, never to
+    order states.
     """
 
     def __init__(self, net: PetriNet):
@@ -190,47 +191,22 @@ class CompiledNet:
             )
             for t in net.transition_ids
         )
-        self._successors: dict[Vector, list[Step]] = {}
-        self._closures: dict[Vector, frozenset[Vector]] = {}
-        self._ids: dict[Vector, int] = {}
-        self._vectors: list[Vector] = []  # id -> vector
-        self._moves: list[list[tuple[str | None, int]] | None] = []  # id -> moves, None until asked
-        self.initial = self.vector(net.initial_marking)
-        self.final = self.vector(net.final_marking)
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._vectors: list[tuple[int, ...]] = []  # id -> count vector
+        self._moves: list[list[Move] | None] = []  # id -> moves, None until asked
+        self._closures: dict[int, frozenset[int]] = {}
+        self.initial = self.state_id(net.initial_marking)
+        self.final = self.state_id(net.final_marking)
 
-    def vector(self, marking: Marking) -> Vector:
+    def state_id(self, marking: Marking) -> int:
+        """The id of a marking, assigned on first request."""
         unknown = marking.places().difference(self.places)
         if unknown:
             raise ValueError(f"marking references unknown places: {sorted(unknown)}")
         counts = marking.as_dict()
-        return tuple(counts.get(p, 0) for p in self.places)
+        return self._id(tuple(counts.get(p, 0) for p in self.places))
 
-    def marking(self, vector: Vector) -> Marking:
-        return Marking(tuple((p, n) for p, n in zip(self.places, vector) if n))
-
-    def successors(self, vector: Vector) -> list[Step]:
-        """Every enabled transition with its successor, in transition_ids order.
-
-        A transition is enabled when each input place holds a token;
-        firing takes one token per input arc and adds one per output arc.
-        The returned list is shared: callers must not mutate it.
-        """
-        steps = self._successors.get(vector)
-        if steps is None:
-            steps = []
-            for t, label, inputs, outputs in self.transitions:
-                if all(vector[i] for i in inputs):
-                    fired = list(vector)
-                    for i in inputs:
-                        fired[i] -= 1
-                    for i in outputs:
-                        fired[i] += 1
-                    steps.append((t, label, tuple(fired)))
-            self._successors[vector] = steps
-        return steps
-
-    def state_id(self, vector: Vector) -> int:
-        """The dense int id of a vector, assigned on first request."""
+    def _id(self, vector: tuple[int, ...]) -> int:
         sid = self._ids.get(vector)
         if sid is None:
             sid = self._ids[vector] = len(self._vectors)
@@ -238,61 +214,74 @@ class CompiledNet:
             self._moves.append(None)
         return sid
 
-    def moves(self, sid: int) -> list[tuple[str | None, int]]:
-        """``(label, successor id)`` per enabled transition of a state id.
+    def marking(self, sid: int) -> Marking:
+        return Marking(tuple((p, n) for p, n in zip(self.places, self._vectors[sid]) if n))
 
-        The same transitions in the same order as ``successors`` of the
-        id's vector. The returned list is shared: callers must not mutate it.
+    def moves(self, sid: int) -> list[Move]:
+        """Every enabled transition of a marking id with its successor id.
+
+        In ``transition_ids`` order. A transition is enabled when each
+        input place holds a token; firing takes one token per input arc
+        and adds one per output arc. The returned list is shared: callers
+        must not mutate it.
         """
         moves = self._moves[sid]
         if moves is None:
-            moves = self._moves[sid] = [
-                (label, self.state_id(fired)) for _, label, fired in self.successors(self._vectors[sid])
-            ]
+            vector = self._vectors[sid]
+            moves = []
+            for t, label, inputs, outputs in self.transitions:
+                if all(vector[i] for i in inputs):
+                    fired = list(vector)
+                    for i in inputs:
+                        fired[i] -= 1
+                    for i in outputs:
+                        fired[i] += 1
+                    moves.append((t, label, self._id(tuple(fired))))
+            self._moves[sid] = moves
         return moves
 
-    def silent_closure(self, vectors: Iterable[Vector], budget: int) -> set[Vector]:
-        """All vectors reachable from the given ones by silent firings only.
+    def silent_closure(self, sids: Iterable[int], budget: int) -> set[int]:
+        """All marking ids reachable from the given ones by silent firings only.
 
-        The union of the memoised closures of each start vector. Raises
+        The union of the memoised closures of each start id. Raises
         BudgetExceeded when the closure grows past ``budget`` states; a
         start set that is itself larger than the budget is not an overrun.
         """
-        start = set(vectors)
+        start = set(sids)
         limit = max(budget, len(start))
         closure = set(start)
-        for vector in start:
-            closure |= self._single_closure(vector, limit, budget)
+        for sid in start:
+            closure |= self._single_closure(sid, limit, budget)
             if len(closure) > limit:
                 raise BudgetExceeded("silent closure", budget)
         return closure
 
-    def _single_closure(self, vector: Vector, limit: int, budget: int) -> frozenset[Vector]:
-        closure = self._closures.get(vector)
+    def _single_closure(self, sid: int, limit: int, budget: int) -> frozenset[int]:
+        closure = self._closures.get(sid)
         if closure is None:
-            seen = {vector}
-            frontier = [vector]
+            seen = {sid}
+            frontier = [sid]
             while frontier:
-                for _, label, nxt in self.successors(frontier.pop()):
+                for _, label, nxt in self.moves(frontier.pop()):
                     if label is None and nxt not in seen:
                         seen.add(nxt)
                         if len(seen) > limit:
                             raise BudgetExceeded("silent closure", budget)
                         frontier.append(nxt)
-            closure = self._closures[vector] = frozenset(seen)
+            closure = self._closures[sid] = frozenset(seen)
         return closure
 
 
 def enabled(net: PetriNet, marking: Marking) -> set[str]:
     """Transitions whose every input place holds at least one token."""
     compiled = net.compiled
-    return {t for t, _, _ in compiled.successors(compiled.vector(marking))}
+    return {t for t, _, _ in compiled.moves(compiled.state_id(marking))}
 
 
 def fire(net: PetriNet, marking: Marking, transition: str) -> Marking:
     """Fire a transition: one token per input arc in, one per output arc out."""
     compiled = net.compiled
-    for t, _, fired in compiled.successors(compiled.vector(marking)):
+    for t, _, fired in compiled.moves(compiled.state_id(marking)):
         if t == transition:
             return compiled.marking(fired)
     raise ValueError(f"transition {transition!r} is not enabled at {marking}")
@@ -312,13 +301,13 @@ def language_upto(net: PetriNet, max_len: int, max_states: int = 100_000) -> set
     words: set[Trace] = set()
     start = (compiled.initial, ())
     seen_pairs = {start}
-    seen_vectors = {compiled.initial}
+    seen_ids = {compiled.initial}
     queue = deque([start])
     while queue:
-        vector, word = queue.popleft()
-        if vector == compiled.final:
+        sid, word = queue.popleft()
+        if sid == compiled.final:
             words.add(word)
-        for _, label, fired in compiled.successors(vector):
+        for _, label, fired in compiled.moves(sid):
             next_word = word if label is None else word + (label,)
             if len(next_word) > max_len:
                 continue
@@ -326,9 +315,9 @@ def language_upto(net: PetriNet, max_len: int, max_states: int = 100_000) -> set
             if state in seen_pairs:
                 continue
             seen_pairs.add(state)
-            if fired not in seen_vectors:
-                seen_vectors.add(fired)
-                if len(seen_vectors) > max_states:
+            if fired not in seen_ids:
+                seen_ids.add(fired)
+                if len(seen_ids) > max_states:
                     raise BudgetExceeded("language enumeration", max_states)
             queue.append(state)
     return words
@@ -340,16 +329,16 @@ def shortest_visible_path(net: PetriNet, max_states: int = 100_000) -> int:
     Uniform-cost search over markings; silent moves cost nothing.
     """
     compiled = net.compiled
-    dist: dict[Vector, int] = {compiled.initial: 0}
-    heap: list[tuple[int, int, Vector]] = [(0, 0, compiled.initial)]
+    dist: dict[int, int] = {compiled.initial: 0}
+    heap: list[tuple[int, int, int]] = [(0, 0, compiled.initial)]
     tie = 0
     while heap:
-        cost, _, vector = heapq.heappop(heap)
-        if cost > dist.get(vector, cost):
+        cost, _, sid = heapq.heappop(heap)
+        if cost > dist.get(sid, cost):
             continue
-        if vector == compiled.final:
+        if sid == compiled.final:
             return cost
-        for _, label, nxt in compiled.successors(vector):
+        for _, label, nxt in compiled.moves(sid):
             step = 0 if label is None else 1
             if cost + step < dist.get(nxt, cost + step + 1):
                 if nxt not in dist and len(dist) >= max_states:

@@ -205,15 +205,15 @@ def gen_synthetic(
 def _simulate_trace(net: PetriNet, rng: random.Random, max_steps: int) -> Trace:
     compiled = net.compiled
     for _ in range(100):  # retries in case a walk dead-ends
-        vector = compiled.initial
+        sid = compiled.initial
         word: list[str] = []
         for _ in range(max_steps):
-            if vector == compiled.final:
+            if sid == compiled.final:
                 return tuple(word)
-            options = compiled.successors(vector)  # in transition_ids (sorted) order
+            options = compiled.moves(sid)  # in transition_ids (sorted) order
             if not options:
                 break
-            _, label, vector = rng.choice(options)
+            _, label, sid = rng.choice(options)
             if label is not None:
                 word.append(label)
     raise RuntimeError("simulation repeatedly failed to reach the final marking")

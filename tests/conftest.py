@@ -8,9 +8,14 @@ distance over a brute-force enumeration of the model language, and the
 K-Medoids reference loops over variants without a distance matrix. The
 reference interpreter (``reference_enabled``/``reference_fire``) plays
 the token game on ``Marking`` dicts, independent of the library's
-compiled count-vector form. ``reference_alignment_cost`` runs the
-alignment search on (marking vector, pos) tuple states; the library's
-int-keyed search must match it in cost, projection and budget overrun.
+compiled marking ids and move table. ``reference_alignment_cost`` runs
+the alignment search on (``Marking``, pos) tuple states and plays the
+token game with that interpreter, so the oracle never runs on the kernel
+it checks; the library's int-keyed search must match it in cost,
+projection and budget overrun. ``reference_escaping_edges_precision``
+replays model words with a dict keyed on every prefix and the reference
+silent closure over ``Marking`` sets, where the library walks an
+int-node prefix tree over marking ids.
 """
 
 from __future__ import annotations
@@ -227,9 +232,9 @@ def reference_alignment_cost(
 ) -> AlignmentResult:
     """Optimal insert/delete alignment of a trace against the net.
 
-    The same search keyed on (marking vector, pos) tuples in dist,
-    parent and the heap: the oracle the library's int-state kernel must
-    reproduce, cost, projection and budget overrun alike.
+    The same search keyed on (marking, pos) tuples in dist, parent and
+    the heap: the oracle the library's int-state kernel must reproduce,
+    cost, projection and budget overrun alike.
 
     Uniform-cost search over (marking, trace position) states. Moves:
     fire a transition matching the next activity (free), fire a silent
@@ -239,18 +244,15 @@ def reference_alignment_cost(
     more of the trace consumed, which does not affect optimality.
     Raises BudgetExceeded naming the trace when over ``budget`` states expand.
 
-    Markings are the net's count vectors (``PetriNet.compiled``), whose
-    memoised successor map outlives the call: every alignment against the
-    same net reuses the successors earlier ones computed. This is the hot
-    loop of every log-versus-model score.
+    The token game is the reference interpreter's: ``Marking`` states,
+    transitions tried in ``transition_ids`` (sorted) order, as the
+    library's move lists are.
     """
-    compiled = net.compiled
     trace = tuple(trace)
-    start = (compiled.initial, 0)
-    final_vector = compiled.final
+    start = (net.initial_marking, 0)
     goal_pos = len(trace)
 
-    dist: dict[tuple[tuple[int, ...], int], int] = {start: 0}
+    dist: dict[tuple[Marking, int], int] = {start: 0}
     parent: dict = {start: None}
     heap: list = [(0, 0, 0, start)]
     tie = 0
@@ -260,8 +262,8 @@ def reference_alignment_cost(
         cost, _, _, state = heapq.heappop(heap)
         if cost > dist.get(state, cost):
             continue
-        vector, pos = state
-        if pos == goal_pos and vector == final_vector:
+        marking, pos = state
+        if pos == goal_pos and marking == net.final_marking:
             projection: list[str] = []
             cursor = state
             while parent[cursor] is not None:
@@ -275,7 +277,9 @@ def reference_alignment_cost(
             raise BudgetExceeded(f"alignment search of trace [{shown}] ({goal_pos} events)", budget)
 
         moves: list[tuple[tuple, int, str | None]] = []
-        for _, label, fired in compiled.successors(vector):
+        for t in sorted(reference_enabled(net, marking)):
+            label = net.label(t)
+            fired = reference_fire(net, marking, t)
             if label is None:
                 moves.append(((fired, pos), 0, None))
             else:
@@ -283,7 +287,7 @@ def reference_alignment_cost(
                     moves.append(((fired, pos + 1), 0, label))  # synchronous
                 moves.append(((fired, pos), 1, label))  # model-only (insertion)
         if pos < goal_pos:
-            moves.append(((vector, pos + 1), 1, None))  # trace-only (deletion)
+            moves.append(((marking, pos + 1), 1, None))  # trace-only (deletion)
 
         for nxt, step, label in moves:
             new_cost = cost + step
@@ -294,3 +298,56 @@ def reference_alignment_cost(
                 heapq.heappush(heap, (new_cost, goal_pos - nxt[1], tie, nxt))
 
     raise ValueError("net has no accepting firing sequence; final marking unreachable")
+
+
+def reference_escaping_edges_precision(net: PetriNet, projected, closure_budget: int) -> float:
+    """Escaping-edges precision of replayed model words, one prefix at a time.
+
+    Every prefix of every word is a key of its own (``word[:i]``), with
+    the traces passing through it and the labels seen leaving it. The
+    marking set of a prefix is the reference silent closure of the
+    markings its parent's set reaches by one firing of its last label,
+    filled shortest prefix first. A closure that grows past
+    ``max(closure_budget, start size)`` raises BudgetExceeded, as the
+    library's does.
+    """
+    weight: dict[tuple, int] = {}
+    observed: dict[tuple, set[str]] = {}
+    for word, count in sorted(projected.items()):
+        for i in range(len(word) + 1):
+            prefix = word[:i]
+            weight[prefix] = weight.get(prefix, 0) + count
+            observed.setdefault(prefix, set())
+            if i < len(word):
+                observed[prefix].add(word[i])
+
+    def closure(start: set[Marking]) -> set[Marking]:
+        result = reference_silent_closure(net, start)
+        if len(result) > max(closure_budget, len(start)):
+            raise BudgetExceeded("silent closure", closure_budget)
+        return result
+
+    marking_sets = {(): closure({net.initial_marking})}
+    for prefix in sorted(weight, key=len):
+        if prefix:
+            marking_sets[prefix] = closure({
+                reference_fire(net, marking, t)
+                for marking in marking_sets[prefix[:-1]]
+                for t in reference_enabled(net, marking)
+                if net.label(t) == prefix[-1]
+            })
+
+    escaping_total = 0
+    enabled_total = 0
+    for prefix, w in weight.items():
+        enabled_labels = {
+            net.label(t)
+            for marking in marking_sets[prefix]
+            for t in reference_enabled(net, marking)
+            if net.label(t) is not None
+        }
+        escaping_total += w * len(enabled_labels - observed[prefix])
+        enabled_total += w * len(enabled_labels)
+    if enabled_total == 0:
+        return 1.0
+    return 1.0 - escaping_total / enabled_total

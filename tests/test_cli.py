@@ -106,8 +106,12 @@ class TestDiscover:
         assert run("discover", "--in", log_path, "--out", tmp_path / "d") == 1
         assert "malformed XES" in capsys.readouterr().err
 
-    def test_unknown_miner(self, small_log_path, tmp_path):
-        assert run("discover", "--in", small_log_path, "--miner", "ilp", "--out", tmp_path) == 2
+    def test_unknown_miner(self, small_log_path, tmp_path, capsys):
+        # there is one miner and no option to choose it
+        with pytest.raises(SystemExit) as info:
+            run("discover", "--in", small_log_path, "--miner", "ilp", "--out", tmp_path)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --miner ilp" in capsys.readouterr().err
 
     def test_distance_dump(self, small_log_path, tmp_path):
         out = tmp_path / "run"

@@ -23,7 +23,8 @@ from protomine import (
 )
 from protomine import conformance
 from protomine.builtin_models import silent_only_net
-from protomine.discovery import leaf, seq, tree_to_net
+from protomine.conformance import DEFAULT_CLOSURE_BUDGET
+from protomine.discovery import leaf, parallel, seq, tree_to_net, xor
 
 from .conftest import (
     brute_force_alignment_cost,
@@ -31,8 +32,9 @@ from .conftest import (
     random_acyclic_net,
     random_trace,
     reference_alignment_cost,
+    reference_escaping_edges_precision,
 )
-from .test_petrinet import differential_nets
+from .test_petrinet import differential_nets, reachable_markings
 
 
 def sequence_net(*labels):
@@ -302,8 +304,116 @@ class TestEtcPrecision:
         flower = flower_net(["a"])
         # reaching the hub through the opening silent move already needs
         # two closure markings, so a budget of one must trip
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(
+            BudgetExceeded,
+            match=r"^silent closure after prefix \[\] \(0 events\) exceeded its state budget of 1$",
+        ) as info:
             precision_of(log, flower, closure_budget=1)
+        assert info.value.budget == 1
+
+    def test_silent_closure_budget_error_names_the_prefix(self):
+        # a, b, then two silent moves: only the closure after [a b] grows
+        net = PetriNet(
+            places=["p0", "p1", "p2", "p3", "p4"],
+            transitions={"ta": "a", "tb": "b", "s1": None, "s2": None},
+            arcs=[("p0", "ta"), ("ta", "p1"), ("p1", "tb"), ("tb", "p2"),
+                  ("p2", "s1"), ("s1", "p3"), ("p3", "s2"), ("s2", "p4")],
+            initial_marking=Marking.of(["p0"]),
+            final_marking=Marking.of(["p4"]),
+        )
+        log = EventLog({("a", "b"): 1})
+        assert precision_of(log, net, closure_budget=3) == 1.0
+        with pytest.raises(BudgetExceeded, match=r"^silent closure after prefix \[a b\] \(2 events\)") as info:
+            precision_of(log, net, closure_budget=2)
+        assert info.value.budget == 2
+
+
+def _precision_outcome(net, table, closure_budget):
+    """compute_report's precision over replayed words, or what it raised and its budget.
+
+    ``table`` lists (model word, count) pairs, one log variant each; every
+    variant aligns at cost 0 onto its word, which the net may reject.
+    """
+    log = EventLog({(f"v{i}",): count for i, (_, count) in enumerate(table)})
+    alignments = {(f"v{i}",): AlignmentResult(0, word) for i, (word, _) in enumerate(table)}
+    try:
+        return compute_report(log, net, [], 1.0, alignments=alignments, closure_budget=closure_budget).precision
+    except BudgetExceeded as exc:
+        return BudgetExceeded, exc.budget
+
+
+def _reference_outcome(net, table, closure_budget):
+    projected = {}
+    for word, count in table:
+        projected[word] = projected.get(word, 0) + count
+    try:
+        return reference_escaping_edges_precision(net, projected, closure_budget)
+    except BudgetExceeded as exc:
+        return BudgetExceeded, exc.budget
+
+
+class TestPrecisionAgainstReference:
+    """Escaping-edges precision against the prefix-dict replay in conftest."""
+
+    @staticmethod
+    def tables():
+        rng = random.Random(43)
+        for net in differential_nets():
+            alphabet = sorted({l for l in net.transitions.values() if l is not None} | {"z"})
+            accepted = sorted(language_upto(net, 4))
+            for _ in range(3):
+                words = [()] + [random_trace(rng, alphabet, 5) for _ in range(4)]
+                words += rng.sample(accepted, min(4, len(accepted)))
+                words.append(rng.choice(words))  # two variants replaying one word
+                yield net, [(word, rng.randint(1, 6)) for word in words]
+
+    def test_exact_equality_and_budget_boundary(self):
+        tripped = 0
+        for net, table in self.tables():
+            least = 0
+            while _reference_outcome(net, table, least) == (BudgetExceeded, least):
+                least += 1
+            expected = _reference_outcome(net, table, least)
+            assert isinstance(expected, float)
+            assert _precision_outcome(net, table, least) == expected, (net, table)
+            assert _precision_outcome(net, table, DEFAULT_CLOSURE_BUDGET) == expected
+            if least:
+                assert _precision_outcome(net, table, least - 1) == (BudgetExceeded, least - 1)
+                tripped += 1
+        assert tripped > 20
+
+
+class TestMemoOrder:
+    """Marking ids are identities only: results ignore the order they were assigned in."""
+
+    def test_results_do_not_depend_on_id_order(self):
+        def base():
+            return tree_to_net(seq(leaf("s"), parallel(leaf("a"), leaf("b"), xor(leaf("c"), leaf("d"))), leaf("e")))
+
+        log = gen_synthetic(base(), 150, noise_rate=0.4, seed=5)
+        warm_log = gen_synthetic(base(), 150, noise_rate=0.4, seed=9)
+        # the base net, and the larger net discovered from the noisy log
+        for build in (base, lambda: discover(log)):
+            fresh, warmed = build(), build()
+            assert fresh == warmed
+            for trace in sorted(warm_log.variants, reverse=True):
+                alignment_cost(trace, warmed)
+            compute_report(warm_log, warmed, [], 1.0)
+
+            results = [
+                (
+                    variant_alignments(log, net),
+                    compute_report(log, net, sorted(log.variants)[:2], 2.0),
+                    shortest_visible_path(net),
+                )
+                for net in (fresh, warmed)
+            ]
+            assert results[0] == results[1]
+            # the two memos numbered the same markings differently
+            markings = reachable_markings(fresh)
+            assert [fresh.compiled.state_id(m) for m in markings] != [
+                warmed.compiled.state_id(m) for m in markings
+            ]
 
 
 class TestFBeta:

@@ -162,19 +162,20 @@ def reachable_markings(net, bound=150):
 
 
 class TestCompiledNetAgainstReference:
-    def test_successors_match_reference(self):
+    def test_moves_match_reference(self):
         for net in differential_nets():
             compiled = net.compiled
             assert compiled.marking(compiled.initial) == net.initial_marking
             assert compiled.marking(compiled.final) == net.final_marking
             for marking in reachable_markings(net):
-                vector = compiled.vector(marking)
-                assert compiled.marking(vector) == marking
+                sid = compiled.state_id(marking)
+                assert compiled.marking(sid) == marking
+                assert compiled.state_id(compiled.marking(sid)) == sid
                 expected = reference_enabled(net, marking)
-                steps = compiled.successors(vector)
-                assert [t for t, _, _ in steps] == sorted(expected)
+                moves = compiled.moves(sid)
+                assert [t for t, _, _ in moves] == sorted(expected)
                 assert enabled(net, marking) == expected
-                for t, label, fired in steps:
+                for t, label, fired in moves:
                     assert label == net.label(t)
                     assert compiled.marking(fired) == reference_fire(net, marking, t)
                     assert fire(net, marking, t) == reference_fire(net, marking, t)
@@ -184,23 +185,23 @@ class TestCompiledNetAgainstReference:
             compiled = net.compiled
             markings = reachable_markings(net, bound=40)
             for marking in markings:
-                closure = compiled.silent_closure([compiled.vector(marking)], 10_000)
-                assert {compiled.marking(v) for v in closure} == reference_silent_closure(net, [marking])
+                closure = compiled.silent_closure([compiled.state_id(marking)], 10_000)
+                assert {compiled.marking(s) for s in closure} == reference_silent_closure(net, [marking])
             pair = markings[-2:]
-            union = compiled.silent_closure([compiled.vector(m) for m in pair], 10_000)
-            assert {compiled.marking(v) for v in union} == reference_silent_closure(net, pair)
+            union = compiled.silent_closure([compiled.state_id(m) for m in pair], 10_000)
+            assert {compiled.marking(s) for s in union} == reference_silent_closure(net, pair)
 
     def test_closure_budget_trips_exactly_past_the_union(self):
         # two start markings of a flower: p_in closes over the hub and
         # p_out, the hub over p_out; the union has three markings
         net = flower_net(["a"])
         compiled = net.compiled
-        start = [compiled.vector(Marking.of(["p_in"])), compiled.vector(Marking.of(["hub"]))]
+        start = [compiled.state_id(Marking.of(["p_in"])), compiled.state_id(Marking.of(["hub"]))]
         assert len(compiled.silent_closure(start, 3)) == 3
         with pytest.raises(BudgetExceeded, match="silent closure"):
             compiled.silent_closure(start, 2)
         # a start set larger than the budget is not an overrun by itself
-        end = compiled.vector(Marking.of(["p_out"]))
+        end = compiled.state_id(Marking.of(["p_out"]))
         assert compiled.silent_closure([end], 0) == {end}
 
     def test_marking_with_unknown_place_rejected(self):
