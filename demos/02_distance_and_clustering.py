@@ -8,7 +8,7 @@ groups the variants and elects one real log trace per cluster; those
 medoids are the prototypes used for discovery later.
 """
 
-from protomine import distance_matrix, edit_distance, kmedoids, prototypes
+from protomine import distance_matrix, edit_distance, kmedoids
 
 a = ("a", "c", "f", "e", "d")
 b = ("a", "f", "c", "a", "d")
@@ -34,7 +34,7 @@ for medoid, members in zip(clustering.medoids, clustering.members):
     for member in members:
         print("     member:", " -> ".join(member))
 print("weighted cost:", clustering.total_cost)
-print("prototypes:", [" ".join(p) for p in prototypes(clustering)])
+print("prototypes:", [" ".join(p) for p in clustering.medoids])
 
 # frequency matters: the medoid is pulled toward the heavy variants,
 # so each cluster is represented by its common shape, not its outlier

@@ -14,7 +14,7 @@ from .builtin_models import (
     three_group_net,
     two_group_net,
 )
-from .clustering import Clustering, kmedoids, prototypes
+from .clustering import Clustering, kmedoids
 from .conformance import (
     AlignmentResult,
     QualityReport,
@@ -35,7 +35,6 @@ from .eventlog import (
     CsvColumns,
     EventLog,
     LogFormatError,
-    Sublog,
     Trace,
     export_xes,
     parse_csv,
@@ -83,7 +82,6 @@ __all__ = [
     "ProcessTree",
     "QualityReport",
     "SelectionResult",
-    "Sublog",
     "Trace",
     "alignment_cost",
     "baseline_frequency",
@@ -109,7 +107,6 @@ __all__ = [
     "parse_csv",
     "parse_pnml",
     "parse_xes",
-    "prototypes",
     "select_incremental",
     "shortest_visible_path",
     "size_metric",

@@ -23,9 +23,9 @@ import sys
 from pathlib import Path
 
 from .builtin_models import MODELS
-from .conformance import compute_report, f_beta
+from .conformance import DEFAULT_ALIGN_BUDGET, DEFAULT_CLOSURE_BUDGET, compute_report, f_beta
 from .discovery import discover
-from .eventlog import CsvColumns, EventLog, Sublog, export_xes, parse_csv, parse_xes, variants
+from .eventlog import CsvColumns, EventLog, export_xes, parse_csv, parse_xes, variants
 from .petrinet import export_pnml, parse_pnml
 from .protoselect import baseline_frequency, baseline_random, gen_synthetic, select_incremental
 from .tracedist import distance_matrix
@@ -37,6 +37,14 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     """Invalid configuration detected after argument parsing."""
+
+
+def positive_int(text: str) -> int:
+    """argparse type of the iteration cap and the budgets: exits 2 below 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -117,7 +125,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
     if args.dump_distances:
         _dump_distances(log, out / "distances.csv")
     (out / "model.pnml").write_bytes(export_pnml(result.model))
-    proto_log = Sublog({t: log.count(t) for t in result.prototypes}, parent=log)
+    proto_log = EventLog({t: log.count(t) for t in result.prototypes})
     (out / "prototypes.xes").write_bytes(export_xes(proto_log))
     _write_json(out / "report.json", result.best_report.to_dict())
     _write_json(out / "history.json", [record.to_dict() for record in result.history])
@@ -169,7 +177,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
 
     def score_baseline(selected):
-        sub = Sublog({t: log.count(t) for t in selected}, parent=log)
+        sub = EventLog({t: log.count(t) for t in selected})
         return compute_report(
             log, discover(sub), selected, args.beta,
             budget=args.align_budget, closure_budget=args.lang_budget,
@@ -246,12 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--k", type=int, default=3, help="cluster count per selection step")
         p.add_argument("--beta", type=float, default=1.0, help="F_beta weighting")
-        p.add_argument("--max-iter", type=int, default=20, help="selection iteration cap")
+        p.add_argument("--max-iter", type=positive_int, default=20, help="selection iteration cap")
 
     def add_budgets(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--align-budget", type=int, default=500_000, help="alignment state budget")
         p.add_argument(
-            "--lang-budget", type=int, default=100_000,
+            "--align-budget", type=positive_int, default=DEFAULT_ALIGN_BUDGET,
+            help="alignment state budget",
+        )
+        p.add_argument(
+            "--lang-budget", type=positive_int, default=DEFAULT_CLOSURE_BUDGET,
             help="state budget of each precision silent closure",
         )
 

@@ -110,8 +110,3 @@ def kmedoids(
         ),
         iteration_costs=tuple(iteration_costs),
     )
-
-
-def prototypes(clustering: Clustering) -> list[Trace]:
-    """The medoid traces in cluster-index order."""
-    return list(clustering.medoids)

@@ -44,7 +44,7 @@ per-variant sum.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -207,16 +207,7 @@ class QualityReport:
     model_trace_coverage: float
 
     def to_dict(self) -> dict[str, float | int]:
-        return {
-            "fitness": self.fitness,
-            "precision": self.precision,
-            "f_beta": self.f_beta,
-            "beta": self.beta,
-            "size": self.size,
-            "cardoso": self.cardoso,
-            "log_coverage": self.log_coverage,
-            "model_trace_coverage": self.model_trace_coverage,
-        }
+        return asdict(self)
 
 
 def compute_report(

@@ -94,28 +94,6 @@ class EventLog:
         return f"EventLog({len(self)} variants, {self.total_traces} traces)"
 
 
-class Sublog(EventLog):
-    """An event log whose variants are drawn from a parent log.
-
-    Every variant must occur in the parent with at least the sublog's
-    count; the parent is kept by reference for provenance.
-    """
-
-    def __init__(
-        self,
-        variants: Mapping[Trace, int] | Iterable[tuple[Trace, int]],
-        parent: EventLog,
-    ):
-        super().__init__(variants)
-        for trace, count in self._variants.items():
-            if parent.count(trace) < count:
-                raise ValueError(
-                    f"sublog variant {trace!r} exceeds its parent count "
-                    f"({count} > {parent.count(trace)})"
-                )
-        self.parent = parent
-
-
 def variants(log: EventLog) -> list[tuple[Trace, int]]:
     """Variant table sorted by descending count, ties lexicographic."""
     return sorted(log.variants.items(), key=lambda item: (-item[1], item[0]))
@@ -219,7 +197,7 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
     datetimes with a UTC offset. The first row of another kind raises
     LogFormatError.
     """
-    text = document.decode("utf-8")
+    text = document.decode("utf-8-sig")  # Excel writes a byte-order mark
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)

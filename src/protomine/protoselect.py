@@ -1,23 +1,27 @@
 """Incremental prototype selection and the baselines it is compared to.
 
-The driver clusters all log variants, takes the medoids as prototypes,
-discovers a model from the prototype sublog and scores it against the
-whole log. While the F_beta score keeps strictly improving, it clusters
-the currently deviating variants, adds their medoids to the prototype
-set, and rediscovers. On the first non-improving iteration the previous
-(best) model and prototype set are returned.
+Each iteration of the selection loop clusters its pool of variants (the
+whole log in the first iteration, the variants the last model does not
+fit after that), adds the medoids to the prototype set, discovers a model
+from the prototype log and scores it against the whole log. The loop
+stops on the first iteration whose F_beta does not strictly improve on
+the one before (no_improvement), when the model fits every variant
+(no_deviating_traces), or at the iteration cap (iteration_cap). It has
+one exit: after the loop, the model and prototypes of the best
+iteration are returned with the whole history.
 
-Termination is guaranteed without any cap: the prototype set grows
-strictly every iteration and is bounded by the number of variants.
+Termination is guaranteed without any cap: an iteration that adds no
+prototype rediscovers the same model, scores the same F_beta and stops,
+so the prototype set grows strictly until then and is bounded by the
+number of variants.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .clustering import kmedoids
-from .clustering import prototypes as cluster_prototypes
 from .conformance import (
     DEFAULT_ALIGN_BUDGET,
     DEFAULT_CLOSURE_BUDGET,
@@ -26,7 +30,7 @@ from .conformance import (
     variant_alignments,
 )
 from .discovery import discover
-from .eventlog import EventLog, Sublog, Trace, variants
+from .eventlog import EventLog, Trace, variants
 from .petrinet import PetriNet
 from .tracedist import distance_matrix
 
@@ -45,12 +49,7 @@ class IterationRecord:
     report: QualityReport
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "prototypes_added": [list(t) for t in self.prototypes_added],
-            "prototype_total": self.prototype_total,
-            "report": self.report.to_dict(),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -77,9 +76,12 @@ def select_incremental(
 ) -> SelectionResult:
     """Run the incremental prototype selection loop on a log.
 
-    k is the cluster count of the initial phase and of every incremental
-    step (capped by the number of deviating variants). Scores are always
-    computed against the full input log, never the prototype sublog.
+    Every iteration clusters its pool into min(k, pool size) groups, adds
+    the medoids not yet selected, and scores the model discovered from
+    the prototypes against the full input log, never the prototype log.
+    The pool is every variant in the first iteration and the variants
+    with a positive alignment cost after that. The result is built once,
+    after the loop, from the best (last improving) iteration.
     """
     ordered = variants(log)
     if k < 1 or k > len(ordered):
@@ -90,71 +92,33 @@ def select_incremental(
         raise ValueError("max_iterations must be at least 1")
 
     matrix = distance_matrix([t for t, _ in ordered])
-    selected: list[Trace] = cluster_prototypes(kmedoids(ordered, k, matrix))
-    added: list[Trace] = list(selected)
+    pool = ordered
+    selected: list[Trace] = []
     history: list[IterationRecord] = []
-    previous: tuple[PetriNet, tuple[Trace, ...], QualityReport] | None = None
-
+    stop_reason = STOP_ITERATION_CAP
     for iteration in range(1, max_iterations + 1):
+        medoids = kmedoids(pool, min(k, len(pool)), matrix).medoids
+        added = tuple(m for m in medoids if m not in selected)
+        selected += added
         try:
-            prototype_log = Sublog({t: log.count(t) for t in selected}, parent=log)
-            net = discover(prototype_log)
+            net = discover(EventLog({t: log.count(t) for t in selected}))
             alignments = variant_alignments(log, net, align_budget)
             report = compute_report(
                 log, net, selected, beta, alignments=alignments, closure_budget=closure_budget
             )
         except Exception as exc:
             raise RuntimeError(f"prototype selection failed at iteration {iteration}: {exc}") from exc
-        history.append(
-            IterationRecord(
-                iteration=iteration,
-                prototypes_added=tuple(added),
-                prototype_total=len(selected),
-                report=report,
-            )
-        )
-        if previous is not None and report.f_beta <= previous[2].f_beta:
-            return SelectionResult(
-                model=previous[0],
-                prototypes=previous[1],
-                history=tuple(history),
-                stop_reason=STOP_NO_IMPROVEMENT,
-            )
-        current = (net, tuple(selected), report)
+        history.append(IterationRecord(iteration, added, len(selected), report))
+        if len(history) > 1 and report.f_beta <= history[-2].report.f_beta:
+            stop_reason = STOP_NO_IMPROVEMENT
+            break
+        model, kept = net, len(selected)
+        pool = [(t, c) for t, c in ordered if alignments[t].cost > 0]  # fitness < 1, exactly
+        if not pool:
+            stop_reason = STOP_NO_DEVIATING_TRACES
+            break
 
-        deviating = [
-            (t, c) for t, c in ordered if alignments[t].cost > 0
-        ]  # fitness < 1, exactly
-        if not deviating:
-            return SelectionResult(
-                model=net,
-                prototypes=tuple(selected),
-                history=tuple(history),
-                stop_reason=STOP_NO_DEVIATING_TRACES,
-            )
-        if iteration == max_iterations:
-            return SelectionResult(
-                model=net,
-                prototypes=tuple(selected),
-                history=tuple(history),
-                stop_reason=STOP_ITERATION_CAP,
-            )
-
-        new_medoids = cluster_prototypes(kmedoids(deviating, min(k, len(deviating)), matrix))
-        added = [m for m in new_medoids if m not in selected]
-        if not added:
-            # all medoids already selected (possible with miners that do
-            # not replay their own input); growing further cannot help
-            return SelectionResult(
-                model=net,
-                prototypes=tuple(selected),
-                history=tuple(history),
-                stop_reason=STOP_NO_IMPROVEMENT,
-            )
-        selected = selected + added
-        previous = current
-
-    raise AssertionError("unreachable: loop returns at the iteration cap")
+    return SelectionResult(model, tuple(selected[:kept]), tuple(history), stop_reason)
 
 
 def baseline_frequency(log: EventLog, n: int) -> list[Trace]:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import random
@@ -112,6 +113,16 @@ class TestDiscover:
             run("discover", "--in", small_log_path, "--miner", "ilp", "--out", tmp_path)
         assert info.value.code == 2
         assert "unrecognized arguments: --miner ilp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--max-iter", "--align-budget", "--lang-budget"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_flags_below_one_are_usage_errors(self, small_log_path, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as info:
+            run("discover", "--in", small_log_path, "--k", "2", flag, value, "--out", out)
+        assert info.value.code == 2
+        assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any work
 
     def test_distance_dump(self, small_log_path, tmp_path):
         out = tmp_path / "run"
@@ -270,3 +281,46 @@ class TestPipelines:
         out = tmp_path / "run"
         assert run("discover", "--in", packed, "--k", "1", "--out", out) == 0
         assert (out / "report.json").is_file()
+
+
+# sha256 of every artifact of the golden runs below. A change that alters
+# artifact bytes on purpose updates this table and says so in CHANGES.md.
+GOLDEN_ARTIFACTS = {
+    "flower/compare/compare.csv": "59a716c90575587521800d20d75a95d706fa7dd9a127bd8f2ca4c6c01f64c771",
+    "flower/discover/distances.csv": "6bec1c083c1ee4aa4df0bcaf3e36fb814888f93639b796ca838209f4d0c29686",
+    "flower/discover/history.json": "6863679b9bfc5f11dc6223724d977bc5a1a14465b0f1e8be9f5ec44d8a83f94f",
+    "flower/discover/model.pnml": "f52d2e76a5fa147798cf4996090c52f832970357a796986ffec1203de6190a8d",
+    "flower/discover/prototypes.xes": "2942eec002b559dc1e109892036519cb83ed63ba87cd5ad022be5d16cf8a6cd4",
+    "flower/discover/report.json": "54fcf42e0812819857401a26487e51405b449c4273d981577b62b8ddf3a3f043",
+    "flower/log.xes": "b520e6fee1d1e2ad5c73f5f2f63ac41851b6a7d0668bd9403549859f10d20f15",
+    "two-group/compare/compare.csv": "948a56f1591177b5ffcfe9c778511e5291fa1c944de5ed28dae76568c61f0eef",
+    "two-group/discover/distances.csv": "74341d126114a2330fd20fc0509b0957a3941dba9265f11bd0baf8453ea7ff6f",
+    "two-group/discover/history.json": "fe44555cb9ec57c966cfc49757839260dab2942045da7502213dfefba8a2f6a4",
+    "two-group/discover/model.pnml": "0786582db79b39d582938925f78c3e89a38fb6d85a8d8244013b5334045a0032",
+    "two-group/discover/prototypes.xes": "2412e36eb43e83c8f6f2cc6a8d1a62a00bc9d9d39e6f881305a953f49ba2b6f1",
+    "two-group/discover/report.json": "cc8f7c0259580eaaa9e715e4e5b2ccb8f8ad073c30b85a07b53e0a21374ad637",
+    "two-group/log.xes": "233a393a1785e854e84f7a4701f3242d6fe808731b5e2cff4c4c2e87bde1bff8",
+}
+
+
+class TestGoldenArtifacts:
+    def test_artifacts_match_the_golden_table_under_two_hash_seeds(self, tmp_path):
+        for hash_seed in ("1", "2"):
+            root = tmp_path / hash_seed
+            env = {**os.environ, "PYTHONPATH": str(Path(protomine.__file__).parents[1]), "PYTHONHASHSEED": hash_seed}
+
+            def cli(*argv):
+                command = [sys.executable, "-m", "protomine.cli", *map(str, argv)]
+                subprocess.run(command, env=env, capture_output=True, check=True, timeout=120)
+
+            for model in ("two-group", "flower"):
+                out = root / model
+                cli("gen", "--model", model, "--n", "300", "--noise", "0.2", "--seed", "1", "--out", out)
+                cli("discover", "--in", out / "log.xes", "--k", "2", "--dump-distances", "--out", out / "discover")
+                cli("compare", "--in", out / "log.xes", "--k", "2", "--seed", "3", "--out", out / "compare")
+            hashes = {
+                path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(root.rglob("*"))
+                if path.is_file()
+            }
+            assert hashes == GOLDEN_ARTIFACTS, f"PYTHONHASHSEED={hash_seed}"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from protomine import distance_matrix, kmedoids, prototypes
+from protomine import distance_matrix, kmedoids
 
 from .conftest import random_trace, reference_kmedoids
 
@@ -162,11 +162,10 @@ class TestPrototypes:
     def test_cluster_order(self):
         matrix = distance_matrix([t for t, _ in FOUR_VARIANTS])
         clustering = kmedoids(FOUR_VARIANTS, 2, matrix)
-        assert prototypes(clustering) == list(clustering.medoids)
-        assert set(prototypes(clustering)) == {("a", "b"), ("x", "y")}
+        assert clustering.medoids == (("a", "b"), ("x", "y"))
 
     def test_saturation_returns_all_variants(self):
         variant_counts = [(("a",), 2), (("b",), 1)]
         matrix = distance_matrix([t for t, _ in variant_counts])
         clustering = kmedoids(variant_counts, 2, matrix)
-        assert set(prototypes(clustering)) == {("a",), ("b",)}
+        assert set(clustering.medoids) == {("a",), ("b",)}

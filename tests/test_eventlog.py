@@ -1,6 +1,6 @@
 import pytest
 
-from protomine import CsvColumns, EventLog, LogFormatError, Sublog, export_xes, parse_csv, parse_xes, variants
+from protomine import CsvColumns, EventLog, LogFormatError, export_xes, parse_csv, parse_xes, variants
 
 
 def xes_doc(traces):
@@ -100,6 +100,12 @@ class TestParseCsv:
         log = parse_csv(doc, CsvColumns(case_id="case", activity="act", timestamp="ts"))
         assert log.variants == {("b", "a"): 1, ("a",): 1}
 
+    def test_byte_order_mark_is_dropped(self):
+        # Excel's "CSV UTF-8" export starts the file with a UTF-8 BOM
+        doc = (CSV_HEADER + "c1,a,\nc1,b,\nc2,a,\n").encode()
+        columns = CsvColumns(case_id="case", activity="act")
+        assert parse_csv(b"\xef\xbb\xbf" + doc, columns) == parse_csv(doc, columns)
+
     def test_empty_body(self):
         log = parse_csv(CSV_HEADER.encode(), CsvColumns(case_id="case", activity="act"))
         assert log.total_traces == 0
@@ -163,13 +169,3 @@ class TestEventLog:
         log = EventLog.from_traces([["a"], ["a"], ["b"]])
         assert log.variants == {("a",): 2, ("b",): 1}
 
-
-class TestSublog:
-    def test_containment_enforced(self):
-        parent = EventLog({("a",): 2})
-        sub = Sublog({("a",): 1}, parent=parent)
-        assert sub.parent is parent
-        with pytest.raises(ValueError):
-            Sublog({("a",): 3}, parent=parent)
-        with pytest.raises(ValueError):
-            Sublog({("b",): 1}, parent=parent)

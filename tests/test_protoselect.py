@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import protomine.protoselect as protoselect_module
 from protomine import (
     EventLog,
+    discover,
     Marking,
     PetriNet,
     alignment_cost,
@@ -86,7 +89,8 @@ class TestSelectIncremental:
 
     def test_duplicate_medoid_guard(self, monkeypatch):
         # a miner that never fits anything keeps every variant deviating;
-        # once all medoids are already selected the loop must stop
+        # an iteration whose medoids are all selected adds none, scores the
+        # same net again and stops without improvement
         unfit = PetriNet(
             places=["p1", "p2"],
             transitions={"t": "zzz"},
@@ -99,6 +103,8 @@ class TestSelectIncremental:
         result = select_incremental(log, k=2, beta=1.0)
         assert result.stop_reason == "no_improvement"
         assert set(result.prototypes) == {("a",), ("b",)}
+        assert [r.prototypes_added for r in result.history] == [(("a",), ("b",)), ()]
+        assert result.history[1].prototype_total == 2
 
     def test_errors_carry_iteration_context(self):
         log = EventLog({("a", "b"): 2, ("c",): 1})
@@ -133,6 +139,38 @@ class TestSelectIncremental:
                 assert result.best_report == fresh
                 stop_reasons.add(result.stop_reason)
         assert stop_reasons == {"no_improvement", "no_deviating_traces", "iteration_cap"}
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.dictionaries(
+            st.lists(st.sampled_from("abcd"), max_size=5).map(tuple),
+            st.integers(1, 5),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_loop_contract(self, table, k, cap, beta):
+        log = EventLog(table)
+        result = select_incremental(log, k=min(k, len(log)), beta=beta, max_iterations=cap)
+        history = result.history
+        assert result.model == discover(EventLog({t: log.count(t) for t in result.prototypes}))
+        totals = [r.prototype_total for r in history]
+        assert all(a < b for a, b in zip(totals, totals[1:]))
+        best = max(history, key=lambda r: r.report.f_beta)
+        assert best.prototype_total == len(result.prototypes)
+        assert best.report == result.best_report
+        for p in result.prototypes:
+            assert alignment_cost(p, result.model).cost == 0
+        if result.stop_reason == "no_improvement":
+            assert best is history[-2]
+        elif result.stop_reason == "no_deviating_traces":
+            assert history[-1].report.model_trace_coverage == 1.0
+        else:
+            assert result.stop_reason == "iteration_cap"
+            assert len(history) == cap
 
 
 class TestBaselines:
