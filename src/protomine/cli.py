@@ -23,12 +23,18 @@ import sys
 from pathlib import Path
 
 from .builtin_models import MODELS
-from .conformance import DEFAULT_ALIGN_BUDGET, DEFAULT_CLOSURE_BUDGET, compute_report, f_beta
+from .conformance import (
+    DEFAULT_ALIGN_BUDGET,
+    DEFAULT_CLOSURE_BUDGET,
+    compute_report,
+    f_beta,
+    variant_alignments,
+)
 from .discovery import discover
 from .eventlog import CsvColumns, EventLog, export_xes, parse_csv, parse_xes, variants
 from .petrinet import export_pnml, parse_pnml
 from .protoselect import baseline_frequency, baseline_random, gen_synthetic, select_incremental
-from .tracedist import distance_matrix
+from .tracedist import DistanceMatrix
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -98,12 +104,10 @@ def _write_json(path: Path, payload: object) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _dump_distances(log: EventLog, path: Path) -> None:
-    ordered = [t for t, _ in variants(log)]
-    matrix = distance_matrix(ordered)
+def _dump_distances(matrix: DistanceMatrix, path: Path) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    labels = [" ".join(t) for t in ordered]
+    labels = [" ".join(t) for t in matrix.variant_index]
     writer.writerow(["variant"] + labels)
     for label, row in zip(labels, matrix.entries):
         writer.writerow([label] + [str(d) for d in row])
@@ -123,7 +127,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
         closure_budget=args.lang_budget,
     )
     if args.dump_distances:
-        _dump_distances(log, out / "distances.csv")
+        _dump_distances(result.distances, out / "distances.csv")
     (out / "model.pnml").write_bytes(export_pnml(result.model))
     proto_log = EventLog({t: log.count(t) for t in result.prototypes})
     (out / "prototypes.xes").write_bytes(export_xes(proto_log))
@@ -160,6 +164,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     rows: list[list[str]] = []
     failures: list[str] = []
+    aligned = []  # (net, its variant alignments) per distinct net scored so far
 
     def add_row(method: str, report, n: int) -> None:
         f1 = f_beta(report.precision, report.fitness, 1.0)
@@ -177,10 +182,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
 
     def score_baseline(selected):
-        sub = EventLog({t: log.count(t) for t in selected})
+        net = discover(EventLog({t: log.count(t) for t in selected}))
+        # baselines often rediscover a net already scored (the flower of a
+        # log whose variants are all kept, say); alignments depend only on
+        # the net's structure, so an equal net reuses them
+        alignments = next((a for seen, a in aligned if seen == net), None)
+        if alignments is None:
+            alignments = variant_alignments(log, net, args.align_budget)
+            aligned.append((net, alignments))
         return compute_report(
-            log, discover(sub), selected, args.beta,
-            budget=args.align_budget, closure_budget=args.lang_budget,
+            log, net, selected, args.beta,
+            alignments=alignments, closure_budget=args.lang_budget,
         )
 
     n_selected = None
@@ -190,6 +202,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             align_budget=args.align_budget, closure_budget=args.lang_budget,
         )
         n_selected = len(result.prototypes)
+        aligned.append((result.model, result.alignments))
         # the loop already scored its returned model against the whole log
         add_row("prototypes", result.best_report, n_selected)
     except Exception as exc:  # flagged, remaining methods still run

@@ -28,11 +28,17 @@ on the net's compiled form (``PetriNet.compiled``), so they share its one
 id-keyed table of moves and its silent closures.
 
 The alignment search encodes a (marking, trace position) state as the
-single int ``marking id * (len(trace) + 1) + pos``, so its dicts and heap
-hash an int instead of a marking. Its pop order is that of a search on
-(marking, pos) tuples: heap entries break ties on a unique counter before
-they reach the state, so the encoding is never compared, and the moves
-are pushed in the same order. Costs, projections and budget overruns are
+single int ``marking id * (len(trace) + 1) + pos``, so its dicts and
+queue hold an int instead of a marking. Every move costs 0 or 1, so the
+queue is a bucket queue (Dial, 1969) instead of a binary heap: LIFO
+stacks per (cost, events left), of which only the current cost and the
+next are ever occupied. Free moves out of the fewest-events-left stack
+land on that stack or the one just below it, so the occupied stacks stay
+sorted without a scan. Popping the newest state of the top stack is
+therefore the order ``(cost, events left, newest push first)`` in which
+a heap with a decreasing tie counter pops the same search on (marking,
+pos) tuples; the state encoding is never compared, and the moves are
+pushed in the same order. Costs, projections and budget overruns are
 therefore the same as well.
 
 Log fitness is folded exactly in integers: the deviating variants'
@@ -43,7 +49,6 @@ per-variant sum.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -85,16 +90,26 @@ def alignment_cost(
     A state is one int, ``marking id * (len(trace) + 1) + pos``. The
     marking ids and their move lists come from ``PetriNet.compiled``
     (``initial``, ``final``, ``moves``) and outlive the call, so every
-    alignment against the same net reuses what earlier ones built. Heap
-    entries are ``(cost, events left, tie, state)`` with a strictly
-    decreasing ``tie``: equal cost and progress pop last-in first-out,
-    diving down silent chains first. ``tie`` is unique, so the state is
-    never compared and its encoding cannot change the pop order; moves
-    are pushed in ``moves`` order (silent, or synchronous then
-    insertion, per transition; the deletion last). Costs, projections
-    and budget overruns are therefore those of the same search on
-    (marking, pos) tuples. This is the hot loop of every log-versus-model
-    score.
+    alignment against the same net reuses what earlier ones built.
+
+    Every move costs 0 or 1, so a state popped at ``cost`` pushes only
+    at ``cost`` or ``cost + 1``, and the queue is a bucket queue (Dial,
+    1969) over those two costs: ``stacks`` holds one LIFO stack per
+    number of events left at the current cost, the fewest left on top,
+    and ``later`` one per events left at ``cost + 1``. A state popped
+    with ``left`` events left, the fewest occupied, pushes free moves at
+    ``left`` (silent) and ``left - 1`` (synchronous) only, so ``left -
+    1`` opens as the new top (in place of ``left`` if that is empty) and
+    the stacks stay sorted and non-empty without a scan. When the current
+    cost runs out, ``later``'s stacks are sorted once and become the
+    current ones. Popping the top stack's newest state is therefore the
+    order ``(cost, events left, newest push first)`` of a binary heap
+    with a decreasing tie counter, the search on (marking, pos) tuples
+    that ``tests/conftest.py`` keeps as the oracle. Moves are pushed in
+    the same ``moves`` order (silent, or synchronous then insertion, per
+    transition; the deletion last) and outdated entries are skipped
+    alike, so costs, projections and budget overruns are the same. This
+    is the hot loop of every log-versus-model score.
     """
     compiled = net.compiled
     moves_of = compiled.moves
@@ -106,59 +121,77 @@ def alignment_cost(
 
     dist: dict[int, int] = {start: 0}
     parent: dict[int, tuple[int, str | None] | None] = {start: None}
-    heap: list[tuple[int, int, int, int]] = [(0, 0, 0, start)]
-    push, pop = heapq.heappush, heapq.heappop
-    tie = 0
+    stacks: list[list[int]] = [[start]]  # at cost, by events left, the fewest on top
+    later: dict[int, list[int]] = {}  # at cost + 1, by events left
+    cost, paid = 0, 1
     expanded = 0
 
-    while heap:
-        cost, _, _, state = pop(heap)
-        if cost > dist[state]:
-            continue
-        if state == goal:
-            projection: list[str] = []
-            step = parent[state]
-            while step is not None:
-                state, label = step
-                if label is not None:
-                    projection.append(label)
-                step = parent[state]
-            return AlignmentResult(cost=cost, model_projection=tuple(reversed(projection)))
-        expanded += 1
-        if expanded > budget:
-            raise BudgetExceeded(f"alignment search of trace {_events(trace)}", budget)
+    while True:
+        while stacks:  # none of them is empty
+            here = stacks[-1]
+            pos = here[-1] % width  # the states of one stack share their pos
+            left = goal_pos - pos
+            symbol = trace[pos] if left else None
+            inserted = deleted = None  # later's stacks at left and left - 1
+            while here:
+                state = here.pop()
+                if cost > dist[state]:
+                    continue
+                if state == goal:
+                    projection: list[str] = []
+                    step = parent[state]
+                    while step is not None:
+                        state, label = step
+                        if label is not None:
+                            projection.append(label)
+                        step = parent[state]
+                    return AlignmentResult(cost=cost, model_projection=tuple(reversed(projection)))
+                expanded += 1
+                if expanded > budget:
+                    raise BudgetExceeded(f"alignment search of trace {_events(trace)}", budget)
 
-        sid, pos = divmod(state, width)
-        left = goal_pos - pos
-        symbol = trace[pos] if left else None
-        paid = cost + 1
-        for _, label, succ in moves_of(sid):
-            nxt = succ * width + pos
-            if label is None:
-                if cost < dist.get(nxt, paid):
-                    dist[nxt] = cost
-                    parent[nxt] = (state, None)
-                    tie -= 1
-                    push(heap, (cost, left, tie, nxt))
-                continue
-            if label == symbol:  # synchronous
-                if cost < dist.get(nxt + 1, paid):
-                    dist[nxt + 1] = cost
-                    parent[nxt + 1] = (state, label)
-                    tie -= 1
-                    push(heap, (cost, left - 1, tie, nxt + 1))
-            if paid < dist.get(nxt, paid + 1):  # model-only (insertion)
-                dist[nxt] = paid
-                parent[nxt] = (state, label)
-                tie -= 1
-                push(heap, (paid, left, tie, nxt))
-        if left and paid < dist.get(state + 1, paid + 1):  # trace-only (deletion)
-            dist[state + 1] = paid
-            parent[state + 1] = (state, None)
-            tie -= 1
-            push(heap, (paid, left - 1, tie, state + 1))
-
-    raise ValueError("net has no accepting firing sequence; final marking unreachable")
+                below = None  # the stack at left - 1, opened by a synchronous move
+                for _, label, succ in moves_of(state // width):
+                    nxt = succ * width + pos
+                    if label is None:
+                        if cost < dist.get(nxt, paid):
+                            dist[nxt] = cost
+                            parent[nxt] = (state, None)
+                            here.append(nxt)
+                        continue
+                    if label == symbol:  # synchronous
+                        if cost < dist.get(nxt + 1, paid):
+                            dist[nxt + 1] = cost
+                            parent[nxt + 1] = (state, label)
+                            if below is None:
+                                below = [nxt + 1]
+                            else:
+                                below.append(nxt + 1)
+                    if paid < dist.get(nxt, paid + 1):  # model-only (insertion)
+                        dist[nxt] = paid
+                        parent[nxt] = (state, label)
+                        if inserted is None:
+                            inserted = later.setdefault(left, [])
+                        inserted.append(nxt)
+                if left and paid < dist.get(state + 1, paid + 1):  # trace-only (deletion)
+                    dist[state + 1] = paid
+                    parent[state + 1] = (state, None)
+                    if deleted is None:
+                        deleted = later.setdefault(left - 1, [])
+                    deleted.append(state + 1)
+                if below is not None:
+                    if here:
+                        stacks.append(below)
+                    else:
+                        stacks[-1] = below
+                    break
+            else:
+                stacks.pop()
+        if not later:
+            raise ValueError("net has no accepting firing sequence; final marking unreachable")
+        cost, paid = paid, paid + 1
+        stacks = [later[left] for left in sorted(later, reverse=True)]
+        later = {}
 
 
 def _events(trace: Trace) -> str:

@@ -19,12 +19,13 @@ number of variants.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from .clustering import kmedoids
 from .conformance import (
     DEFAULT_ALIGN_BUDGET,
     DEFAULT_CLOSURE_BUDGET,
+    AlignmentResult,
     QualityReport,
     compute_report,
     variant_alignments,
@@ -32,7 +33,7 @@ from .conformance import (
 from .discovery import discover
 from .eventlog import EventLog, Trace, variants
 from .petrinet import PetriNet
-from .tracedist import distance_matrix
+from .tracedist import DistanceMatrix, distance_matrix
 
 STOP_NO_IMPROVEMENT = "no_improvement"
 STOP_NO_DEVIATING_TRACES = "no_deviating_traces"
@@ -54,12 +55,19 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Final model, its prototypes, and the full iteration history."""
+    """Final model, its prototypes, and the full iteration history.
+
+    ``alignments`` holds the model's alignment of every variant of the
+    log, and ``distances`` the variant distance matrix the loop clustered
+    on, so callers reuse both instead of computing them again.
+    """
 
     model: PetriNet
     prototypes: tuple[Trace, ...]
     history: tuple[IterationRecord, ...]
     stop_reason: str
+    alignments: dict[Trace, AlignmentResult] = field(repr=False)
+    distances: DistanceMatrix = field(repr=False)
 
     @property
     def best_report(self) -> QualityReport:
@@ -112,13 +120,15 @@ def select_incremental(
         if len(history) > 1 and report.f_beta <= history[-2].report.f_beta:
             stop_reason = STOP_NO_IMPROVEMENT
             break
-        model, kept = net, len(selected)
+        model, kept, model_alignments = net, len(selected), alignments
         pool = [(t, c) for t, c in ordered if alignments[t].cost > 0]  # fitness < 1, exactly
         if not pool:
             stop_reason = STOP_NO_DEVIATING_TRACES
             break
 
-    return SelectionResult(model, tuple(selected[:kept]), tuple(history), stop_reason)
+    return SelectionResult(
+        model, tuple(selected[:kept]), tuple(history), stop_reason, model_alignments, matrix
+    )
 
 
 def baseline_frequency(log: EventLog, n: int) -> list[Trace]:

@@ -12,13 +12,18 @@ import pytest
 import protomine
 from protomine import (
     EventLog,
+    alignment_cost,
+    conformance,
     export_pnml,
     export_xes,
+    flower_net,
     gen_synthetic,
     parse_xes,
+    select_incremental,
     three_group_net,
     two_group_net,
 )
+from protomine import cli
 from protomine.builtin_models import choice_parallel_net
 from protomine.cli import main
 from protomine.protoselect import _perturb
@@ -131,6 +136,24 @@ class TestDiscover:
         assert lines[0].startswith("variant,")
         assert len(lines) == len(lines[0].split(","))  # square plus labels
 
+    def test_distance_dump_builds_the_matrix_once(self, small_log_path, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__module__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # every protomine module binding the name, so a second import is counted too
+        for name, module in list(sys.modules.items()):
+            if name.startswith("protomine") and hasattr(module, "distance_matrix"):
+                monkeypatch.setattr(module, "distance_matrix", counted(module.distance_matrix))
+        out = tmp_path / "run"
+        assert run("discover", "--in", small_log_path, "--k", "2", "--dump-distances", "--out", out) == 0
+        assert len(calls) == 1
+        assert (out / "distances.csv").is_file()
+
     def test_deterministic_outputs(self, small_log_path, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         for out in (first, second):
@@ -216,6 +239,42 @@ class TestCompare:
         for out in (first, second):
             assert run("compare", "--in", log_path, "--k", "2", "--seed", "4", "--out", out) == 0
         assert (first / "compare.csv").read_bytes() == (second / "compare.csv").read_bytes()
+
+    def test_each_distinct_net_is_aligned_once(self, tmp_path, monkeypatch):
+        # on this flower log the random and nothing baselines rediscover the selected model
+        log = gen_synthetic(flower_net("abc"), 150, 0.2, seed=1)
+        log_path = tmp_path / "flower.xes"
+        log_path.write_bytes(export_xes(log))
+        nets, aligned = [], []  # the selected model, then each baseline's net
+        discover = cli.discover
+
+        def select(*args, **kwargs):
+            result = select_incremental(*args, **kwargs)
+            nets.append(result.model)
+            return result
+
+        def rediscover(prototype_log):
+            nets.append(discover(prototype_log))
+            return nets[-1]
+
+        def align(trace, net, budget):
+            if nets:  # after the selection loop: the baselines' searches
+                aligned.append((net, trace))
+            return alignment_cost(trace, net, budget)
+
+        monkeypatch.setattr(cli, "select_incremental", select)
+        monkeypatch.setattr(cli, "discover", rediscover)
+        monkeypatch.setattr(conformance, "alignment_cost", align)
+        assert run("compare", "--in", log_path, "--k", "2", "--out", tmp_path / "c") == 0
+        distinct = []
+        for net in nets:
+            if net not in distinct:
+                distinct.append(net)
+        assert len(nets) == 4 and len(distinct) < len(nets)  # the property this log exercises
+        # the model's alignments are reused; every other net aligns each variant once
+        assert len(aligned) == (len(distinct) - 1) * len(log.variants)
+        for net in distinct[1:]:
+            assert sorted(t for n, t in aligned if n == net) == sorted(log.variants)
 
     def test_prototypes_row_matches_discover_report(self, tmp_path):
         log_path = tmp_path / "noisy.xes"

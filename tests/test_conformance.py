@@ -173,6 +173,12 @@ class TestIntStateKernel:
         narrow = discover(EventLog({max(log.variants, key=log.variants.get): 1}))
         for net in (two_group_net(), narrow):
             yield from ((trace, net) for trace in sorted(log.variants))
+        # long deviating traces over the alphabet plus an unknown label: many
+        # cost levels (two-group) and deep runs of free moves (the flower)
+        for net in (two_group_net(), flower_net("abc")):
+            alphabet = sorted({l for l in net.transitions.values() if l is not None} | {"z"})
+            for length in (40, 150):
+                yield tuple(rng.choice(alphabet) for _ in range(length)), net
 
     def test_equal_results_and_budget_boundary(self):
         checked = 0

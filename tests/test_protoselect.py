@@ -13,10 +13,13 @@ from protomine import (
     baseline_random,
     choice_parallel_net,
     compute_report,
+    distance_matrix,
     gen_synthetic,
     select_incremental,
     three_group_net,
     two_group_net,
+    variant_alignments,
+    variants,
 )
 
 THREE_GROUP_LOG = EventLog(
@@ -164,6 +167,9 @@ class TestSelectIncremental:
         assert best.report == result.best_report
         for p in result.prototypes:
             assert alignment_cost(p, result.model).cost == 0
+        # what the result carries for reuse is the returned model's, and the loop's matrix
+        assert result.alignments == variant_alignments(log, result.model)
+        assert result.distances == distance_matrix([t for t, _ in variants(log)])
         if result.stop_reason == "no_improvement":
             assert best is history[-2]
         elif result.stop_reason == "no_deviating_traces":
