@@ -14,9 +14,8 @@ always gives the same clustering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter, mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .eventlog import Trace
 from .tracedist import DistanceMatrix
@@ -24,13 +23,12 @@ from .tracedist import DistanceMatrix
 MAX_LLOYD_ROUNDS = 100
 
 
-@dataclass(frozen=True)
-class Clustering:
+class Clustering(NamedTuple):
     """A partition of variants with one medoid per cluster."""
 
     medoids: tuple[Trace, ...]
     members: tuple[tuple[Trace, ...], ...]
-    assignment: dict[Trace, int] = field(repr=False)
+    assignment: dict[Trace, int]
     total_cost: int = 0
     iteration_costs: tuple[int, ...] = ()
 

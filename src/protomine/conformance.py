@@ -43,15 +43,15 @@ therefore the same as well.
 
 Log fitness is folded exactly in integers: the deviating variants'
 ``count * cost`` are summed per denominator ``len(trace) + shortest``,
-and one Fraction per distinct denominator gives the same rational as a
-per-variant sum.
+each sum is scaled to the denominators' least common multiple, and one
+int / int true division rounds the exact rational to the float, as
+``float(Fraction)`` would.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+import math
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .eventlog import EventLog, Trace
 from .petrinet import (
@@ -66,8 +66,7 @@ DEFAULT_ALIGN_BUDGET = 500_000
 DEFAULT_CLOSURE_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
+class AlignmentResult(NamedTuple):
     """Optimal alignment cost plus the model side's visible word."""
 
     cost: int
@@ -226,8 +225,7 @@ def f_beta(precision: float, fitness: float, beta: float) -> float:
     return (1 + b2) * (precision * fitness) / denominator
 
 
-@dataclass(frozen=True)
-class QualityReport:
+class QualityReport(NamedTuple):
     """All quality numbers for one model against one log."""
 
     fitness: float
@@ -240,7 +238,7 @@ class QualityReport:
     model_trace_coverage: float
 
     def to_dict(self) -> dict[str, float | int]:
-        return asdict(self)
+        return self._asdict()
 
 
 def compute_report(
@@ -280,14 +278,18 @@ def compute_report(
     # 1 - fitness is sum(count * cost / (len(trace) + shortest)) / total;
     # fitting variants add nothing (nor does the empty trace against a
     # model accepting the empty word, the one zero denominator), so only
-    # deviating costs are summed, one exact Fraction per denominator
+    # deviating costs are summed per denominator; over the denominators'
+    # least common multiple the rational is exact in integers, and int /
+    # int true division rounds it once, as float(Fraction) does
     deviation: dict[int, int] = {}
     for trace, count in table.items():
         cost = alignments[trace].cost
         if cost:
             denominator = len(trace) + shortest
             deviation[denominator] = deviation.get(denominator, 0) + count * cost
-    fit = 1 - Fraction(sum(Fraction(v, d) for d, v in deviation.items()), total)
+    common = math.lcm(*deviation)
+    scale = common * total
+    fit = (scale - sum(v * (common // d) for d, v in deviation.items())) / scale
     projected: dict[Trace, int] = {}
     for trace, count in table.items():
         word = alignments[trace].model_projection
@@ -296,9 +298,9 @@ def compute_report(
     log_cov = sum(count for trace, count in table.items() if trace in selected) / total
     model_cov = sum(count for trace, count in table.items() if alignments[trace].cost == 0) / total
     return QualityReport(
-        fitness=float(fit),
+        fitness=fit,
         precision=precision,
-        f_beta=f_beta(precision, float(fit), beta),
+        f_beta=f_beta(precision, fit, beta),
         beta=beta,
         size=size_metric(net),
         cardoso=cardoso_metric(net),

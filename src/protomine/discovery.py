@@ -14,8 +14,8 @@ lexicographically, so equal logs give identical nets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections import namedtuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .eventlog import EventLog, Trace
 from .petrinet import Marking, PetriNet
@@ -23,8 +23,7 @@ from .petrinet import Marking, PetriNet
 VariantTable = dict[Trace, int]
 
 
-@dataclass(frozen=True)
-class DirectlyFollowsGraph:
+class DirectlyFollowsGraph(NamedTuple):
     """Activity adjacency counts plus start/end activity frequencies."""
 
     nodes: frozenset[str]
@@ -64,25 +63,23 @@ def dfg(log: EventLog) -> DirectlyFollowsGraph:
 OPERATORS = ("seq", "xor", "and", "loop")
 
 
-@dataclass(frozen=True)
-class ProcessTree:
+class ProcessTree(namedtuple("ProcessTree", "operator label children")):
     """Block-structured model: activity/silent leaves under seq/xor/and/loop."""
 
-    operator: str | None = None
-    label: str | None = None
-    children: tuple["ProcessTree", ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.operator is None:
-            if self.children:
+    def __new__(cls, operator: str | None = None, label: str | None = None, children: tuple = ()):
+        if operator is None:
+            if children:
                 raise ValueError("leaves cannot have children")
         else:
-            if self.operator not in OPERATORS:
-                raise ValueError(f"unknown operator {self.operator!r}")
-            if self.label is not None:
+            if operator not in OPERATORS:
+                raise ValueError(f"unknown operator {operator!r}")
+            if label is not None:
                 raise ValueError("operator nodes carry no label")
-            if len(self.children) < 2:
-                raise ValueError(f"{self.operator} needs at least two children")
+            if len(children) < 2:
+                raise ValueError(f"{operator} needs at least two children")
+        return super().__new__(cls, operator, label, children)
 
     def __repr__(self) -> str:
         if self.operator is None:

@@ -16,9 +16,8 @@ from __future__ import annotations
 import csv
 import io
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Trace = tuple[str, ...]
 
@@ -142,24 +141,31 @@ def parse_xes(document: bytes) -> EventLog:
     return EventLog.from_traces(traces)
 
 
+# ElementTree's attribute escapes, in one pass: its chain of replaces
+# never touches what an earlier replace wrote
+_ATTRIBUTE_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+)
+_XES_EVENT = '\n    <event>\n      <string key="concept:name" value="{}" />\n    </event>'
+
+
 def export_xes(log: EventLog) -> bytes:
-    """Serialise a log to XES; parse_xes(export_xes(log)) == log."""
-    root = ET.Element("log", {"xes.version": "1.0", "xmlns": XES_NAMESPACE})
+    """Serialise a log to XES; parse_xes(export_xes(log)) == log.
+
+    Writes ElementTree's bytes itself: those of ``ET.indent`` and a UTF-8
+    ``write`` with declaration, one ``<trace>`` block per variant, repeated.
+    """
+    blocks = []
     for trace, count in variants(log):
-        for _ in range(count):
-            trace_el = ET.SubElement(root, "trace")
-            for activity in trace:
-                event_el = ET.SubElement(trace_el, "event")
-                ET.SubElement(event_el, "string", {"key": "concept:name", "value": activity})
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    buf = io.BytesIO()
-    tree.write(buf, encoding="UTF-8", xml_declaration=True)
-    return buf.getvalue()
+        events = "".join(_XES_EVENT.format(a.translate(_ATTRIBUTE_ESCAPES)) for a in trace)
+        blocks.append((f"\n  <trace>{events}\n  </trace>" if trace else "\n  <trace />") * count)
+    body = "".join(blocks)
+    head = f"<?xml version='1.0' encoding='UTF-8'?>\n<log xes.version=\"1.0\" xmlns=\"{XES_NAMESPACE}\""
+    text = f"{head}>{body}\n</log>" if body else f"{head} />"
+    return text.encode("utf-8", "xmlcharrefreplace")
 
 
-@dataclass(frozen=True)
-class CsvColumns:
+class CsvColumns(NamedTuple):
     """Column mapping for CSV ingestion; timestamp is optional."""
 
     case_id: str

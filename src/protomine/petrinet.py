@@ -30,9 +30,8 @@ import heapq
 import io
 import xml.etree.ElementTree as ET
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .eventlog import Trace, _local
 
@@ -48,8 +47,7 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class Marking:
+class Marking(NamedTuple):
     """Immutable multiset over place ids, canonically sorted."""
 
     tokens: tuple[tuple[str, int], ...] = ()
@@ -318,7 +316,8 @@ def language_upto(net: PetriNet, max_len: int, max_states: int = 100_000) -> set
             if fired not in seen_ids:
                 seen_ids.add(fired)
                 if len(seen_ids) > max_states:
-                    raise BudgetExceeded("language enumeration", max_states)
+                    what = f"language enumeration of words up to length {max_len} on {net!r}"
+                    raise BudgetExceeded(what, max_states)
             queue.append(state)
     return words
 
@@ -342,7 +341,7 @@ def shortest_visible_path(net: PetriNet, max_states: int = 100_000) -> int:
             step = 0 if label is None else 1
             if cost + step < dist.get(nxt, cost + step + 1):
                 if nxt not in dist and len(dist) >= max_states:
-                    raise BudgetExceeded("shortest path search", max_states)
+                    raise BudgetExceeded(f"shortest path search on {net!r}", max_states)
                 dist[nxt] = cost + step
                 tie += 1
                 heapq.heappush(heap, (cost + step, tie, nxt))

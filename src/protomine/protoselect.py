@@ -19,7 +19,7 @@ number of variants.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .clustering import kmedoids
 from .conformance import (
@@ -40,8 +40,7 @@ STOP_NO_DEVIATING_TRACES = "no_deviating_traces"
 STOP_ITERATION_CAP = "iteration_cap"
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One scored iteration of the selection loop."""
 
     iteration: int
@@ -50,11 +49,10 @@ class IterationRecord:
     report: QualityReport
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**self._asdict(), "report": self.report.to_dict()}
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     """Final model, its prototypes, and the full iteration history.
 
     ``alignments`` holds the model's alignment of every variant of the
@@ -66,8 +64,8 @@ class SelectionResult:
     prototypes: tuple[Trace, ...]
     history: tuple[IterationRecord, ...]
     stop_reason: str
-    alignments: dict[Trace, AlignmentResult] = field(repr=False)
-    distances: DistanceMatrix = field(repr=False)
+    alignments: dict[Trace, AlignmentResult]
+    distances: DistanceMatrix
 
     @property
     def best_report(self) -> QualityReport:

@@ -16,8 +16,7 @@ an entry, mirrored by C-level slice copies with no third-party dependency.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .eventlog import Trace
 
@@ -46,8 +45,7 @@ def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
     return len(a) + len(b) - 2 * lcs_length(a, b)
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(NamedTuple):
     """Symmetric edit distances: ``entries[i][j]`` between variants i and j."""
 
     variant_index: tuple[Trace, ...]

@@ -15,19 +15,24 @@ it checks; the library's int-keyed search must match it in cost,
 projection and budget overrun. ``reference_escaping_edges_precision``
 replays model words with a dict keyed on every prefix and the reference
 silent closure over ``Marking`` sets, where the library walks an
-int-node prefix tree over marking ids.
+int-node prefix tree over marking ids. ``reference_export_xes`` builds
+the XES document as an ElementTree and lets ElementTree indent, escape
+and encode it; the library writes the same bytes as text.
 """
 
 from __future__ import annotations
 
 import heapq
+import io
 import random
+import xml.etree.ElementTree as ET
 from typing import Sequence
 
 import pytest
 
 from protomine import AlignmentResult, BudgetExceeded, Marking, PetriNet, choice_parallel_net, language_upto
 from protomine.conformance import DEFAULT_ALIGN_BUDGET
+from protomine.eventlog import XES_NAMESPACE, EventLog, variants
 from protomine.discovery import ProcessTree, leaf, parallel, seq, tree_to_net, xor
 
 
@@ -351,3 +356,19 @@ def reference_escaping_edges_precision(net: PetriNet, projected, closure_budget:
     if enabled_total == 0:
         return 1.0
     return 1.0 - escaping_total / enabled_total
+
+
+def reference_export_xes(log: EventLog) -> bytes:
+    """XES bytes as ElementTree writes them: indented, UTF-8, with a declaration."""
+    root = ET.Element("log", {"xes.version": "1.0", "xmlns": XES_NAMESPACE})
+    for trace, count in variants(log):
+        for _ in range(count):
+            trace_el = ET.SubElement(root, "trace")
+            for activity in trace:
+                event_el = ET.SubElement(trace_el, "event")
+                ET.SubElement(event_el, "string", {"key": "concept:name", "value": activity})
+    tree = ET.ElementTree(root)
+    ET.indent(tree)
+    buf = io.BytesIO()
+    tree.write(buf, encoding="UTF-8", xml_declaration=True)
+    return buf.getvalue()

@@ -331,6 +331,20 @@ class TestPipelines:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
 
+    def test_cli_import_loads_no_dataclasses_or_fractions(self):
+        # dataclasses brings inspect and its generated code, fractions brings
+        # decimal: a start-up cost every command would pay, measured from
+        # what the import adds, so modules site preloads do not count
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import protomine.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & (set(sys.modules) - before)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(protomine.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
     def test_gzipped_xes_input(self, tmp_path):
         import gzip
 

@@ -1,6 +1,12 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protomine import CsvColumns, EventLog, LogFormatError, export_xes, parse_csv, parse_xes, variants
+
+from .conftest import reference_export_xes
 
 
 def xes_doc(traces):
@@ -79,6 +85,44 @@ class TestXesRoundTrip:
         forward = xes_doc([["a", "b"], ["c"], ["a", "b"]])
         backward = xes_doc([["c"], ["a", "b"], ["a", "b"]])
         assert parse_xes(forward) == parse_xes(backward)
+
+
+# every character ElementTree escapes in an attribute, the apostrophe it
+# leaves alone, escapes written out literally, non-ASCII beyond the BMP,
+# and a lone surrogate, which both writers turn into a character reference
+XES_LABELS = ["a", "b", "&", "<", ">", '"', "'", "\r", "\n", "\t", "a&b<c>", "&amp;", "\r\n",
+              "é", "活动", "\U0001f600", "\ud800"]
+
+
+def xml_char(c: str) -> bool:
+    """A character of XML 1.0's Char production."""
+    cp = ord(c)
+    return cp in (0x9, 0xA, 0xD) or 0x20 <= cp <= 0xD7FF or 0xE000 <= cp <= 0xFFFD or cp >= 0x10000
+
+
+xml_labels = st.text(st.characters().filter(xml_char), min_size=1, max_size=5)
+xml_logs = st.dictionaries(
+    st.lists(xml_labels, max_size=4).map(tuple), st.integers(1, 3), max_size=4
+).map(EventLog)
+
+
+class TestXesWriter:
+    def test_matches_element_tree_on_random_logs(self):
+        # the empty log, empty traces and repeated variants included
+        rng = random.Random(10)
+        for _ in range(300):
+            table = {}
+            for _ in range(rng.randint(0, 5)):
+                table[tuple(rng.choices(XES_LABELS, k=rng.randint(0, 4)))] = rng.randint(1, 4)
+            log = EventLog(table)
+            assert export_xes(log) == reference_export_xes(log)
+
+    @settings(max_examples=200, deadline=None)
+    @given(xml_logs)
+    def test_round_trip_over_xml_labels(self, log):
+        document = export_xes(log)
+        assert document == reference_export_xes(log)
+        assert parse_xes(document) == log
 
 
 CSV_HEADER = "case,act,ts\n"

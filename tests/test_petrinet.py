@@ -230,6 +230,12 @@ class TestLanguage:
         with pytest.raises(BudgetExceeded, match="2"):
             language_upto(fixture_net, 4, max_states=2)
 
+    def test_budget_error_names_the_search(self, fixture_net):
+        shape = rf"PetriNet\({len(fixture_net.places)} places, {len(fixture_net.transitions)} transitions, "
+        with pytest.raises(BudgetExceeded, match=rf"^language enumeration of words up to length 4 on {shape}") as info:
+            language_upto(fixture_net, 4, max_states=2)
+        assert info.value.budget == 2
+
     def test_prefix_consistency(self):
         rng = random.Random(21)
         for _ in range(15):
@@ -276,6 +282,12 @@ class TestShortestVisiblePath:
         )
         with pytest.raises(ValueError, match="not reachable"):
             shortest_visible_path(net)
+
+    def test_budget_error_names_the_search(self, fixture_net):
+        shape = rf"PetriNet\({len(fixture_net.places)} places, {len(fixture_net.transitions)} transitions, "
+        with pytest.raises(BudgetExceeded, match=rf"^shortest path search on {shape}") as info:
+            shortest_visible_path(fixture_net, max_states=2)
+        assert info.value.budget == 2
 
     def test_matches_language_minimum(self):
         rng = random.Random(33)
