@@ -21,6 +21,7 @@ from .conformance import (
     alignment_cost,
     compute_report,
     f_beta,
+    shortest_visible_path,
     variant_alignments,
 )
 from .discovery import (
@@ -51,7 +52,6 @@ from .petrinet import (
     fire,
     language_upto,
     parse_pnml,
-    shortest_visible_path,
     size_metric,
 )
 from .protoselect import (

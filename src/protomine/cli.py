@@ -26,6 +26,7 @@ from .builtin_models import MODELS
 from .conformance import (
     DEFAULT_ALIGN_BUDGET,
     DEFAULT_CLOSURE_BUDGET,
+    check_beta,
     compute_report,
     f_beta,
     variant_alignments,
@@ -51,6 +52,11 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def beta_weight(text: str) -> float:
+    """argparse type of --beta: exits 2 on a weight conformance.check_beta rejects."""
+    return check_beta(float(text))
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -82,16 +88,11 @@ def _load_log(args: argparse.Namespace) -> EventLog:
     )
 
 
-def _check_common(args: argparse.Namespace, log: EventLog | None = None) -> None:
-    if getattr(args, "beta", 0.0) < 0:
-        raise UsageError("--beta must be non-negative")
-    if log is not None and hasattr(args, "k"):
-        if not len(log):
-            raise ValueError("cannot select prototypes from an empty log")
-        if args.k < 1 or args.k > len(log):
-            raise UsageError(
-                f"--k must lie in 1..{len(log)} (the log has {len(log)} variants), got {args.k}"
-            )
+def _check_k(args: argparse.Namespace, log: EventLog) -> None:
+    if not len(log):
+        raise ValueError("cannot select prototypes from an empty log")
+    if args.k < 1 or args.k > len(log):
+        raise UsageError(f"--k must lie in 1..{len(log)} (the log has {len(log)} variants), got {args.k}")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -116,7 +117,7 @@ def _dump_distances(matrix: DistanceMatrix, path: Path) -> None:
 
 def cmd_discover(args: argparse.Namespace) -> int:
     log = _load_log(args)
-    _check_common(args, log)
+    _check_k(args, log)
     out = _out_dir(args)
     result = select_incremental(
         log,
@@ -142,7 +143,6 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     log = _load_log(args)
-    _check_common(args)
     model_path = Path(args.model)
     if not model_path.is_file():
         raise UsageError(f"model file not found: {model_path}")
@@ -159,7 +159,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     log = _load_log(args)
-    _check_common(args, log)
+    _check_k(args, log)
     out = _out_dir(args)
 
     rows: list[list[str]] = []
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_run_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--k", type=int, default=3, help="cluster count per selection step")
-        p.add_argument("--beta", type=float, default=1.0, help="F_beta weighting")
+        p.add_argument("--beta", type=beta_weight, default=1.0, help="F_beta weighting")
         p.add_argument("--max-iter", type=positive_int, default=20, help="selection iteration cap")
 
     def add_budgets(p: argparse.ArgumentParser) -> None:
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_log_input(p)
     add_budgets(p)
     p.add_argument("--model", required=True, help="model PNML path")
-    p.add_argument("--beta", type=float, default=1.0, help="F_beta weighting")
+    p.add_argument("--beta", type=beta_weight, default=1.0, help="F_beta weighting")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_evaluate)
 

@@ -9,9 +9,9 @@ model language, and
 
     fitness(trace, net) = 1 - cost / (len(trace) + shortest_word(net))
 
-so 1 means the trace is a word of the model. The cost ratio is kept as an
-exact rational, and a trace deviates (fitness < 1) exactly when its
-alignment cost is positive, so no float comparison is involved.
+so 1 means the trace is a word of the model; ``shortest_word`` is the
+empty trace's alignment cost. The ratio is kept exact, so a trace deviates
+(fitness < 1) exactly when its cost is positive, without float comparison.
 
 Precision follows the escaping-edges idea: replay the aligned model
 projection of every trace, weight each replay state by the traces passing
@@ -54,13 +54,7 @@ import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .eventlog import EventLog, Trace
-from .petrinet import (
-    BudgetExceeded,
-    PetriNet,
-    cardoso_metric,
-    shortest_visible_path,
-    size_metric,
-)
+from .petrinet import BudgetExceeded, PetriNet, cardoso_metric, size_metric
 
 DEFAULT_ALIGN_BUDGET = 500_000
 DEFAULT_CLOSURE_BUDGET = 100_000
@@ -187,10 +181,18 @@ def alignment_cost(
             else:
                 stacks.pop()
         if not later:
-            raise ValueError("net has no accepting firing sequence; final marking unreachable")
+            raise ValueError("final marking is not reachable from the initial marking")
         cost, paid = paid, paid + 1
         stacks = [later[left] for left in sorted(later, reverse=True)]
         later = {}
+
+
+def shortest_visible_path(net: PetriNet, budget: int = DEFAULT_ALIGN_BUDGET) -> int:
+    """Fewest visible labels on any accepting firing sequence: the empty trace's alignment cost."""
+    try:
+        return alignment_cost((), net, budget).cost
+    except BudgetExceeded:
+        raise BudgetExceeded(f"shortest path search on {net!r}", budget) from None
 
 
 def _events(trace: Trace) -> str:
@@ -206,15 +208,21 @@ def variant_alignments(
     return {trace: alignment_cost(trace, net, budget) for trace in sorted(log.variants)}
 
 
+def check_beta(beta: float) -> float:
+    """beta if it is non-negative with a finite square, else ValueError (F_beta would be NaN)."""
+    if not (beta >= 0 and math.isfinite(beta * beta)):
+        raise ValueError(f"beta must be non-negative with a finite square, got {beta}")
+    return beta
+
+
 def f_beta(precision: float, fitness: float, beta: float) -> float:
     """Weighted harmonic combination of precision and fitness.
 
     beta > 1 raises the weight of fitness, beta < 1 the weight of
     precision; beta = 1 is their plain harmonic mean. Returns 0 when
-    either input is 0.
+    either input is 0. A beta ``check_beta`` rejects raises ValueError.
     """
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    check_beta(beta)
     for name, value in (("precision", precision), ("fitness", fitness)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
@@ -261,8 +269,8 @@ def compute_report(
     Callers that already hold per-variant alignments (the selection loop
     does) can pass them in to avoid a second search. An empty log, or a
     prototype that is not a variant of the log, raises ValueError. The
-    shortest model word is found before any alignment search runs, so a
-    net whose final marking is unreachable fails fast with ValueError.
+    shortest model word is found before any variant is aligned, so a net
+    whose final marking is unreachable fails fast with ValueError.
     """
     table = log.variants
     total = log.total_traces

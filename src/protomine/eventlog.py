@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import xml.etree.ElementTree as ET
 from datetime import datetime
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -165,6 +166,11 @@ def export_xes(log: EventLog) -> bytes:
     return text.encode("utf-8", "xmlcharrefreplace")
 
 
+# what XML 1.0 forbids, which export_xes would write into a file parse_xes rejects; none of it
+# is printable, so printable labels skip the search, and a log without such labels never compiles it
+_NOT_XML = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+
+
 class CsvColumns(NamedTuple):
     """Column mapping for CSV ingestion; timestamp is optional."""
 
@@ -201,7 +207,7 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
     order; timestamp ties keep file order (stable sort). A timestamp
     column must hold a single kind: numbers, naive ISO datetimes, or ISO
     datetimes with a UTC offset. The first row of another kind raises
-    LogFormatError.
+    LogFormatError, as does an activity holding a character XML 1.0 forbids.
     """
     text = document.decode("utf-8-sig")  # Excel writes a byte-order mark
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -231,6 +237,8 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
             raise LogFormatError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
         case = row[case_col]
         activity = row[act_col]
+        if not activity.isprintable() and re.search(_NOT_XML, activity):
+            raise LogFormatError(f"row {rownum}: activity {activity!r} holds a character XML 1.0 forbids")
         if time_col is not None:
             try:
                 key: object = _parse_timestamp(row[time_col])

@@ -14,9 +14,9 @@ only at the API boundary (``state_id``, ``marking``); ``enabled`` and
 ``fire`` are thin wrappers over the compiled form, so the package has
 one implementation of the firing rule. Results depend only on the
 arguments, never on what earlier searches left in the memo or on the
-order in which they numbered the markings. Enumeration and search
-operations take explicit state budgets so that misuse on oversized nets
-fails loudly instead of hanging.
+order in which they numbered the markings. ``language_upto`` takes a
+state budget, so oversized nets fail loudly instead of hanging; the
+shortest accepted word is an alignment, found in ``conformance``.
 
 PNML serialisation covers the place/transition subset: ``<place>`` with
 ``<initialMarking>``, ``<transition>`` with a ``<name>`` only when the
@@ -26,7 +26,6 @@ block holding the final marking.
 
 from __future__ import annotations
 
-import heapq
 import io
 import xml.etree.ElementTree as ET
 from collections import deque
@@ -170,7 +169,7 @@ class CompiledNet:
     successor id)`` triple of every enabled transition, and one table
     holds the silent closure of each single id. Both are filled on
     demand and kept for every later query, so all alignments, the
-    precision replay and the path searches on one net share that work;
+    precision replay and ``language_upto`` on one net share that work;
     the memo grows with the states the searches visit and lives as long
     as the net. Ids depend on the order earlier searches reached the
     markings, so a search may use them only as identities, never to
@@ -320,32 +319,6 @@ def language_upto(net: PetriNet, max_len: int, max_states: int = 100_000) -> set
                     raise BudgetExceeded(what, max_states)
             queue.append(state)
     return words
-
-
-def shortest_visible_path(net: PetriNet, max_states: int = 100_000) -> int:
-    """Minimum number of visible labels on any accepting firing sequence.
-
-    Uniform-cost search over markings; silent moves cost nothing.
-    """
-    compiled = net.compiled
-    dist: dict[int, int] = {compiled.initial: 0}
-    heap: list[tuple[int, int, int]] = [(0, 0, compiled.initial)]
-    tie = 0
-    while heap:
-        cost, _, sid = heapq.heappop(heap)
-        if cost > dist.get(sid, cost):
-            continue
-        if sid == compiled.final:
-            return cost
-        for _, label, nxt in compiled.moves(sid):
-            step = 0 if label is None else 1
-            if cost + step < dist.get(nxt, cost + step + 1):
-                if nxt not in dist and len(dist) >= max_states:
-                    raise BudgetExceeded(f"shortest path search on {net!r}", max_states)
-                dist[nxt] = cost + step
-                tie += 1
-                heapq.heappush(heap, (cost + step, tie, nxt))
-    raise ValueError("final marking is not reachable from the initial marking")
 
 
 def size_metric(net: PetriNet) -> int:

@@ -27,6 +27,7 @@ from .conformance import (
     DEFAULT_CLOSURE_BUDGET,
     AlignmentResult,
     QualityReport,
+    check_beta,
     compute_report,
     variant_alignments,
 )
@@ -92,8 +93,7 @@ def select_incremental(
     ordered = variants(log)
     if k < 1 or k > len(ordered):
         raise ValueError(f"k must lie in 1..{len(ordered)} for this log, got {k}")
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    check_beta(beta)
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
 

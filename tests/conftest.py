@@ -12,7 +12,8 @@ compiled marking ids and move table. ``reference_alignment_cost`` runs
 the alignment search on (``Marking``, pos) tuple states and plays the
 token game with that interpreter, so the oracle never runs on the kernel
 it checks; the library's int-keyed search must match it in cost,
-projection and budget overrun. ``reference_escaping_edges_precision``
+projection and budget overrun, and ``reference_expansions`` bisects for
+the least budget it finishes under. ``reference_escaping_edges_precision``
 replays model words with a dict keyed on every prefix and the reference
 silent closure over ``Marking`` sets, where the library walks an
 int-node prefix tree over marking ids. ``reference_export_xes`` builds
@@ -302,7 +303,28 @@ def reference_alignment_cost(
                 tie -= 1  # LIFO among equals: dive down silent chains first
                 heapq.heappush(heap, (new_cost, goal_pos - nxt[1], tie, nxt))
 
-    raise ValueError("net has no accepting firing sequence; final marking unreachable")
+    raise ValueError("final marking is not reachable from the initial marking")
+
+
+def reference_expansions(trace, net) -> int:
+    """The states the reference search expands: the least budget it finishes under."""
+    def overruns(budget):
+        try:
+            reference_alignment_cost(trace, net, budget)
+        except BudgetExceeded:
+            return True
+        return False
+
+    low, high = 0, 1
+    while overruns(high):
+        low, high = high + 1, 2 * high
+    while low < high:
+        mid = (low + high) // 2
+        if overruns(mid):
+            low = mid + 1
+        else:
+            high = mid
+    return low
 
 
 def reference_escaping_edges_precision(net: PetriNet, projected, closure_budget: int) -> float:

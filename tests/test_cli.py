@@ -89,8 +89,17 @@ class TestDiscover:
             "log_coverage", "model_trace_coverage",
         }
 
-    def test_negative_beta_is_usage_error(self, small_log_path, tmp_path):
-        assert run("discover", "--in", small_log_path, "--beta", "-1", "--out", tmp_path) == 2
+    @pytest.mark.parametrize("command", ["discover", "evaluate", "compare"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "1e200"])
+    def test_negative_beta_is_usage_error(self, small_log_path, tmp_path, capsys, command, value):
+        # a NaN, infinite or overflowing square makes every F_beta NaN, and the stop rule never fires
+        model = ["--model", tmp_path / "model.pnml"] if command == "evaluate" else []
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as info:
+            run(command, "--in", small_log_path, *model, "--beta", value, "--out", out)
+        assert info.value.code == 2
+        assert f"argument --beta: invalid beta_weight value: '{value}'" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any work
 
     def test_k_bound_validated(self, small_log_path, tmp_path):
         code = run("discover", "--in", small_log_path, "--k", "10", "--out", tmp_path)
@@ -257,14 +266,28 @@ class TestCompare:
             nets.append(discover(prototype_log))
             return nets[-1]
 
+        shortest_visible_path = conformance.shortest_visible_path
+        shortest_running = []
+
+        def shortest(net, *args):
+            # each report's shortest-word search aligns the empty trace, which
+            # the flower log also holds as a variant: that search is not one
+            # of the variant alignments counted here
+            shortest_running.append(net)
+            try:
+                return shortest_visible_path(net, *args)
+            finally:
+                shortest_running.pop()
+
         def align(trace, net, budget):
-            if nets:  # after the selection loop: the baselines' searches
+            if nets and not shortest_running:  # after the selection loop: the baselines' searches
                 aligned.append((net, trace))
             return alignment_cost(trace, net, budget)
 
         monkeypatch.setattr(cli, "select_incremental", select)
         monkeypatch.setattr(cli, "discover", rediscover)
         monkeypatch.setattr(conformance, "alignment_cost", align)
+        monkeypatch.setattr(conformance, "shortest_visible_path", shortest)
         assert run("compare", "--in", log_path, "--k", "2", "--out", tmp_path / "c") == 0
         distinct = []
         for net in nets:
@@ -296,6 +319,13 @@ class TestCsvInput:
         assert run("discover", "--in", csv_path, "--k", "1", "--out", out) == 0
         assert (out / "model.pnml").is_file()
 
+
+    def test_label_xml_cannot_hold_is_runtime_error_naming_the_row(self, tmp_path, capsys):
+        # the label would be written into a prototypes.xes that evaluate rejects
+        csv_path = tmp_path / "events.csv"
+        csv_path.write_bytes(b"case_id,activity\n1,a\x01b\n")
+        assert run("discover", "--in", csv_path, "--k", "1", "--out", tmp_path / "run") == 1
+        assert "row 2: activity 'a\\x01b' holds a character XML 1.0 forbids" in capsys.readouterr().err
 
     def test_missing_case_column_is_runtime_error(self, tmp_path, capsys):
         csv_path = tmp_path / "events.csv"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -33,8 +34,9 @@ from .conftest import (
     random_trace,
     reference_alignment_cost,
     reference_escaping_edges_precision,
+    reference_expansions,
 )
-from .test_petrinet import differential_nets, reachable_markings
+from .test_petrinet import differential_nets, reachable_markings, unreachable_final_net
 
 
 def sequence_net(*labels):
@@ -56,23 +58,6 @@ def deviating(log, net):
 
 def _never_called(*args, **kwargs):
     raise AssertionError("input checks must run before any net search")
-
-
-def unreachable_final_net():
-    """Four independent two-place cycles whose final marking is never reached."""
-    places, transitions, arcs = ["end"], {}, []
-    for i in range(4):
-        a, b = f"c{i}a", f"c{i}b"
-        places += [a, b]
-        transitions.update({f"f{i}": f"x{i}", f"g{i}": f"y{i}"})
-        arcs += [(a, f"f{i}"), (f"f{i}", b), (b, f"g{i}"), (f"g{i}", a)]
-    return PetriNet(
-        places=places,
-        transitions=transitions,
-        arcs=arcs,
-        initial_marking=Marking.of([f"c{i}a" for i in range(4)]),
-        final_marking=Marking.of({"end": 1}),
-    )
 
 
 class TestAlignmentCost:
@@ -136,27 +121,6 @@ def _outcome(search, trace, net, budget):
         return type(exc), str(exc), getattr(exc, "budget", None)
 
 
-def _reference_expansions(trace, net) -> int:
-    """The states the reference search expands: the least budget it finishes under."""
-    def overruns(budget):
-        try:
-            reference_alignment_cost(trace, net, budget)
-        except BudgetExceeded:
-            return True
-        return False
-
-    low, high = 0, 1
-    while overruns(high):
-        low, high = high + 1, 2 * high
-    while low < high:
-        mid = (low + high) // 2
-        if overruns(mid):
-            low = mid + 1
-        else:
-            high = mid
-    return low
-
-
 class TestIntStateKernel:
     """``alignment_cost`` against the tuple-keyed reference search in conftest."""
 
@@ -183,7 +147,7 @@ class TestIntStateKernel:
     def test_equal_results_and_budget_boundary(self):
         checked = 0
         for trace, net in self.cases():
-            expansions = _reference_expansions(trace, net)
+            expansions = reference_expansions(trace, net)
             expected = reference_alignment_cost(trace, net, expansions)
             assert alignment_cost(trace, net, expansions) == expected, (trace, net)
             assert alignment_cost(trace, net) == expected
@@ -439,8 +403,11 @@ class TestFBeta:
         assert f_beta(0.9, 0.0, 1.0) == 0.0
 
     def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
-            f_beta(0.5, 0.5, -1.0)
+        # so are NaN, inf and 1e200, whose square overflows: each makes the score NaN
+        for beta in (-1.0, math.nan, math.inf, 1e200):
+            with pytest.raises(ValueError, match="beta must be non-negative with a finite square"):
+                f_beta(0.5, 0.5, beta)
+        assert f_beta(0.5, 0.5, 1e150) == 0.5
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

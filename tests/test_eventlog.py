@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import pytest
@@ -174,6 +176,32 @@ class TestParseCsv:
         expected = r"row 3: .* is a naive ISO datetime, .*\(row 2\) is an ISO datetime with an offset"
         with pytest.raises(LogFormatError, match=expected):
             parse_csv(doc, CsvColumns(case_id="case", activity="act", timestamp="ts"))
+
+    @pytest.mark.parametrize("char", ["\x01", "\x08", "\x0b", "\x0c", "\x1f", "\ufffe", "\uffff"])
+    def test_label_xml_cannot_hold_names_the_row(self, char):
+        # NUL is one too, but Python 3.10's csv reader rejects it first; a
+        # lone surrogate cannot be decoded from UTF-8 at all
+        doc = (CSV_HEADER + f"c1,a,\nc1,b{char},\n").encode()
+        with pytest.raises(LogFormatError, match=r"^row 3: activity 'b.*' holds a character XML 1.0 forbids$"):
+            parse_csv(doc, CsvColumns(case_id="case", activity="act"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\x00"), min_size=1, max_size=4),
+                    max_size=5))
+    def test_accepted_labels_survive_xes(self, labels):
+        # parse_csv accepts exactly the labels XML can hold, and those
+        # round-trip through export_xes as ElementTree writes them
+        buf = io.StringIO()
+        csv.writer(buf).writerows([["case", "act"]] + [["c1", label] for label in labels])
+        columns = CsvColumns(case_id="case", activity="act")
+        if not all(xml_char(c) for label in labels for c in label):
+            with pytest.raises(LogFormatError, match="holds a character XML 1.0 forbids"):
+                parse_csv(buf.getvalue().encode(), columns)
+            return
+        log = parse_csv(buf.getvalue().encode(), columns)
+        assert log == EventLog({tuple(labels): 1} if labels else {})
+        assert export_xes(log) == reference_export_xes(log)
+        assert parse_xes(export_xes(log)) == log
 
     def test_timestamp_ties_keep_file_order(self):
         doc = (CSV_HEADER + "c1,a,5\nc1,b,5\nc1,c,1\n").encode()

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -23,7 +24,9 @@ from protomine.discovery import leaf, loop, parallel, seq, silent_leaf, tree_to_
 
 from .conftest import (
     random_acyclic_net,
+    reference_alignment_cost,
     reference_enabled,
+    reference_expansions,
     reference_fire,
     reference_silent_closure,
 )
@@ -145,6 +148,23 @@ def differential_nets():
         PetriNet([], {}, [], Marking.of({}), Marking.of({})),
     ]
     return nets
+
+
+def unreachable_final_net():
+    """Four independent two-place cycles whose final marking is never reached."""
+    places, transitions, arcs = ["end"], {}, []
+    for i in range(4):
+        a, b = f"c{i}a", f"c{i}b"
+        places += [a, b]
+        transitions.update({f"f{i}": f"x{i}", f"g{i}": f"y{i}"})
+        arcs += [(a, f"f{i}"), (f"f{i}", b), (b, f"g{i}"), (f"g{i}", a)]
+    return PetriNet(
+        places=places,
+        transitions=transitions,
+        arcs=arcs,
+        initial_marking=Marking.of([f"c{i}a" for i in range(4)]),
+        final_marking=Marking.of({"end": 1}),
+    )
 
 
 def reachable_markings(net, bound=150):
@@ -286,8 +306,30 @@ class TestShortestVisiblePath:
     def test_budget_error_names_the_search(self, fixture_net):
         shape = rf"PetriNet\({len(fixture_net.places)} places, {len(fixture_net.transitions)} transitions, "
         with pytest.raises(BudgetExceeded, match=rf"^shortest path search on {shape}") as info:
-            shortest_visible_path(fixture_net, max_states=2)
+            shortest_visible_path(fixture_net, budget=2)
         assert info.value.budget == 2
+
+    def test_equals_reference_empty_trace_alignment(self):
+        # the shortest word is the empty trace's alignment cost, the least
+        # budget included, on random acyclic, cyclic, unbounded and
+        # unreachable-final nets (test_matches_language_minimum checks the
+        # value against the language of acyclic nets)
+        unreachable = 0
+        for net in differential_nets() + [unreachable_final_net()]:
+            try:
+                expansions = reference_expansions((), net)
+            except ValueError as exc:  # the final marking is unreachable
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    shortest_visible_path(net)
+                unreachable += 1
+                continue
+            expected = reference_alignment_cost((), net, expansions).cost
+            assert shortest_visible_path(net) == shortest_visible_path(net, expansions) == expected, net
+            if expansions:
+                with pytest.raises(BudgetExceeded, match=r"^shortest path search on PetriNet\(") as info:
+                    shortest_visible_path(net, expansions - 1)
+                assert info.value.budget == expansions - 1
+        assert unreachable == 1
 
     def test_matches_language_minimum(self):
         rng = random.Random(33)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,11 @@ class TestSelectIncremental:
             select_incremental(log, k=2)
         with pytest.raises(ValueError):
             select_incremental(log, k=0)
+
+    @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf, 1e200])
+    def test_beta_without_a_finite_square_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta must be non-negative with a finite square"):
+            select_incremental(THREE_GROUP_LOG, k=1, beta=beta)
 
     def test_iteration_cap(self):
         result = select_incremental(THREE_GROUP_LOG, k=1, beta=1.0, max_iterations=1)
