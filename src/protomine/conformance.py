@@ -41,6 +41,20 @@ pos) tuples; the state encoding is never compared, and the moves are
 pushed in the same order. Costs, projections and budget overruns are
 therefore the same as well.
 
+``variant_alignments`` runs that search once for all variants of a log,
+over their prefix trie (after prefix-alignments, van Zelst et al., IJDSA
+2019): a state is ``marking id * nodes + node``, silent moves and
+insertions stay at a node, synchronous moves step to the child with
+their label and deletions to every child, and the stacks are kept per
+depth, the deepest on top. A variant's states are pushed only by states
+along its own path, so restricted to that path the joint pop order is
+the per-trace order, and every cost, projection and count of expanded
+states equals ``alignment_cost``'s. Expansions are counted per trie
+node; when a variant's sum along its path passes the budget, or the
+search cannot finish within the budget per variant, the per-trace loop
+over ``alignment_cost`` runs instead and raises its own error for the
+same first variant.
+
 Log fitness is folded exactly in integers: the deviating variants'
 ``count * cost`` are summed per denominator ``len(trace) + shortest``,
 each sum is scaled to the denominators' least common multiple, and one
@@ -204,8 +218,159 @@ def _events(trace: Trace) -> str:
 def variant_alignments(
     log: EventLog, net: PetriNet, budget: int = DEFAULT_ALIGN_BUDGET
 ) -> dict[Trace, AlignmentResult]:
-    """Optimal alignment per variant (computed once per distinct trace)."""
-    return {trace: alignment_cost(trace, net, budget) for trace in sorted(log.variants)}
+    """Optimal alignment per variant, in sorted order: one search over the variants' prefix trie.
+
+    The result, budget overruns and errors included, is that of
+    ``{t: alignment_cost(t, net, budget) for t in sorted(log.variants)}``.
+
+    A state is one int, ``marking id * nodes + node``, a trie node
+    standing for the prefix consumed so far. Silent moves (free) and
+    insertions (cost 1) stay at the node; a synchronous move (free)
+    steps to the child with its label, a deletion (cost 1) to every
+    child. A variant is settled when (final, its node) pops; a state
+    whose node has no unsettled variant at or below it is skipped. The
+    queue is ``alignment_cost``'s two-cost bucket queue with one LIFO
+    stack per depth, the deepest on top, so it pops in the order ``(cost,
+    deepest first, newest push first)``.
+
+    Moves stay at a node or go down to its children, so the states along
+    one variant's path are pushed only by states along that path, in
+    ``alignment_cost``'s move order. Restricted to that path, the pop
+    order is the per-trace order ``(cost, events left, newest push
+    first)``, so each variant's cost, projection and expanded states are
+    the per-trace search's. Expansions are counted per node: a variant's
+    per-trace count is the sum along its path when it settles. If that
+    sum passes ``budget``, if all expansions pass ``budget`` per variant
+    (which no run that stays within ``budget`` per variant reaches) or if
+    the queue empties with a variant unsettled, the per-trace loop runs
+    instead and raises its own BudgetExceeded or ValueError.
+    """
+    ordered = sorted(log.variants)
+    if not ordered:
+        return {}
+    # the prefix trie: per node its parent, depth, children by label and
+    # the index of the variant ending there, if any; parents come first
+    up, depth, kids, ends = [-1], [0], [{}], [-1]
+    for index, trace in enumerate(ordered):
+        node = 0
+        for label in trace:
+            child = kids[node].get(label)
+            if child is None:
+                child = kids[node][label] = len(up)
+                up.append(node)
+                depth.append(depth[node] + 1)
+                kids.append({})
+                ends.append(-1)
+            node = child
+        ends[node] = index
+    nodes = len(up)
+    live = [int(end >= 0) for end in ends]  # unsettled variants at or below each node
+    for node in range(nodes - 1, 0, -1):
+        live[up[node]] += live[node]
+
+    compiled = net.compiled
+    moves_of = compiled.moves
+    final = compiled.final
+    start = compiled.initial * nodes
+    dist: dict[int, int] = {start: 0}
+    parent: dict[int, tuple[int, str | None] | None] = {start: None}
+    stacks: list[list[int]] = [[start]]  # at cost, by depth, the deepest on top
+    later: dict[int, list[int]] = {}  # at cost + 1, by depth
+    cost, paid = 0, 1
+    expanded = [0] * nodes
+    total, limit = 0, budget * len(ordered)
+    results: list[AlignmentResult | None] = [None] * len(ordered)
+
+    while True:
+        while stacks:  # none of them is empty
+            here = stacks[-1]
+            level = depth[here[-1] % nodes]  # the states of one stack share their depth
+            inserted = deleted = None  # later's stacks at level and level + 1
+            while here:
+                state = here.pop()
+                if cost > dist[state]:
+                    continue
+                marking, node = divmod(state, nodes)
+                if not live[node]:
+                    continue
+                if marking == final and ends[node] >= 0:
+                    spent = 0
+                    cursor = node
+                    while cursor >= 0:
+                        spent += expanded[cursor]
+                        live[cursor] -= 1
+                        cursor = up[cursor]
+                    if spent > budget:
+                        return _per_trace(ordered, net, budget)
+                    projection: list[str] = []
+                    step = parent[state]
+                    while step is not None:
+                        prev, label = step
+                        if label is not None:
+                            projection.append(label)
+                        step = parent[prev]
+                    results[ends[node]] = AlignmentResult(cost, tuple(reversed(projection)))
+                    if not live[0]:  # the root counts every unsettled variant
+                        return dict(zip(ordered, results))
+                    if not live[node]:
+                        continue
+                expanded[node] += 1
+                total += 1
+                if total > limit:
+                    return _per_trace(ordered, net, budget)
+
+                children = kids[node]
+                below = None  # the stack at level + 1, opened by a synchronous move
+                for _, label, succ in moves_of(marking):
+                    nxt = succ * nodes + node
+                    if label is None:
+                        if cost < dist.get(nxt, paid):
+                            dist[nxt] = cost
+                            parent[nxt] = (state, None)
+                            here.append(nxt)
+                        continue
+                    child = children.get(label)
+                    if child is not None:  # synchronous
+                        sync = nxt - node + child
+                        if cost < dist.get(sync, paid):
+                            dist[sync] = cost
+                            parent[sync] = (state, label)
+                            if below is None:
+                                below = [sync]
+                            else:
+                                below.append(sync)
+                    if paid < dist.get(nxt, paid + 1):  # model-only (insertion)
+                        dist[nxt] = paid
+                        parent[nxt] = (state, label)
+                        if inserted is None:
+                            inserted = later.setdefault(level, [])
+                        inserted.append(nxt)
+                for child in children.values():  # trace-only (deletion)
+                    nxt = state - node + child
+                    if paid < dist.get(nxt, paid + 1):
+                        dist[nxt] = paid
+                        parent[nxt] = (state, None)
+                        if deleted is None:
+                            deleted = later.setdefault(level + 1, [])
+                        deleted.append(nxt)
+                if below is not None:
+                    if here:
+                        stacks.append(below)
+                    else:
+                        stacks[-1] = below
+                    break
+            else:
+                stacks.pop()
+        if not later:
+            return _per_trace(ordered, net, budget)
+        cost, paid = paid, paid + 1
+        stacks = [later[level] for level in sorted(later)]
+        later = {}
+
+
+def _per_trace(ordered: list[Trace], net: PetriNet, budget: int) -> dict[Trace, AlignmentResult]:
+    """One ``alignment_cost`` search per variant: the error path of ``variant_alignments``."""
+    return {trace: alignment_cost(trace, net, budget) for trace in ordered}
 
 
 def check_beta(beta: float) -> float:

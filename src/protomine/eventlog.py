@@ -207,9 +207,15 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
     order; timestamp ties keep file order (stable sort). A timestamp
     column must hold a single kind: numbers, naive ISO datetimes, or ISO
     datetimes with a UTC offset. The first row of another kind raises
-    LogFormatError, as does an activity holding a character XML 1.0 forbids.
+    LogFormatError, as does an empty activity, an activity holding a
+    character XML 1.0 forbids, or a document that is not UTF-8 text.
     """
-    text = document.decode("utf-8-sig")  # Excel writes a byte-order mark
+    body = document.removeprefix(b"\xef\xbb\xbf")  # Excel writes a byte-order mark
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = body[: exc.start].count(b"\n") + 1
+        raise LogFormatError(f"line {line}: not UTF-8 text ({exc.reason})") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -237,6 +243,8 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
             raise LogFormatError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
         case = row[case_col]
         activity = row[act_col]
+        if not activity:
+            raise LogFormatError(f"row {rownum}: empty activity")
         if not activity.isprintable() and re.search(_NOT_XML, activity):
             raise LogFormatError(f"row {rownum}: activity {activity!r} holds a character XML 1.0 forbids")
         if time_col is not None:

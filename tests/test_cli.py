@@ -12,7 +12,6 @@ import pytest
 import protomine
 from protomine import (
     EventLog,
-    alignment_cost,
     conformance,
     export_pnml,
     export_xes,
@@ -23,7 +22,7 @@ from protomine import (
     three_group_net,
     two_group_net,
 )
-from protomine import cli
+from protomine import cli, protoselect
 from protomine.builtin_models import choice_parallel_net
 from protomine.cli import main
 from protomine.protoselect import _perturb
@@ -255,10 +254,13 @@ class TestCompare:
         log_path = tmp_path / "flower.xes"
         log_path.write_bytes(export_xes(log))
         nets, aligned = [], []  # the selected model, then each baseline's net
+        loop_calls = []  # the alignment passes made by the selection loop
         discover = cli.discover
 
         def select(*args, **kwargs):
             result = select_incremental(*args, **kwargs)
+            loop_calls.extend(aligned)
+            aligned.clear()
             nets.append(result.model)
             return result
 
@@ -266,38 +268,25 @@ class TestCompare:
             nets.append(discover(prototype_log))
             return nets[-1]
 
-        shortest_visible_path = conformance.shortest_visible_path
-        shortest_running = []
+        # every alignment pass over the log, through each module that can make one
+        for module in (cli, protoselect, conformance):
+            def counted(log, net, budget, name=module.__name__, align=module.variant_alignments):
+                aligned.append((name, net))
+                return align(log, net, budget)
 
-        def shortest(net, *args):
-            # each report's shortest-word search aligns the empty trace, which
-            # the flower log also holds as a variant: that search is not one
-            # of the variant alignments counted here
-            shortest_running.append(net)
-            try:
-                return shortest_visible_path(net, *args)
-            finally:
-                shortest_running.pop()
-
-        def align(trace, net, budget):
-            if nets and not shortest_running:  # after the selection loop: the baselines' searches
-                aligned.append((net, trace))
-            return alignment_cost(trace, net, budget)
-
+            monkeypatch.setattr(module, "variant_alignments", counted)
         monkeypatch.setattr(cli, "select_incremental", select)
         monkeypatch.setattr(cli, "discover", rediscover)
-        monkeypatch.setattr(conformance, "alignment_cost", align)
-        monkeypatch.setattr(conformance, "shortest_visible_path", shortest)
         assert run("compare", "--in", log_path, "--k", "2", "--out", tmp_path / "c") == 0
         distinct = []
         for net in nets:
             if net not in distinct:
                 distinct.append(net)
         assert len(nets) == 4 and len(distinct) < len(nets)  # the property this log exercises
-        # the model's alignments are reused; every other net aligns each variant once
-        assert len(aligned) == (len(distinct) - 1) * len(log.variants)
-        for net in distinct[1:]:
-            assert sorted(t for n, t in aligned if n == net) == sorted(log.variants)
+        assert loop_calls and {name for name, _ in loop_calls} == {"protomine.protoselect"}
+        # the model's alignments are reused; every other distinct net is aligned once
+        assert [name for name, _ in aligned] == ["protomine.cli"] * (len(distinct) - 1)
+        assert [net for _, net in aligned] == distinct[1:]
 
     def test_prototypes_row_matches_discover_report(self, tmp_path):
         log_path = tmp_path / "noisy.xes"

@@ -24,7 +24,7 @@ from protomine import (
 )
 from protomine import conformance
 from protomine.builtin_models import silent_only_net
-from protomine.conformance import DEFAULT_CLOSURE_BUDGET
+from protomine.conformance import DEFAULT_ALIGN_BUDGET, DEFAULT_CLOSURE_BUDGET
 from protomine.discovery import leaf, parallel, seq, tree_to_net, xor
 
 from .conftest import (
@@ -165,6 +165,82 @@ class TestIntStateKernel:
             assert outcome[0] is ValueError
             assert outcome == _outcome(reference_alignment_cost, trace, net, 10_000)
             assert _outcome(alignment_cost, trace, net, 50) == _outcome(reference_alignment_cost, trace, net, 50)
+
+
+def _log_outcome(align, log, net, budget):
+    try:
+        return list(align(log, net, budget).items())
+    except (BudgetExceeded, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "budget", None)
+
+
+def _per_trace_loop(log, net, budget):
+    return {trace: alignment_cost(trace, net, budget) for trace in sorted(log.variants)}
+
+
+class TestJointSearch:
+    """``variant_alignments``' one trie search against one ``alignment_cost`` per variant."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(47)
+        for net in differential_nets():
+            alphabet = sorted({l for l in net.transitions.values() if l is not None} | {"z"})
+            words = [random_trace(rng, alphabet, 7) for _ in range(7)]
+            # prefix-heavy: the empty trace, and prefixes of other variants
+            words += [word[: rng.randint(0, len(word))] for word in words] + [()]
+            yield EventLog.from_traces(words), net
+        log = gen_synthetic(two_group_net(), 200, noise_rate=0.4, seed=3)
+        narrow = discover(EventLog({max(log.variants, key=log.variants.get): 1}))
+        for net in (two_group_net(), narrow):
+            yield log, net
+
+    def test_equal_outcome_at_the_budget_boundary(self):
+        checked = tripped = 0
+        for log, net in self.cases():
+            least = max(reference_expansions(trace, net) for trace in log.variants)
+            for budget in sorted({0, least // 2, max(least - 1, 0), least, DEFAULT_ALIGN_BUDGET}):
+                expected = _log_outcome(_per_trace_loop, log, net, budget)
+                assert _log_outcome(variant_alignments, log, net, budget) == expected, (log, net, budget)
+                assert isinstance(expected, list) == (budget >= least)
+                tripped += budget < least
+            checked += 1
+        assert checked > 30 and tripped > 30
+
+    def test_unreachable_final_marking_raises_alike(self):
+        net = unreachable_final_net()
+        log = EventLog.from_traces([(), ("x0",) * 10, ("x0",), ("x1", "y1", "z")])
+        for budget in (0, 10, 50, 10_000):
+            expected = _log_outcome(_per_trace_loop, log, net, budget)
+            # the empty trace's search exhausts its 16 markings within a budget of 50
+            assert expected[0] is (ValueError if budget >= 50 else BudgetExceeded)
+            assert _log_outcome(variant_alignments, log, net, budget) == expected
+
+    def test_expansions_stay_within_the_budget_per_variant(self, monkeypatch):
+        # a silent transition adds a token forever and the final marking is
+        # unreachable: no variant settles and the queue never empties
+        net = PetriNet(
+            ["p", "q", "x"], {"grow": None}, [("p", "grow"), ("grow", "p"), ("grow", "q")],
+            Marking.of({"p": 1}), Marking.of({"x": 1}),
+        )
+        log = EventLog.from_traces([(), ("a",), ("a", "b")])
+        compiled, expanded, handed_over = net.compiled, [], []
+        moves, align = compiled.moves, conformance.alignment_cost
+        monkeypatch.setattr(compiled, "moves", lambda sid: expanded.append(sid) or moves(sid))
+        monkeypatch.setattr(
+            conformance, "alignment_cost",
+            lambda *args: handed_over.append(len(expanded)) or align(*args),
+        )
+        with pytest.raises(BudgetExceeded, match=r"trace \[\] \(0 events\)"):
+            variant_alignments(log, net, 50)
+        assert handed_over[0] == 50 * 3
+
+    def test_one_search_without_per_trace_calls(self, monkeypatch):
+        log = gen_synthetic(two_group_net(), 200, noise_rate=0.4, seed=3)
+        expected = _per_trace_loop(log, two_group_net(), DEFAULT_ALIGN_BUDGET)
+        monkeypatch.setattr(conformance, "alignment_cost", _never_called)
+        assert variant_alignments(log, two_group_net()) == expected
+        assert variant_alignments(EventLog({}), unreachable_final_net(), 0) == {}
 
 
 class TestTraceFitness:
@@ -480,6 +556,7 @@ class TestQualityReport:
     def test_empty_log_rejected_before_any_search(self, fixture_net, monkeypatch):
         monkeypatch.setattr(conformance, "shortest_visible_path", _never_called)
         monkeypatch.setattr(conformance, "alignment_cost", _never_called)
+        monkeypatch.setattr(conformance, "variant_alignments", _never_called)
         with pytest.raises(ValueError, match="empty log"):
             compute_report(EventLog({}), fixture_net, [], 1.0)
 
@@ -487,6 +564,7 @@ class TestQualityReport:
         log = EventLog({("a", "e"): 1})
         monkeypatch.setattr(conformance, "shortest_visible_path", _never_called)
         monkeypatch.setattr(conformance, "alignment_cost", _never_called)
+        monkeypatch.setattr(conformance, "variant_alignments", _never_called)
         with pytest.raises(ValueError, match=r"\('z',\) is not a variant of the log"):
             compute_report(log, fixture_net, [("a", "e"), ("z",)], 1.0)
 

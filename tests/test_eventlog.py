@@ -177,6 +177,18 @@ class TestParseCsv:
         with pytest.raises(LogFormatError, match=expected):
             parse_csv(doc, CsvColumns(case_id="case", activity="act", timestamp="ts"))
 
+    def test_empty_activity_names_the_row(self):
+        doc = (CSV_HEADER + "c1,a,\nc1,,\n").encode()
+        with pytest.raises(LogFormatError, match=r"^row 3: empty activity$"):
+            parse_csv(doc, CsvColumns(case_id="case", activity="act"))
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_bytes_not_utf8_name_the_line(self, bom):
+        # the line counts from the first byte after a byte-order mark
+        doc = bom + (CSV_HEADER + "c1,a,\n").encode() + b"c1,\xff,\n"
+        with pytest.raises(LogFormatError, match=r"^line 3: not UTF-8 text \(invalid start byte\)$"):
+            parse_csv(doc, CsvColumns(case_id="case", activity="act"))
+
     @pytest.mark.parametrize("char", ["\x01", "\x08", "\x0b", "\x0c", "\x1f", "\ufffe", "\uffff"])
     def test_label_xml_cannot_hold_names_the_row(self, char):
         # NUL is one too, but Python 3.10's csv reader rejects it first; a
