@@ -27,33 +27,15 @@ Every search here, the alignments and the precision replay alike, runs
 on the net's compiled form (``PetriNet.compiled``), so they share its one
 id-keyed table of moves and its silent closures.
 
-The alignment search encodes a (marking, trace position) state as the
-single int ``marking id * (len(trace) + 1) + pos``, so its dicts and
-queue hold an int instead of a marking. Every move costs 0 or 1, so the
-queue is a bucket queue (Dial, 1969) instead of a binary heap: LIFO
-stacks per (cost, events left), of which only the current cost and the
-next are ever occupied. Free moves out of the fewest-events-left stack
-land on that stack or the one just below it, so the occupied stacks stay
-sorted without a scan. Popping the newest state of the top stack is
-therefore the order ``(cost, events left, newest push first)`` in which
-a heap with a decreasing tie counter pops the same search on (marking,
-pos) tuples; the state encoding is never compared, and the moves are
-pushed in the same order. Costs, projections and budget overruns are
-therefore the same as well.
-
-``variant_alignments`` runs that search once for all variants of a log,
-over their prefix trie (after prefix-alignments, van Zelst et al., IJDSA
-2019): a state is ``marking id * nodes + node``, silent moves and
-insertions stay at a node, synchronous moves step to the child with
-their label and deletions to every child, and the stacks are kept per
-depth, the deepest on top. A variant's states are pushed only by states
-along its own path, so restricted to that path the joint pop order is
-the per-trace order, and every cost, projection and count of expanded
-states equals ``alignment_cost``'s. Expansions are counted per trie
-node; when a variant's sum along its path passes the budget, or the
-search cannot finish within the budget per variant, the per-trace loop
-over ``alignment_cost`` runs instead and raises its own error for the
-same first variant.
+There is one alignment search, ``_align_trie``, and it runs over the
+prefix trie of the traces it aligns (after prefix-alignments, van Zelst
+et al., IJDSA 2019): one trace for ``alignment_cost``, every variant of
+a log for ``variant_alignments``. Its states are ints, ``marking id *
+nodes + node``, and its queue is a bucket queue (Dial, 1969) over costs
+0 and 1. On one trace it pops in the order of a heap search on (marking,
+pos) tuples, and restricted to one variant's path the joint search pops
+in that variant's own order, so every cost, projection and budget
+overrun is that of aligning the variant alone.
 
 Log fitness is folded exactly in integers: the deviating variants'
 ``count * cost`` are summed per denominator ``len(trace) + shortest``,
@@ -92,113 +74,16 @@ def alignment_cost(
     (cost 1, an insertion), or skip the next input activity (cost 1, a
     deletion). Among equal-cost states the search prefers those with
     more of the trace consumed, which does not affect optimality.
-    Raises BudgetExceeded naming the trace when over ``budget`` states expand.
+    Raises BudgetExceeded naming the trace when over ``budget`` states
+    expand, and ValueError when the final marking is not reachable.
 
-    A state is one int, ``marking id * (len(trace) + 1) + pos``. The
-    marking ids and their move lists come from ``PetriNet.compiled``
-    (``initial``, ``final``, ``moves``) and outlive the call, so every
-    alignment against the same net reuses what earlier ones built.
-
-    Every move costs 0 or 1, so a state popped at ``cost`` pushes only
-    at ``cost`` or ``cost + 1``, and the queue is a bucket queue (Dial,
-    1969) over those two costs: ``stacks`` holds one LIFO stack per
-    number of events left at the current cost, the fewest left on top,
-    and ``later`` one per events left at ``cost + 1``. A state popped
-    with ``left`` events left, the fewest occupied, pushes free moves at
-    ``left`` (silent) and ``left - 1`` (synchronous) only, so ``left -
-    1`` opens as the new top (in place of ``left`` if that is empty) and
-    the stacks stay sorted and non-empty without a scan. When the current
-    cost runs out, ``later``'s stacks are sorted once and become the
-    current ones. Popping the top stack's newest state is therefore the
-    order ``(cost, events left, newest push first)`` of a binary heap
-    with a decreasing tie counter, the search on (marking, pos) tuples
-    that ``tests/conftest.py`` keeps as the oracle. Moves are pushed in
-    the same ``moves`` order (silent, or synchronous then insertion, per
-    transition; the deletion last) and outdated entries are skipped
-    alike, so costs, projections and budget overruns are the same. This
-    is the hot loop of every log-versus-model score.
+    This is ``_align_trie`` on the one-path trie of the trace, where a
+    node is a trace position: it pops in the order ``(cost, events left,
+    newest push first)`` of the heap search on (marking, pos) tuples that
+    ``tests/conftest.py`` keeps as the oracle, so costs, projections and
+    budget overruns are the oracle's.
     """
-    compiled = net.compiled
-    moves_of = compiled.moves
-    trace = tuple(trace)
-    goal_pos = len(trace)
-    width = goal_pos + 1
-    start = compiled.initial * width
-    goal = compiled.final * width + goal_pos
-
-    dist: dict[int, int] = {start: 0}
-    parent: dict[int, tuple[int, str | None] | None] = {start: None}
-    stacks: list[list[int]] = [[start]]  # at cost, by events left, the fewest on top
-    later: dict[int, list[int]] = {}  # at cost + 1, by events left
-    cost, paid = 0, 1
-    expanded = 0
-
-    while True:
-        while stacks:  # none of them is empty
-            here = stacks[-1]
-            pos = here[-1] % width  # the states of one stack share their pos
-            left = goal_pos - pos
-            symbol = trace[pos] if left else None
-            inserted = deleted = None  # later's stacks at left and left - 1
-            while here:
-                state = here.pop()
-                if cost > dist[state]:
-                    continue
-                if state == goal:
-                    projection: list[str] = []
-                    step = parent[state]
-                    while step is not None:
-                        state, label = step
-                        if label is not None:
-                            projection.append(label)
-                        step = parent[state]
-                    return AlignmentResult(cost=cost, model_projection=tuple(reversed(projection)))
-                expanded += 1
-                if expanded > budget:
-                    raise BudgetExceeded(f"alignment search of trace {_events(trace)}", budget)
-
-                below = None  # the stack at left - 1, opened by a synchronous move
-                for _, label, succ in moves_of(state // width):
-                    nxt = succ * width + pos
-                    if label is None:
-                        if cost < dist.get(nxt, paid):
-                            dist[nxt] = cost
-                            parent[nxt] = (state, None)
-                            here.append(nxt)
-                        continue
-                    if label == symbol:  # synchronous
-                        if cost < dist.get(nxt + 1, paid):
-                            dist[nxt + 1] = cost
-                            parent[nxt + 1] = (state, label)
-                            if below is None:
-                                below = [nxt + 1]
-                            else:
-                                below.append(nxt + 1)
-                    if paid < dist.get(nxt, paid + 1):  # model-only (insertion)
-                        dist[nxt] = paid
-                        parent[nxt] = (state, label)
-                        if inserted is None:
-                            inserted = later.setdefault(left, [])
-                        inserted.append(nxt)
-                if left and paid < dist.get(state + 1, paid + 1):  # trace-only (deletion)
-                    dist[state + 1] = paid
-                    parent[state + 1] = (state, None)
-                    if deleted is None:
-                        deleted = later.setdefault(left - 1, [])
-                    deleted.append(state + 1)
-                if below is not None:
-                    if here:
-                        stacks.append(below)
-                    else:
-                        stacks[-1] = below
-                    break
-            else:
-                stacks.pop()
-        if not later:
-            raise ValueError("final marking is not reachable from the initial marking")
-        cost, paid = paid, paid + 1
-        stacks = [later[left] for left in sorted(later, reverse=True)]
-        later = {}
+    return _align_trie([tuple(trace)], net, budget)[0]
 
 
 def shortest_visible_path(net: PetriNet, budget: int = DEFAULT_ALIGN_BUDGET) -> int:
@@ -218,38 +103,67 @@ def _events(trace: Trace) -> str:
 def variant_alignments(
     log: EventLog, net: PetriNet, budget: int = DEFAULT_ALIGN_BUDGET
 ) -> dict[Trace, AlignmentResult]:
-    """Optimal alignment per variant, in sorted order: one search over the variants' prefix trie.
+    """Optimal alignment per variant, in sorted order, from one search over the variants' prefix trie.
 
     The result, budget overruns and errors included, is that of
-    ``{t: alignment_cost(t, net, budget) for t in sorted(log.variants)}``.
-
-    A state is one int, ``marking id * nodes + node``, a trie node
-    standing for the prefix consumed so far. Silent moves (free) and
-    insertions (cost 1) stay at the node; a synchronous move (free)
-    steps to the child with its label, a deletion (cost 1) to every
-    child. A variant is settled when (final, its node) pops; a state
-    whose node has no unsettled variant at or below it is skipped. The
-    queue is ``alignment_cost``'s two-cost bucket queue with one LIFO
-    stack per depth, the deepest on top, so it pops in the order ``(cost,
-    deepest first, newest push first)``.
-
-    Moves stay at a node or go down to its children, so the states along
-    one variant's path are pushed only by states along that path, in
-    ``alignment_cost``'s move order. Restricted to that path, the pop
-    order is the per-trace order ``(cost, events left, newest push
-    first)``, so each variant's cost, projection and expanded states are
-    the per-trace search's. Expansions are counted per node: a variant's
-    per-trace count is the sum along its path when it settles. If that
-    sum passes ``budget``, if all expansions pass ``budget`` per variant
-    (which no run that stays within ``budget`` per variant reaches) or if
-    the queue empties with a variant unsettled, the per-trace loop runs
-    instead and raises its own BudgetExceeded or ValueError.
+    ``{t: alignment_cost(t, net, budget) for t in sorted(log.variants)}``:
+    each variant's cost and projection are those of its own search
+    (``_align_trie``), and when the joint search raises, that loop runs
+    instead, so the error names the first sorted variant that fails.
     """
     ordered = sorted(log.variants)
     if not ordered:
         return {}
+    try:
+        return dict(zip(ordered, _align_trie(ordered, net, budget)))
+    except (BudgetExceeded, ValueError):
+        return {trace: alignment_cost(trace, net, budget) for trace in ordered}
+
+
+def _align_trie(ordered: Sequence[Trace], net: PetriNet, budget: int) -> list[AlignmentResult]:
+    """Optimal alignment of each of the sorted, distinct traces ``ordered``, in one search.
+
+    The search runs over the traces' prefix trie, a node standing for
+    the prefix consumed so far. A state is one int, ``marking id * nodes
+    + node``; the marking ids and their move lists come from
+    ``PetriNet.compiled`` (``initial``, ``final``, ``moves``) and outlive
+    the call, so every search against the same net reuses what earlier
+    ones built. Silent moves (free) and insertions (cost 1) stay at the
+    node; a synchronous move (free) steps to the child with its label, a
+    deletion (cost 1) to every child. A trace is settled when (final,
+    its node) pops; a state whose node has no unsettled trace at or
+    below it is skipped.
+
+    Every move costs 0 or 1, so a state popped at ``cost`` pushes only
+    at ``cost`` or ``cost + 1``, and the queue is a bucket queue (Dial,
+    1969) over those two costs: ``stacks`` holds one LIFO stack per depth
+    at the current cost, the deepest on top, and ``later`` one per depth
+    at ``cost + 1``. A state popped at ``level``, the deepest occupied,
+    pushes free moves at ``level`` (silent) and ``level + 1``
+    (synchronous) only, so ``level + 1`` opens as the new top (in place
+    of ``level`` if that is empty) and the stacks stay sorted and
+    non-empty without a scan. When the current cost runs out, ``later``'s
+    stacks are sorted once and become the current ones. The pop order is
+    therefore ``(cost, deepest first, newest push first)``, with moves
+    pushed in ``moves`` order (silent, or synchronous then insertion, per
+    transition; the deletions last).
+
+    Moves stay at a node or go down to its children, so the states along
+    one trace's path are pushed only by states along that path.
+    Restricted to that path, the pop order is the order ``(cost, events
+    left, newest push first)`` of the search over that trace alone, so
+    each trace's cost, projection and expanded states are that search's.
+    Expansions are counted per node, and a trace's own count is the sum
+    along its path. BudgetExceeded is raised as soon as a trace is sure
+    to pass ``budget``: a node expands more than ``budget`` times while a
+    trace at or below it is unsettled, a trace settles with more than
+    ``budget`` along its path, or all expansions pass ``budget`` per
+    trace (for one trace, its own count). An emptied queue with a trace
+    unsettled raises ValueError. This is the hot loop of every
+    log-versus-model score.
+    """
     # the prefix trie: per node its parent, depth, children by label and
-    # the index of the variant ending there, if any; parents come first
+    # the index of the trace ending there, if any; parents come first
     up, depth, kids, ends = [-1], [0], [{}], [-1]
     for index, trace in enumerate(ordered):
         node = 0
@@ -264,7 +178,7 @@ def variant_alignments(
             node = child
         ends[node] = index
     nodes = len(up)
-    live = [int(end >= 0) for end in ends]  # unsettled variants at or below each node
+    live = [int(end >= 0) for end in ends]  # unsettled traces at or below each node
     for node in range(nodes - 1, 0, -1):
         live[up[node]] += live[node]
 
@@ -301,7 +215,7 @@ def variant_alignments(
                         live[cursor] -= 1
                         cursor = up[cursor]
                     if spent > budget:
-                        return _per_trace(ordered, net, budget)
+                        raise _overrun(ordered, budget)
                     projection: list[str] = []
                     step = parent[state]
                     while step is not None:
@@ -310,14 +224,14 @@ def variant_alignments(
                             projection.append(label)
                         step = parent[prev]
                     results[ends[node]] = AlignmentResult(cost, tuple(reversed(projection)))
-                    if not live[0]:  # the root counts every unsettled variant
-                        return dict(zip(ordered, results))
+                    if not live[0]:  # the root counts every unsettled trace
+                        return results
                     if not live[node]:
                         continue
                 expanded[node] += 1
                 total += 1
-                if total > limit:
-                    return _per_trace(ordered, net, budget)
+                if total > limit or expanded[node] > budget:
+                    raise _overrun(ordered, budget)
 
                 children = kids[node]
                 below = None  # the stack at level + 1, opened by a synchronous move
@@ -362,15 +276,16 @@ def variant_alignments(
             else:
                 stacks.pop()
         if not later:
-            return _per_trace(ordered, net, budget)
+            raise ValueError("final marking is not reachable from the initial marking")
         cost, paid = paid, paid + 1
         stacks = [later[level] for level in sorted(later)]
         later = {}
 
 
-def _per_trace(ordered: list[Trace], net: PetriNet, budget: int) -> dict[Trace, AlignmentResult]:
-    """One ``alignment_cost`` search per variant: the error path of ``variant_alignments``."""
-    return {trace: alignment_cost(trace, net, budget) for trace in ordered}
+def _overrun(ordered: Sequence[Trace], budget: int) -> BudgetExceeded:
+    """The error of a search over ``ordered`` that passed its budget per trace."""
+    what = f"trace {_events(ordered[0])}" if len(ordered) == 1 else f"{len(ordered)} traces"
+    return BudgetExceeded(f"alignment search of {what}", budget)
 
 
 def check_beta(beta: float) -> float:

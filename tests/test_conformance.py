@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -175,11 +176,11 @@ def _log_outcome(align, log, net, budget):
 
 
 def _per_trace_loop(log, net, budget):
-    return {trace: alignment_cost(trace, net, budget) for trace in sorted(log.variants)}
+    return {trace: reference_alignment_cost(trace, net, budget) for trace in sorted(log.variants)}
 
 
 class TestJointSearch:
-    """``variant_alignments``' one trie search against one ``alignment_cost`` per variant."""
+    """``variant_alignments``' one trie search against one reference search per variant."""
 
     @staticmethod
     def cases():
@@ -216,14 +217,21 @@ class TestJointSearch:
             assert expected[0] is (ValueError if budget >= 50 else BudgetExceeded)
             assert _log_outcome(variant_alignments, log, net, budget) == expected
 
-    def test_expansions_stay_within_the_budget_per_variant(self, monkeypatch):
-        # a silent transition adds a token forever and the final marking is
-        # unreachable: no variant settles and the queue never empties
+    def test_one_variant_over_budget_stops_the_search_early(self, monkeypatch):
+        # a flower over a, b, c whose silent "s_grow" adds a token forever:
+        # every word over a, b, c fits, and a search that has to pay for a
+        # deviation expands markings p + n q at cost 0 without end
         net = PetriNet(
-            ["p", "q", "x"], {"grow": None}, [("p", "grow"), ("grow", "p"), ("grow", "q")],
+            ["p", "q", "x"],
+            {"a": "a", "b": "b", "c": "c", "s_grow": None, "t_end": None},
+            [("p", "a"), ("a", "p"), ("p", "b"), ("b", "p"), ("p", "c"), ("c", "p"),
+             ("p", "s_grow"), ("s_grow", "p"), ("s_grow", "q"), ("p", "t_end"), ("t_end", "x")],
             Marking.of({"p": 1}), Marking.of({"x": 1}),
         )
-        log = EventLog.from_traces([(), ("a",), ("a", "b")])
+        fitting = [word for n in range(4) for word in itertools.product("abc", repeat=n)]
+        log = EventLog.from_traces(fitting + [("c", "d")])
+        budget = 60
+        assert max(reference_expansions(word, net) for word in fitting) <= 4
         compiled, expanded, handed_over = net.compiled, [], []
         moves, align = compiled.moves, conformance.alignment_cost
         monkeypatch.setattr(compiled, "moves", lambda sid: expanded.append(sid) or moves(sid))
@@ -231,9 +239,10 @@ class TestJointSearch:
             conformance, "alignment_cost",
             lambda *args: handed_over.append(len(expanded)) or align(*args),
         )
-        with pytest.raises(BudgetExceeded, match=r"trace \[\] \(0 events\)"):
-            variant_alignments(log, net, 50)
-        assert handed_over[0] == 50 * 3
+        with pytest.raises(BudgetExceeded, match=r"trace \[c d\] \(2 events\)"):
+            variant_alignments(log, net, budget)
+        # within the budget times the trie depth, not the budget times the 41 variants
+        assert len(log.variants) == 41 and handed_over[0] <= budget * 3
 
     def test_one_search_without_per_trace_calls(self, monkeypatch):
         log = gen_synthetic(two_group_net(), 200, noise_rate=0.4, seed=3)
