@@ -32,10 +32,11 @@ prefix trie of the traces it aligns (after prefix-alignments, van Zelst
 et al., IJDSA 2019): one trace for ``alignment_cost``, every variant of
 a log for ``variant_alignments``. Its states are ints, ``marking id *
 nodes + node``, and its queue is a bucket queue (Dial, 1969) over costs
-0 and 1. On one trace it pops in the order of a heap search on (marking,
-pos) tuples, and restricted to one variant's path the joint search pops
-in that variant's own order, so every cost, projection and budget
-overrun is that of aligning the variant alone.
+0 and 1: two arrays of LIFO stacks indexed by trie depth, one per cost.
+On one trace it pops in the order of a heap search on (marking, pos)
+tuples, and restricted to one variant's path the joint search pops in
+that variant's own order, so every cost, projection and budget overrun
+is that of aligning the variant alone.
 
 Log fitness is folded exactly in integers: the deviating variants'
 ``count * cost`` are summed per denominator ``len(trace) + shortest``,
@@ -136,17 +137,16 @@ def _align_trie(ordered: Sequence[Trace], net: PetriNet, budget: int) -> list[Al
 
     Every move costs 0 or 1, so a state popped at ``cost`` pushes only
     at ``cost`` or ``cost + 1``, and the queue is a bucket queue (Dial,
-    1969) over those two costs: ``stacks`` holds one LIFO stack per depth
-    at the current cost, the deepest on top, and ``later`` one per depth
-    at ``cost + 1``. A state popped at ``level``, the deepest occupied,
-    pushes free moves at ``level`` (silent) and ``level + 1``
-    (synchronous) only, so ``level + 1`` opens as the new top (in place
-    of ``level`` if that is empty) and the stacks stay sorted and
-    non-empty without a scan. When the current cost runs out, ``later``'s
-    stacks are sorted once and become the current ones. The pop order is
-    therefore ``(cost, deepest first, newest push first)``, with moves
-    pushed in ``moves`` order (silent, or synchronous then insertion, per
-    transition; the deletions last).
+    1969) over those two costs: ``now`` holds one LIFO stack per trie
+    depth at ``cost``, ``later`` one per depth at ``cost + 1``. The cursor
+    ``level`` pops from the deepest stack of ``now``. A state there
+    pushes free moves only at ``level`` (silent) or ``level + 1``
+    (synchronous), so a synchronous push moves the cursor up, an emptied
+    stack moves it down, and when it passes depth 0 the two arrays swap
+    and it restarts at the deepest. The pop order is therefore ``(cost,
+    deepest first, newest push first)``, with moves pushed in ``moves``
+    order (silent, or synchronous then insertion, per transition; the
+    deletions last).
 
     Moves stay at a node or go down to its children, so the states along
     one trace's path are pushed only by states along that path.
@@ -162,9 +162,9 @@ def _align_trie(ordered: Sequence[Trace], net: PetriNet, budget: int) -> list[Al
     unsettled raises ValueError. This is the hot loop of every
     log-versus-model score.
     """
-    # the prefix trie: per node its parent, depth, children by label and
-    # the index of the trace ending there, if any; parents come first
-    up, depth, kids, ends = [-1], [0], [{}], [-1]
+    # the prefix trie: per node its parent, children by label and the
+    # index of the trace ending there, if any; parents come first
+    up, kids, ends = [-1], [{}], [-1]
     for index, trace in enumerate(ordered):
         node = 0
         for label in trace:
@@ -172,7 +172,6 @@ def _align_trie(ordered: Sequence[Trace], net: PetriNet, budget: int) -> list[Al
             if child is None:
                 child = kids[node][label] = len(up)
                 up.append(node)
-                depth.append(depth[node] + 1)
                 kids.append({})
                 ends.append(-1)
             node = child
@@ -188,18 +187,19 @@ def _align_trie(ordered: Sequence[Trace], net: PetriNet, budget: int) -> list[Al
     start = compiled.initial * nodes
     dist: dict[int, int] = {start: 0}
     parent: dict[int, tuple[int, str | None] | None] = {start: None}
-    stacks: list[list[int]] = [[start]]  # at cost, by depth, the deepest on top
-    later: dict[int, list[int]] = {}  # at cost + 1, by depth
-    cost, paid = 0, 1
+    top = max(map(len, ordered))  # the depth of the deepest node
+    now: list[list[int]] = [[] for _ in range(top + 2)]  # at cost, by depth
+    later: list[list[int]] = [[] for _ in range(top + 2)]  # at cost + 1, by depth
+    now[0].append(start)
+    level, cost, paid = 0, 0, 1
     expanded = [0] * nodes
     total, limit = 0, budget * len(ordered)
     results: list[AlignmentResult | None] = [None] * len(ordered)
 
     while True:
-        while stacks:  # none of them is empty
-            here = stacks[-1]
-            level = depth[here[-1] % nodes]  # the states of one stack share their depth
-            inserted = deleted = None  # later's stacks at level and level + 1
+        while level >= 0:
+            here, below = now[level], now[level + 1]
+            inserted, deleted = later[level], later[level + 1]
             while here:
                 state = here.pop()
                 if cost > dist[state]:
@@ -234,7 +234,6 @@ def _align_trie(ordered: Sequence[Trace], net: PetriNet, budget: int) -> list[Al
                     raise _overrun(ordered, budget)
 
                 children = kids[node]
-                below = None  # the stack at level + 1, opened by a synchronous move
                 for _, label, succ in moves_of(marking):
                     nxt = succ * nodes + node
                     if label is None:
@@ -249,37 +248,26 @@ def _align_trie(ordered: Sequence[Trace], net: PetriNet, budget: int) -> list[Al
                         if cost < dist.get(sync, paid):
                             dist[sync] = cost
                             parent[sync] = (state, label)
-                            if below is None:
-                                below = [sync]
-                            else:
-                                below.append(sync)
+                            below.append(sync)
                     if paid < dist.get(nxt, paid + 1):  # model-only (insertion)
                         dist[nxt] = paid
                         parent[nxt] = (state, label)
-                        if inserted is None:
-                            inserted = later.setdefault(level, [])
                         inserted.append(nxt)
                 for child in children.values():  # trace-only (deletion)
                     nxt = state - node + child
                     if paid < dist.get(nxt, paid + 1):
                         dist[nxt] = paid
                         parent[nxt] = (state, None)
-                        if deleted is None:
-                            deleted = later.setdefault(level + 1, [])
                         deleted.append(nxt)
-                if below is not None:
-                    if here:
-                        stacks.append(below)
-                    else:
-                        stacks[-1] = below
+                if below:  # empty before this state popped: level was the deepest
+                    level += 1
                     break
             else:
-                stacks.pop()
-        if not later:
+                level -= 1
+        if not any(later):
             raise ValueError("final marking is not reachable from the initial marking")
-        cost, paid = paid, paid + 1
-        stacks = [later[level] for level in sorted(later)]
-        later = {}
+        now, later = later, now
+        level, cost, paid = top, paid, paid + 1
 
 
 def _overrun(ordered: Sequence[Trace], budget: int) -> BudgetExceeded:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 import xml.etree.ElementTree as ET
 from datetime import datetime
@@ -180,16 +181,19 @@ class CsvColumns(NamedTuple):
 
 
 def _parse_timestamp(text: str) -> object:
-    """Accept ISO-8601 (with trailing Z) or a plain number of seconds."""
+    """Accept ISO-8601 (with trailing Z) or a plain finite number of seconds."""
     normalized = text.strip()
     try:
         return datetime.fromisoformat(normalized.replace("Z", "+00:00"))
     except ValueError:
         pass
     try:
-        return float(normalized)
+        seconds = float(normalized)
     except ValueError:
         raise LogFormatError(f"unparsable timestamp {text!r}") from None
+    if not math.isfinite(seconds):  # NaN would unorder the sort, and 1e400 reads as inf
+        raise LogFormatError(f"timestamp {text!r} is not a finite number")
+    return seconds
 
 
 def _timestamp_kind(value: object) -> str:

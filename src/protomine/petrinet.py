@@ -348,7 +348,12 @@ def cardoso_metric(net: PetriNet) -> int:
 
 
 def export_pnml(net: PetriNet) -> bytes:
-    """Serialise a net (with both markings) to PNML."""
+    """Serialise a net (with both markings) to PNML.
+
+    ElementTree escapes a carriage return in an attribute but writes it
+    raw in text, where XML parsing would turn it into a line feed, so the
+    raw ones left in the output, all in label text, become ``&#13;``.
+    """
     root = ET.Element("pnml", {"xmlns": PNML_NAMESPACE})
     net_el = ET.SubElement(root, "net", {"id": "net1", "type": PTNET_TYPE})
     page = ET.SubElement(net_el, "page", {"id": "page1"})
@@ -375,7 +380,7 @@ def export_pnml(net: PetriNet) -> bytes:
     ET.indent(tree)
     buf = io.BytesIO()
     tree.write(buf, encoding="UTF-8", xml_declaration=True)
-    return buf.getvalue()
+    return buf.getvalue().replace(b"\r", b"&#13;")
 
 
 def _find_child(element: ET.Element, name: str) -> ET.Element | None:

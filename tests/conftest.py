@@ -394,3 +394,9 @@ def reference_export_xes(log: EventLog) -> bytes:
     buf = io.BytesIO()
     tree.write(buf, encoding="UTF-8", xml_declaration=True)
     return buf.getvalue()
+
+
+def xml_char(c: str) -> bool:
+    """A character of XML 1.0's Char production."""
+    cp = ord(c)
+    return cp in (0x9, 0xA, 0xD) or 0x20 <= cp <= 0xD7FF or 0xE000 <= cp <= 0xFFFD or cp >= 0x10000

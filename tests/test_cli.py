@@ -316,6 +316,16 @@ class TestCsvInput:
         assert run("discover", "--in", csv_path, "--k", "1", "--out", tmp_path / "run") == 1
         assert "row 2: activity 'a\\x01b' holds a character XML 1.0 forbids" in capsys.readouterr().err
 
+    def test_carriage_return_label_survives_discover_then_evaluate(self, tmp_path):
+        # the discovered model.pnml must hold the label "a\rb", not "a\nb"
+        csv_path = tmp_path / "events.csv"
+        csv_path.write_bytes(b'case_id,activity\n1,"a\rb"\n1,c\n2,"a\rb"\n')
+        out = tmp_path / "run"
+        assert run("discover", "--in", csv_path, "--k", "1", "--out", out) == 0
+        assert json.loads((out / "report.json").read_text())["fitness"] == 1.0
+        assert run("evaluate", "--in", csv_path, "--model", out / "model.pnml", "--out", tmp_path / "eval") == 0
+        assert json.loads((tmp_path / "eval" / "report.json").read_text())["fitness"] == 1.0
+
     def test_missing_case_column_is_runtime_error(self, tmp_path, capsys):
         csv_path = tmp_path / "events.csv"
         csv_path.write_text("id,activity\n1,a\n")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from protomine import CsvColumns, EventLog, LogFormatError, export_xes, parse_csv, parse_xes, variants
 
-from .conftest import reference_export_xes
+from .conftest import reference_export_xes, xml_char
 
 
 def xes_doc(traces):
@@ -94,12 +94,6 @@ class TestXesRoundTrip:
 # and a lone surrogate, which both writers turn into a character reference
 XES_LABELS = ["a", "b", "&", "<", ">", '"', "'", "\r", "\n", "\t", "a&b<c>", "&amp;", "\r\n",
               "é", "活动", "\U0001f600", "\ud800"]
-
-
-def xml_char(c: str) -> bool:
-    """A character of XML 1.0's Char production."""
-    cp = ord(c)
-    return cp in (0x9, 0xA, 0xD) or 0x20 <= cp <= 0xD7FF or 0xE000 <= cp <= 0xFFFD or cp >= 0x10000
 
 
 xml_labels = st.text(st.characters().filter(xml_char), min_size=1, max_size=5)
@@ -219,6 +213,28 @@ class TestParseCsv:
         doc = (CSV_HEADER + "c1,a,5\nc1,b,5\nc1,c,1\n").encode()
         log = parse_csv(doc, CsvColumns(case_id="case", activity="act", timestamp="ts"))
         assert log.variants == {("c", "a", "b"): 1}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_timestamp_names_the_row(self, value):
+        # NaN compares false both ways, so a stable sort would leave its case unordered
+        doc = (CSV_HEADER + f"c1,b,2\nc1,x,{value}\nc1,a,1\n").encode()
+        with pytest.raises(LogFormatError, match=rf"^row 3: timestamp '{value}' is not a finite number$"):
+            parse_csv(doc, CsvColumns(case_id="case", activity="act", timestamp="ts"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["c1", "c2", "c3"]), st.integers(-5, 5), st.booleans()),
+                    max_size=12))
+    def test_rows_order_by_timestamp_then_file_order(self, events):
+        # rows in any order, each with its file position as activity and an
+        # int or float timestamp; a case's trace is its rows stably sorted by time
+        rows = [(case, str(time) if as_int else f"{time}.0") for case, time, as_int in events]
+        doc = CSV_HEADER + "".join(f"{case},{i},{time}\n" for i, (case, time) in enumerate(rows))
+        log = parse_csv(doc.encode(), CsvColumns(case_id="case", activity="act", timestamp="ts"))
+        cases: dict[str, list[tuple[float, int]]] = {}
+        for i, (case, time) in enumerate(rows):
+            cases.setdefault(case, []).append((float(time), i))
+        expected = [tuple(str(i) for _, i in sorted(times)) for times in cases.values()]
+        assert log == EventLog.from_traces(expected)
 
 
 class TestVariants:

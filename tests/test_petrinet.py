@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protomine import (
     BudgetExceeded,
@@ -29,6 +31,7 @@ from .conftest import (
     reference_expansions,
     reference_fire,
     reference_silent_closure,
+    xml_char,
 )
 
 
@@ -414,6 +417,32 @@ class TestPnml:
         for _ in range(10):
             net, _ = random_acyclic_net(rng)
             assert parse_pnml(export_pnml(net)) == net
+
+    @pytest.mark.parametrize("label", ["a\rb", "a\r\nb"])
+    def test_carriage_return_in_a_label_survives(self, label):
+        # XML parsing reads a raw CR, or CR LF, in text as one LF
+        net = single_transition_net(label)
+        document = export_pnml(net)
+        assert b"\r" not in document
+        assert parse_pnml(document).label("t1") == label
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_round_trip_generated_nets(self, data):
+        # silent transitions, multi-token markings and labels of any XML 1.0
+        # characters, with the ones XML escapes or rewrites drawn often
+        places = [f"p{i}" for i in range(data.draw(st.integers(1, 4)))]
+        some_places = st.lists(st.sampled_from(places), min_size=1, unique=True)
+        labels = st.none() | st.text(st.sampled_from("\r\n\t&<>\"' a") | st.characters().filter(xml_char),
+                                     min_size=1, max_size=5)
+        transitions, arcs = {}, []
+        for i in range(data.draw(st.integers(0, 4))):
+            transitions[f"t{i}"] = data.draw(labels)
+            arcs += [(p, f"t{i}") for p in data.draw(some_places)]
+            arcs += [(f"t{i}", p) for p in data.draw(some_places)]
+        markings = st.dictionaries(st.sampled_from(places), st.integers(1, 3)).map(Marking.of)
+        net = PetriNet(places, transitions, arcs, data.draw(markings), data.draw(markings))
+        assert parse_pnml(export_pnml(net)) == net
 
     def test_invalid_document(self):
         with pytest.raises(ValueError):
