@@ -20,6 +20,7 @@ import gzip
 import io
 import json
 import sys
+import zlib
 from pathlib import Path
 
 from .builtin_models import MODELS
@@ -32,7 +33,7 @@ from .conformance import (
     variant_alignments,
 )
 from .discovery import discover
-from .eventlog import CsvColumns, EventLog, export_xes, parse_csv, parse_xes, variants
+from .eventlog import CsvColumns, EventLog, LogFormatError, export_xes, parse_csv, parse_xes, variants
 from .petrinet import export_pnml, parse_pnml
 from .protoselect import baseline_frequency, baseline_random, gen_synthetic, select_incremental
 from .tracedist import DistanceMatrix
@@ -59,10 +60,14 @@ def beta_weight(text: str) -> float:
     return check_beta(float(text))
 
 
-def _read_bytes(path: Path) -> bytes:
+def _read_bytes(path: Path, error: type[ValueError]) -> bytes:
+    """The file's bytes, gunzipped for a .gz name; a bad gzip stream raises error naming path."""
     data = path.read_bytes()
     if path.name.endswith(".gz"):
-        data = gzip.decompress(data)
+        try:
+            data = gzip.decompress(data)
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+            raise error(f"{path}: unreadable gzip data ({exc})") from None
     return data
 
 
@@ -79,7 +84,7 @@ def _load_log(args: argparse.Namespace) -> EventLog:
             fmt = "csv"
         else:
             raise UsageError(f"cannot infer format of {path.name}; pass --format")
-    data = _read_bytes(path)
+    data = _read_bytes(path, LogFormatError)
     if fmt == "xes":
         return parse_xes(data)
     return parse_csv(
@@ -146,7 +151,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     model_path = Path(args.model)
     if not model_path.is_file():
         raise UsageError(f"model file not found: {model_path}")
-    net = parse_pnml(_read_bytes(model_path))
+    net = parse_pnml(_read_bytes(model_path, ValueError))
     out = _out_dir(args)
     # no prototype set is associated with an external model: log_coverage is 0
     report = compute_report(

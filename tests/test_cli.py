@@ -384,6 +384,31 @@ class TestPipelines:
         assert run("discover", "--in", packed, "--k", "1", "--out", out) == 0
         assert (out / "report.json").is_file()
 
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (lambda packed: packed[:-12], "end-of-stream marker"),  # cut inside the deflate stream
+            (lambda packed: packed[:-8] + bytes(b ^ 0xFF for b in packed[-8:-4]) + packed[-4:], "CRC check failed"),
+        ],
+        ids=["truncated", "crc-corrupt"],
+    )
+    def test_damaged_gzip_is_runtime_error_naming_the_file(self, tmp_path, capsys, damage, reason):
+        import gzip
+
+        log = gen_synthetic(three_group_net(), 20, 0.0, seed=9)
+        log_path = tmp_path / "log.xes.gz"
+        log_path.write_bytes(damage(gzip.compress(export_xes(log))))
+        assert run("discover", "--in", log_path, "--k", "1", "--out", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert f"error: {log_path}: unreadable gzip data (" in err and reason in err
+        model_path = tmp_path / "model.pnml.gz"
+        model_path.write_bytes(damage(gzip.compress(export_pnml(three_group_net()))))
+        plain_log = tmp_path / "log.xes"
+        plain_log.write_bytes(export_xes(log))
+        assert run("evaluate", "--in", plain_log, "--model", model_path, "--out", tmp_path / "eval") == 1
+        err = capsys.readouterr().err
+        assert f"error: {model_path}: unreadable gzip data (" in err and reason in err
+
 
 # sha256 of every artifact of the golden runs below. A change that alters
 # artifact bytes on purpose updates this table and says so in CHANGES.md.

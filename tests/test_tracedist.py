@@ -94,9 +94,14 @@ LABEL_SETS = {
 hyp_traces = st.lists(st.sampled_from(LABEL_SETS["shared-prefixes"]), max_size=80).map(tuple)
 
 
+# each trace takes len // 8 + 1 bytes of the packed kernel, so these sit
+# on either side of a byte bound and of a 64-bit machine word
+BYTE_BOUND_LENGTHS = (0, 7, 8, 9, 15, 16, 17, 63, 64, 65)
+
+
 def wide_variants(rng: random.Random, labels, count: int) -> list[tuple[str, ...]]:
-    """Distinct traces: the empty one, short ones, and 65-150 events long."""
-    found = {()}
+    """Distinct traces: one of each byte-bound length, short ones, and 65-150 events long."""
+    found = {tuple(rng.choice(labels) for _ in range(length)) for length in BYTE_BOUND_LENGTHS}
     while len(found) < count:
         length = rng.randint(65, 150) if len(found) % 2 else rng.randint(1, 64)
         found.add(tuple(rng.choice(labels) for _ in range(length)))
@@ -107,8 +112,9 @@ class TestBitParallelKernel:
     @pytest.mark.parametrize("labels", list(LABEL_SETS.values()), ids=list(LABEL_SETS))
     def test_matrix_and_lcs_match_oracles(self, labels):
         rng = random.Random(len(labels))
-        traces = wide_variants(rng, labels, 12)
-        assert max(map(len, traces)) > 64  # wider than one machine word
+        traces = wide_variants(rng, labels, 20)
+        assert set(BYTE_BOUND_LENGTHS) <= set(map(len, traces))
+        rng.shuffle(traces)  # segments of every width next to each other in the pack
         m = distance_matrix(traces)
         assert all(isinstance(row, array) and row.itemsize == 4 for row in m.entries)
         assert [len(row) for row in m.entries] == [len(traces)] * len(traces)
@@ -125,7 +131,7 @@ class TestBitParallelKernel:
         assert edit_distance(a, b) == insert_delete_dp(a, b)
 
     @settings(deadline=None)
-    @given(st.lists(hyp_traces, min_size=1, max_size=6, unique=True))
+    @given(st.lists(hyp_traces, min_size=1, max_size=20, unique=True))
     def test_matrix_matches_direct_dp(self, traces):
         m = distance_matrix(traces)
         for i, a in enumerate(traces):
