@@ -8,7 +8,9 @@ materialised. Logs are immutable after construction and safe to share.
 
 Supported file formats: an XES subset (``<trace>``/``<event>`` elements
 whose events carry a ``<string key="concept:name" value=.../>``
-attribute) and RFC-4180 CSV with a mandatory header row.
+attribute) and RFC-4180 CSV with a mandatory header row. The XES reader
+streams the document through expat and builds no element tree, so its
+memory follows the variant table rather than the document.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import csv
 import io
 import math
 import re
-import xml.etree.ElementTree as ET
 from datetime import datetime
 from typing import Iterable, Mapping, NamedTuple, Sequence
+from xml.parsers import expat
 
 Trace = tuple[str, ...]
 
@@ -100,47 +102,92 @@ def variants(log: EventLog) -> list[tuple[Trace, int]]:
     return sorted(log.variants.items(), key=lambda item: (-item[1], item[0]))
 
 
-def _local(tag: str) -> str:
-    """Tag name with any XML namespace stripped."""
-    return tag.rsplit("}", 1)[-1]
-
-
 def parse_xes(document: bytes) -> EventLog:
-    """Parse an XES document into an event log.
+    """Parse an XES document into an event log, in one streaming pass.
 
-    One trace per ``<trace>`` element, activities taken from each event's
-    ``concept:name`` string attribute in document order. All other event
-    attributes are dropped.
+    One trace per ``<trace>`` child of the ``<log>`` root, activities taken
+    from each ``<event>`` child's first ``<string key="concept:name">``
+    child in document order. Other elements and attributes are skipped,
+    and so are elements at other depths. expat's handlers count each
+    variant as its ``</trace>`` closes, so no element tree is built and
+    memory follows the variant table, not the document.
+
+    Raises LogFormatError, first for malformed XML (with expat's line and
+    column), then for a root other than ``<log>``, then for the first event
+    without a non-empty name (with its trace index): the last two are
+    raised only once the whole document has parsed.
     """
-    try:
-        root = ET.fromstring(document)
-    except ET.ParseError as exc:
-        raise LogFormatError(f"malformed XES XML: {exc}") from exc
-    if _local(root.tag) != "log":
-        raise LogFormatError(f"expected <log> root element, got <{_local(root.tag)}>")
+    parser = expat.ParserCreate(namespace_separator="}")
+    counts: dict[Trace, int] = {}
+    problem: str | None = None  # the first wrong root or nameless event
+    depth = 0
+    traces = 0  # traces closed so far: the index of the open one
+    activities: list[str] | None = None  # of the open trace
+    in_event = named = False
+    name: str | None = None
 
-    traces: list[Trace] = []
-    trace_index = 0
-    for trace_el in root:
-        if _local(trace_el.tag) != "trace":
-            continue
-        activities: list[str] = []
-        for event_el in trace_el:
-            if _local(event_el.tag) != "event":
-                continue
-            name = None
-            for attr in event_el:
-                if _local(attr.tag) == "string" and attr.get("key") == "concept:name":
-                    name = attr.get("value")
-                    break
-            if not name:
-                raise LogFormatError(
-                    f"trace {trace_index}: event without a concept:name attribute"
-                )
-            activities.append(name)
-        traces.append(tuple(activities))
-        trace_index += 1
-    return EventLog.from_traces(traces)
+    def start(tag: str, attrs: dict[str, str]) -> None:
+        nonlocal depth, problem, activities, in_event, named, name
+        depth += 1
+        if depth == 4:
+            if in_event and not named and attrs.get("key") == "concept:name" and tag.rsplit("}", 1)[-1] == "string":
+                named = True
+                name = attrs.get("value")
+        elif depth == 3:
+            if activities is not None and tag.rsplit("}", 1)[-1] == "event":
+                in_event, named, name = True, False, None
+        elif depth == 2:
+            if tag.rsplit("}", 1)[-1] == "trace":
+                activities = []
+        elif depth == 1:
+            root = tag.rsplit("}", 1)[-1]
+            if root != "log":
+                problem = f"expected <log> root element, got <{root}>"
+
+    def end(tag: str) -> None:
+        nonlocal depth, problem, activities, traces, in_event
+        depth -= 1
+        if depth == 2 and in_event:
+            in_event = False
+            if name:
+                activities.append(name)
+            elif problem is None:
+                problem = f"trace {traces}: event without a concept:name attribute"
+        elif depth == 1 and activities is not None:
+            trace = tuple(activities)
+            counts[trace] = counts.get(trace, 0) + 1
+            traces += 1
+            activities = None
+
+    # a reference to an entity that a DTD leaves undeclared or declares external: expat hands
+    # both to a handler and reads on, where ElementTree failed with these words
+    external: set[str] = set()
+
+    def undefined_entity(entity: str) -> None:
+        raise expat.ExpatError(
+            f"undefined entity {f'&{entity};'[:100]}: "
+            f"line {parser.CurrentLineNumber}, column {parser.CurrentColumnNumber}"
+        )
+
+    def declared(entity: str, is_parameter: bool, value: str | None, *rest) -> None:
+        if value is None and not is_parameter:
+            external.add(entity)
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.SkippedEntityHandler = lambda entity, is_parameter: undefined_entity(entity)
+    parser.EntityDeclHandler = declared
+    # the context names every open entity; the external one among them is the reference
+    parser.ExternalEntityRefHandler = lambda context, *ids: undefined_entity(
+        next(part for part in context.split("\f") if part in external)
+    )
+    try:
+        parser.Parse(document, True)
+    except expat.ExpatError as exc:
+        raise LogFormatError(f"malformed XES XML: {exc}") from exc
+    if problem is not None:
+        raise LogFormatError(problem)
+    return EventLog(counts)
 
 
 # ElementTree's attribute escapes, in one pass: its chain of replaces

@@ -32,7 +32,7 @@ from collections import deque
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .eventlog import Trace, _local
+from .eventlog import Trace
 
 PNML_NAMESPACE = "http://www.pnml.org/version-2009/grammar/pnml"
 PTNET_TYPE = "http://www.pnml.org/version-2009/grammar/ptnet"
@@ -381,6 +381,11 @@ def export_pnml(net: PetriNet) -> bytes:
     buf = io.BytesIO()
     tree.write(buf, encoding="UTF-8", xml_declaration=True)
     return buf.getvalue().replace(b"\r", b"&#13;")
+
+
+def _local(tag: str) -> str:
+    """Tag name with any XML namespace stripped."""
+    return tag.rsplit("}", 1)[-1]
 
 
 def _find_child(element: ET.Element, name: str) -> ET.Element | None:

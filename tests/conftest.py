@@ -33,7 +33,7 @@ import pytest
 
 from protomine import AlignmentResult, BudgetExceeded, Marking, PetriNet, choice_parallel_net, language_upto
 from protomine.conformance import DEFAULT_ALIGN_BUDGET
-from protomine.eventlog import XES_NAMESPACE, EventLog, variants
+from protomine.eventlog import XES_NAMESPACE, EventLog, LogFormatError, Trace, variants
 from protomine.discovery import ProcessTree, leaf, parallel, seq, tree_to_net, xor
 
 
@@ -400,3 +400,46 @@ def xml_char(c: str) -> bool:
     """A character of XML 1.0's Char production."""
     cp = ord(c)
     return cp in (0x9, 0xA, 0xD) or 0x20 <= cp <= 0xD7FF or 0xE000 <= cp <= 0xFFFD or cp >= 0x10000
+
+
+def _local(tag: str) -> str:
+    """Tag name with any XML namespace stripped."""
+    return tag.rsplit("}", 1)[-1]
+
+
+def reference_parse_xes(document: bytes) -> EventLog:
+    """The XES reader as an ElementTree walk: build the whole tree, then read it.
+
+    One trace per ``<trace>`` element, activities taken from each event's
+    ``concept:name`` string attribute in document order. All other event
+    attributes are dropped.
+    """
+    try:
+        root = ET.fromstring(document)
+    except ET.ParseError as exc:
+        raise LogFormatError(f"malformed XES XML: {exc}") from exc
+    if _local(root.tag) != "log":
+        raise LogFormatError(f"expected <log> root element, got <{_local(root.tag)}>")
+
+    traces: list[Trace] = []
+    trace_index = 0
+    for trace_el in root:
+        if _local(trace_el.tag) != "trace":
+            continue
+        activities: list[str] = []
+        for event_el in trace_el:
+            if _local(event_el.tag) != "event":
+                continue
+            name = None
+            for attr in event_el:
+                if _local(attr.tag) == "string" and attr.get("key") == "concept:name":
+                    name = attr.get("value")
+                    break
+            if not name:
+                raise LogFormatError(
+                    f"trace {trace_index}: event without a concept:name attribute"
+                )
+            activities.append(name)
+        traces.append(tuple(activities))
+        trace_index += 1
+    return EventLog.from_traces(traces)

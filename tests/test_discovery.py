@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protomine import (
     EventLog,
@@ -11,6 +13,7 @@ from protomine import (
     export_pnml,
     language_upto,
     tree_to_net,
+    variant_alignments,
 )
 from protomine.discovery import ProcessTree, flower, leaf, loop, parallel, seq, silent_leaf, xor
 
@@ -160,6 +163,14 @@ class TestDiscover:
             net = discover(log)
             for trace in log.variants:
                 assert alignment_cost(trace, net).cost == 0, (trace, table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.lists(st.sampled_from("abcdefgh"), max_size=12).map(tuple), st.integers(1, 3),
+                           min_size=1, max_size=30).map(EventLog))
+    def test_replay_guarantee_shrinks_a_failing_log(self, log):
+        # the guarantee above, drawn so that a log it fails on shrinks
+        alignments = variant_alignments(log, discover(log))
+        assert {trace: result.cost for trace, result in alignments.items()} == dict.fromkeys(log.variants, 0)
 
     def test_determinism_under_insertion_order(self):
         items = [(("a", "b", "c"), 2), (("a", "c", "b"), 1), (("d",), 4)]

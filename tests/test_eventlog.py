@@ -1,14 +1,16 @@
 import csv
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protomine import CsvColumns, EventLog, LogFormatError, export_xes, parse_csv, parse_xes, variants
+from protomine.eventlog import XES_NAMESPACE
 
-from .conftest import reference_export_xes, xml_char
+from .conftest import random_trace, reference_export_xes, reference_parse_xes, xml_char
 
 
 def xes_doc(traces):
@@ -68,6 +70,119 @@ class TestParseXes:
         doc = xes_doc([["a"]]).replace(b"concept:name", b"other:key")
         with pytest.raises(LogFormatError, match=r"trace 0"):
             parse_xes(doc)
+
+    def test_malformed_xml_is_reported_before_a_missing_name(self):
+        # the reader meets the nameless event first, but reports it only
+        # once the whole document has parsed
+        doc = b'<log><trace><event/></trace><trace><event></trace></log>'
+        with pytest.raises(LogFormatError, match=r"^malformed XES XML: mismatched tag: line 1, column 44$"):
+            parse_xes(doc)
+
+    def test_malformed_xml_is_reported_before_a_wrong_root(self):
+        with pytest.raises(LogFormatError, match=r"^malformed XES XML: no element found: line 1, column 15$"):
+            parse_xes(b"<events><trace>")
+
+    def test_wrong_root_is_reported_before_a_missing_name(self):
+        with pytest.raises(LogFormatError, match=r"^expected <log> root element, got <events>$"):
+            parse_xes(b"<events><trace><event/></trace></events>")
+
+    def test_peak_memory_follows_the_variants_not_the_document(self):
+        # an element tree of the document peaks at about 13 times its size
+        rng = random.Random(16)
+        log = EventLog.from_traces(random_trace(rng, "abc", 12) for _ in range(2000))
+        document = export_xes(log)
+        tracemalloc.start()
+        try:
+            parsed = parse_xes(document)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == log
+        assert peak < 4 * len(document)
+
+
+# attribute text as a document may spell it: entities, character
+# references, and raw CR and CRLF, which attribute normalisation turns to spaces
+XES_VALUE_PARTS = ["a", "b", "é", "&amp;", "&lt;", "&quot;", "&#13;", "&#x41;", "&#10;", "\r", "\r\n", " "]
+xes_names = st.lists(st.sampled_from(XES_VALUE_PARTS), min_size=1, max_size=3).map("".join)
+
+
+@st.composite
+def xes_documents(draw):
+    """XES-like documents over every construct the reader must skip or reject."""
+    namespace = draw(st.sampled_from(["", f' xmlns="{XES_NAMESPACE}"', f' xmlns:xes="{XES_NAMESPACE}"']))
+    prefix = "xes:" if "xmlns:xes" in namespace else ""
+
+    def element(tag, attrs="", body=""):
+        return f"<{prefix}{tag}{attrs}>{body}</{prefix}{tag}>" if body else f"<{prefix}{tag}{attrs}/>"
+
+    def named(tag="string", key="concept:name", value=None):
+        value = draw(xes_names) if value is None else value
+        return element(tag, f' key="{key}" value="{value}"')
+
+    def event():
+        kinds = ["name"] * 8 + ["empty", "no value", "int", "other", "nested"]
+        children = draw(st.lists(st.sampled_from(kinds), max_size=3))
+        parts = {
+            "name": named,
+            "empty": lambda: named(value=""),
+            "no value": lambda: element("string", ' key="concept:name"'),
+            "int": lambda: named("int", value="7"),
+            "other": lambda: named(key="org:resource"),
+            "nested": lambda: element("list", ' key="l"', named()),
+        }
+        return element("event", "", "".join(parts[child]() for child in children))
+
+    def trace():
+        head = named() if draw(st.booleans()) else ""  # a trace-level concept:name
+        return element("trace", "", head + "".join(event() for _ in range(draw(st.integers(0, 3)))))
+
+    children = draw(st.lists(st.sampled_from(["trace", "trace", "trace", "extension", "global", "name", "event"]),
+                             max_size=5))
+    parts = {
+        "trace": trace,
+        "extension": lambda: element("extension", ' name="Concept" prefix="concept" uri="u"'),
+        "global": lambda: element("global", ' scope="event"', named()),
+        "name": named,
+        "event": event,
+    }
+    root = draw(st.sampled_from(["log", "log", "log", "log", "events"]))
+    body = "".join(parts[child]() for child in children)
+    document = f'<?xml version="1.0" encoding="UTF-8"?>\n<{prefix}{root}{namespace}>{body}</{prefix}{root}>'
+    damage = draw(st.sampled_from(["none", "none", "none", "cut", "junk"]))
+    if damage == "cut":
+        document = document[: draw(st.integers(0, len(document) - 1))]
+    elif damage == "junk":
+        document += "<junk/>"
+    return document.encode()
+
+
+def read_outcome(reader, document):
+    """The variants in first-seen order, or the LogFormatError message."""
+    try:
+        return list(reader(document).variants.items())
+    except LogFormatError as exc:
+        return str(exc)
+
+
+class TestStreamingReader:
+    @settings(max_examples=500, deadline=None)
+    @given(xes_documents())
+    def test_matches_the_tree_reader(self, document):
+        assert read_outcome(parse_xes, document) == read_outcome(reference_parse_xes, document)
+
+    @pytest.mark.parametrize(
+        "document, error",
+        [
+            (b'<!DOCTYPE log SYSTEM "log.dtd"><log>&e;</log>', "&e;: line 1, column 36"),
+            (b'<!DOCTYPE log [<!ENTITY e SYSTEM "e.xml">]><log><trace>&e;</trace></log>', "&e;: line 1, column 55"),
+            (b'<!DOCTYPE log [<!ENTITY a "&e;"><!ENTITY e SYSTEM "e.xml">]><log>&a;</log>', "&e;: line 1, column 65"),
+        ],
+    )
+    def test_entity_the_dtd_leaves_unread_is_malformed(self, document, error):
+        # expat reads past a reference it cannot expand; ElementTree fails on it
+        expected = f"malformed XES XML: undefined entity {error}"
+        assert read_outcome(parse_xes, document) == read_outcome(reference_parse_xes, document) == expected
 
 
 class TestXesRoundTrip:
