@@ -5,8 +5,12 @@ Process discovery and Petri net semantics
 The built-in miner recursively cuts the directly-follows graph into
 exclusive / sequential / parallel / loop blocks and compiles the result
 to a Petri net. The net is a value with explicit initial and final
-markings; its language is everything it can replay.
+markings; its language is everything it can replay. Every search runs
+on the net's compiled form, ``net.compiled``, whose ``moves`` lists the
+(transition, label, successor) of each enabled transition at a marking id.
 """
+
+from collections import deque
 
 from protomine import (
     EventLog,
@@ -15,10 +19,31 @@ from protomine import (
     discover,
     discover_tree,
     export_pnml,
-    language_upto,
     shortest_visible_path,
     size_metric,
 )
+
+
+def language_upto(net, max_len):
+    """Every word of at most max_len labels that ends in the final marking.
+
+    A breadth-first walk over (marking id, word) pairs of the compiled
+    net; a silent transition moves tokens but adds no label.
+    """
+    compiled = net.compiled
+    start = (compiled.initial, ())
+    seen, queue, words = {start}, deque([start]), set()
+    while queue:
+        sid, word = queue.popleft()
+        if sid == compiled.final:
+            words.add(word)
+        for _, label, fired in compiled.moves(sid):
+            state = (fired, word if label is None else word + (label,))
+            if len(state[1]) <= max_len and state not in seen:
+                seen.add(state)
+                queue.append(state)
+    return words
+
 
 log = EventLog(
     {

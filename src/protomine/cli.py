@@ -10,20 +10,19 @@ Commands:
 
 All outputs are files under --out; fixed seeds give byte-identical reruns.
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
+
+Module level imports only what ``discover`` and ``compare`` call; the
+other commands, gzip input and the JSON and CSV writers import their
+modules where they run.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import gzip
 import io
-import json
 import sys
-import zlib
 from pathlib import Path
 
-from .builtin_models import MODELS
 from .conformance import (
     DEFAULT_ALIGN_BUDGET,
     DEFAULT_CLOSURE_BUDGET,
@@ -34,13 +33,16 @@ from .conformance import (
 )
 from .discovery import discover
 from .eventlog import CsvColumns, EventLog, LogFormatError, export_xes, parse_csv, parse_xes, variants
-from .petrinet import export_pnml, parse_pnml
-from .protoselect import baseline_frequency, baseline_random, gen_synthetic, select_incremental
+from .petrinet import export_pnml
+from .protoselect import baseline_frequency, baseline_random, select_incremental
 from .tracedist import DistanceMatrix
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+
+# the keys of builtin_models.MODELS, which only gen imports
+GEN_MODELS = ("choice-parallel", "flower", "three-group", "two-group")
 
 
 class UsageError(Exception):
@@ -64,6 +66,9 @@ def _read_bytes(path: Path, error: type[ValueError]) -> bytes:
     """The file's bytes, gunzipped for a .gz name; a bad gzip stream raises error naming path."""
     data = path.read_bytes()
     if path.name.endswith(".gz"):
+        import gzip
+        import zlib
+
         try:
             data = gzip.decompress(data)
         except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
@@ -107,17 +112,23 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _write_json(path: Path, payload: object) -> None:
+    import json
+
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _dump_distances(matrix: DistanceMatrix, path: Path) -> None:
+def _write_csv(path: Path, rows: list[list[str]]) -> None:
+    import csv
+
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    labels = [" ".join(t) for t in matrix.variant_index]
-    writer.writerow(["variant"] + labels)
-    for label, row in zip(labels, matrix.entries):
-        writer.writerow([label] + [str(d) for d in row])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     path.write_text(buf.getvalue(), encoding="utf-8")
+
+
+def _dump_distances(matrix: DistanceMatrix, path: Path) -> None:
+    labels = [" ".join(t) for t in matrix.variant_index]
+    rows = ([label] + [str(d) for d in row] for label, row in zip(labels, matrix.entries))
+    _write_csv(path, [["variant"] + labels, *rows])
 
 
 def cmd_discover(args: argparse.Namespace) -> int:
@@ -151,6 +162,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     model_path = Path(args.model)
     if not model_path.is_file():
         raise UsageError(f"model file not found: {model_path}")
+    from .petrinet import parse_pnml
+
     net = parse_pnml(_read_bytes(model_path, ValueError))
     out = _out_dir(args)
     # no prototype set is associated with an external model: log_coverage is 0
@@ -226,13 +239,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         except Exception as exc:
             failures.append(f"{method}: {exc}")
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["method", "f1", "f_beta", "fitness", "precision", "size", "cardoso", "n_selected"]
-    )
-    writer.writerows(rows)
-    (out / "compare.csv").write_text(buf.getvalue(), encoding="utf-8")
+    header = ["method", "f1", "f_beta", "fitness", "precision", "size", "cardoso", "n_selected"]
+    _write_csv(out / "compare.csv", [header, *rows])
 
     for failure in failures:
         print(f"warning: method failed: {failure}", file=sys.stderr)
@@ -241,6 +249,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .builtin_models import MODELS
+    from .protoselect import gen_synthetic
+
     if args.model not in MODELS:
         raise UsageError(f"unknown model {args.model!r}; available: {', '.join(sorted(MODELS))}")
     if not 0.0 <= args.noise <= 1.0:
@@ -312,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gen", help="generate a synthetic log from a built-in model")
-    p.add_argument("--model", required=True, help=f"base model: {', '.join(sorted(MODELS))}")
+    p.add_argument("--model", required=True, help=f"base model: {', '.join(GEN_MODELS)}")
     p.add_argument("--n", type=int, required=True, help="number of traces")
     p.add_argument("--noise", type=float, default=0.0, help="per-trace edit probability")
     p.add_argument("--seed", type=int, default=0, help="random seed")

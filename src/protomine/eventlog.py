@@ -15,12 +15,10 @@ memory follows the variant table rather than the document.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import re
-from datetime import datetime
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from xml.parsers import expat
 
 Trace = tuple[str, ...]
@@ -227,11 +225,11 @@ class CsvColumns(NamedTuple):
     timestamp: str | None = None
 
 
-def _parse_timestamp(text: str) -> object:
+def _parse_timestamp(text: str, fromisoformat: Callable[[str], object]) -> object:
     """Accept ISO-8601 (with trailing Z) or a plain finite number of seconds."""
     normalized = text.strip()
     try:
-        return datetime.fromisoformat(normalized.replace("Z", "+00:00"))
+        return fromisoformat(normalized.replace("Z", "+00:00"))
     except ValueError:
         pass
     try:
@@ -261,6 +259,9 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
     LogFormatError, as does an empty activity, an activity holding a
     character XML 1.0 forbids, or a document that is not UTF-8 text.
     """
+    import csv
+    from datetime import datetime
+
     body = document.removeprefix(b"\xef\xbb\xbf")  # Excel writes a byte-order mark
     try:
         text = body.decode("utf-8")
@@ -300,7 +301,7 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
             raise LogFormatError(f"row {rownum}: activity {activity!r} holds a character XML 1.0 forbids")
         if time_col is not None:
             try:
-                key: object = _parse_timestamp(row[time_col])
+                key: object = _parse_timestamp(row[time_col], datetime.fromisoformat)
             except LogFormatError as exc:
                 raise LogFormatError(f"row {rownum}: {exc}") from None
             kind = _timestamp_kind(key)

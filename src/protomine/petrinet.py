@@ -7,32 +7,28 @@ final marking; silent transitions route tokens without emitting a label.
 Acceptance is reaching the final marking exactly, not deadlock.
 
 Nets and markings are immutable values. Every search runs on the net's
-compiled form (``PetriNet.compiled``, a ``CompiledNet``): each reached
-marking gets a dense int id, and one move table per id, filled on demand,
-is shared by every later search on the same net. ``Marking`` appears
-only at the API boundary (``state_id``, ``marking``); ``enabled`` and
-``fire`` are thin wrappers over the compiled form, so the package has
-one implementation of the firing rule. Results depend only on the
+compiled form (``PetriNet.compiled``, a ``CompiledNet``), the package's
+one implementation of the firing rule: each reached marking gets a dense
+int id, and one move table per id, filled on demand, is shared by every
+later search on the same net. ``Marking`` appears only at the API
+boundary (``state_id``, ``marking``). Results depend only on the
 arguments, never on what earlier searches left in the memo or on the
-order in which they numbered the markings. ``language_upto`` takes a
-state budget, so oversized nets fail loudly instead of hanging; the
-shortest accepted word is an alignment, found in ``conformance``.
+order in which they numbered the markings. The shortest accepted word is
+an alignment, found in ``conformance``.
 
 PNML serialisation covers the place/transition subset: ``<place>`` with
 ``<initialMarking>``, ``<transition>`` with a ``<name>`` only when the
 transition is visible, ``<arc>``, and a ``<finalmarkings>`` extension
-block holding the final marking.
+block holding the final marking. ``export_pnml`` writes the document as
+text; ElementTree is imported only to read one, in ``parse_pnml``.
 """
 
 from __future__ import annotations
 
-import io
-import xml.etree.ElementTree as ET
-from collections import deque
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .eventlog import Trace
+from .eventlog import _ATTRIBUTE_ESCAPES
 
 PNML_NAMESPACE = "http://www.pnml.org/version-2009/grammar/pnml"
 PTNET_TYPE = "http://www.pnml.org/version-2009/grammar/ptnet"
@@ -168,10 +164,9 @@ class CompiledNet:
     One table, ``moves``, lists per id the ``(transition, label,
     successor id)`` triple of every enabled transition, and one table
     holds the silent closure of each single id. Both are filled on
-    demand and kept for every later query, so all alignments, the
-    precision replay and ``language_upto`` on one net share that work;
-    the memo grows with the states the searches visit and lives as long
-    as the net. Ids depend on the order earlier searches reached the
+    demand and kept for every later query, so all alignments and the
+    precision replay on one net share that work; the memo grows with the
+    states the searches visit and lives as long as the net. Ids depend on the order earlier searches reached the
     markings, so a search may use them only as identities, never to
     order states.
     """
@@ -269,58 +264,6 @@ class CompiledNet:
         return closure
 
 
-def enabled(net: PetriNet, marking: Marking) -> set[str]:
-    """Transitions whose every input place holds at least one token."""
-    compiled = net.compiled
-    return {t for t, _, _ in compiled.moves(compiled.state_id(marking))}
-
-
-def fire(net: PetriNet, marking: Marking, transition: str) -> Marking:
-    """Fire a transition: one token per input arc in, one per output arc out."""
-    compiled = net.compiled
-    for t, _, fired in compiled.moves(compiled.state_id(marking)):
-        if t == transition:
-            return compiled.marking(fired)
-    raise ValueError(f"transition {transition!r} is not enabled at {marking}")
-
-
-def language_upto(net: PetriNet, max_len: int, max_states: int = 100_000) -> set[Trace]:
-    """All visible words of length <= max_len accepted by the net.
-
-    Breadth-first walk over (marking, word) pairs; silent transitions
-    extend the firing sequence but not the word. The budget counts
-    distinct markings, so nets whose reachability graph is too large for
-    brute-force enumeration raise instead of hanging.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be non-negative")
-    compiled = net.compiled
-    words: set[Trace] = set()
-    start = (compiled.initial, ())
-    seen_pairs = {start}
-    seen_ids = {compiled.initial}
-    queue = deque([start])
-    while queue:
-        sid, word = queue.popleft()
-        if sid == compiled.final:
-            words.add(word)
-        for _, label, fired in compiled.moves(sid):
-            next_word = word if label is None else word + (label,)
-            if len(next_word) > max_len:
-                continue
-            state = (fired, next_word)
-            if state in seen_pairs:
-                continue
-            seen_pairs.add(state)
-            if fired not in seen_ids:
-                seen_ids.add(fired)
-                if len(seen_ids) > max_states:
-                    what = f"language enumeration of words up to length {max_len} on {net!r}"
-                    raise BudgetExceeded(what, max_states)
-            queue.append(state)
-    return words
-
-
 def size_metric(net: PetriNet) -> int:
     """Model size: places + transitions + arcs."""
     return len(net.places) + len(net.transitions) + len(net.arcs)
@@ -347,40 +290,52 @@ def cardoso_metric(net: PetriNet) -> int:
     return score
 
 
+# ElementTree's text escapes, with the carriage return that XML parsing would read as a line feed
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"})
+
+
+def _element(depth: int, tag: str, attrs: dict[str, str], *children: str, text: str | None = None) -> str:
+    """One element as ElementTree writes it after ``ET.indent``, from the newline before it."""
+    pad = "\n" + "  " * depth
+    head = pad + "<" + tag + "".join(f' {k}="{v.translate(_ATTRIBUTE_ESCAPES)}"' for k, v in attrs.items())
+    if children:
+        return f"{head}>{''.join(children)}{pad}</{tag}>"
+    if text is not None:
+        return f"{head}>{text.translate(_TEXT_ESCAPES)}</{tag}>"
+    return head + " />"
+
+
 def export_pnml(net: PetriNet) -> bytes:
     """Serialise a net (with both markings) to PNML.
 
-    ElementTree escapes a carriage return in an attribute but writes it
-    raw in text, where XML parsing would turn it into a line feed, so the
-    raw ones left in the output, all in label text, become ``&#13;``.
+    Writes ElementTree's bytes itself: those of ``ET.indent`` and a UTF-8
+    ``write`` with declaration, except that a carriage return in label
+    text becomes ``&#13;``, since XML parsing would read a raw one as a
+    line feed.
     """
-    root = ET.Element("pnml", {"xmlns": PNML_NAMESPACE})
-    net_el = ET.SubElement(root, "net", {"id": "net1", "type": PTNET_TYPE})
-    page = ET.SubElement(net_el, "page", {"id": "page1"})
     initial = net.initial_marking.as_dict()
+    page = []
     for place in sorted(net.places):
-        place_el = ET.SubElement(page, "place", {"id": place})
-        if initial.get(place, 0) > 0:
-            marking_el = ET.SubElement(place_el, "initialMarking")
-            ET.SubElement(marking_el, "text").text = str(initial[place])
+        count = initial.get(place, 0)
+        marking = [_element(4, "initialMarking", {}, _element(5, "text", {}, text=str(count)))] if count > 0 else []
+        page.append(_element(3, "place", {"id": place}, *marking))
     for t in sorted(net.transitions):
-        t_el = ET.SubElement(page, "transition", {"id": t})
         label = net.transitions[t]
-        if label is not None:
-            name_el = ET.SubElement(t_el, "name")
-            ET.SubElement(name_el, "text").text = label
+        name = [_element(4, "name", {}, _element(5, "text", {}, text=label))] if label is not None else []
+        page.append(_element(3, "transition", {"id": t}, *name))
     for i, (source, target) in enumerate(sorted(net.arcs)):
-        ET.SubElement(page, "arc", {"id": f"arc{i}", "source": source, "target": target})
-    final_el = ET.SubElement(net_el, "finalmarkings")
-    marking_el = ET.SubElement(final_el, "marking")
-    for place, count in net.final_marking.tokens:
-        ref = ET.SubElement(marking_el, "place", {"idref": place})
-        ET.SubElement(ref, "text").text = str(count)
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    buf = io.BytesIO()
-    tree.write(buf, encoding="UTF-8", xml_declaration=True)
-    return buf.getvalue().replace(b"\r", b"&#13;")
+        page.append(_element(3, "arc", {"id": f"arc{i}", "source": source, "target": target}))
+    final = [
+        _element(4, "place", {"idref": place}, _element(5, "text", {}, text=str(count)))
+        for place, count in net.final_marking.tokens
+    ]
+    net_el = _element(
+        1, "net", {"id": "net1", "type": PTNET_TYPE},
+        _element(2, "page", {"id": "page1"}, *page),
+        _element(2, "finalmarkings", {}, _element(3, "marking", {}, *final)),
+    )
+    root = _element(0, "pnml", {"xmlns": PNML_NAMESPACE}, net_el)
+    return ("<?xml version='1.0' encoding='UTF-8'?>" + root).encode("utf-8", "xmlcharrefreplace")
 
 
 def _local(tag: str) -> str:
@@ -388,20 +343,21 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _find_child(element: ET.Element, name: str) -> ET.Element | None:
-    for child in element:
-        if _local(child.tag) == name:
-            return child
-    return None
-
-
 def parse_pnml(document: bytes) -> PetriNet:
     """Parse a PNML document written by export_pnml (or compatible)."""
+    import xml.etree.ElementTree as ET
+
+    def find_child(element: ET.Element, name: str) -> ET.Element | None:
+        for child in element:
+            if _local(child.tag) == name:
+                return child
+        return None
+
     try:
         root = ET.fromstring(document)
     except ET.ParseError as exc:
         raise ValueError(f"malformed PNML XML: {exc}") from exc
-    net_el = root if _local(root.tag) == "net" else _find_child(root, "net")
+    net_el = root if _local(root.tag) == "net" else find_child(root, "net")
     if net_el is None:
         raise ValueError("PNML document has no <net> element")
 
@@ -419,9 +375,9 @@ def parse_pnml(document: bytes) -> PetriNet:
                 if pid is None:
                     raise ValueError("place without id")
                 places.append(pid)
-                marking_el = _find_child(child, "initialMarking")
+                marking_el = find_child(child, "initialMarking")
                 if marking_el is not None:
-                    text_el = _find_child(marking_el, "text")
+                    text_el = find_child(marking_el, "text")
                     if text_el is not None and text_el.text:
                         initial[pid] = int(text_el.text)
             elif kind == "transition":
@@ -429,9 +385,9 @@ def parse_pnml(document: bytes) -> PetriNet:
                 if tid is None:
                     raise ValueError("transition without id")
                 label: str | None = None
-                name_el = _find_child(child, "name")
+                name_el = find_child(child, "name")
                 if name_el is not None:
-                    text_el = _find_child(name_el, "text")
+                    text_el = find_child(name_el, "text")
                     if text_el is not None and text_el.text:
                         label = text_el.text
                 transitions[tid] = label
@@ -446,7 +402,7 @@ def parse_pnml(document: bytes) -> PetriNet:
                         if _local(ref.tag) != "place":
                             continue
                         pid = ref.get("idref")
-                        text_el = _find_child(ref, "text")
+                        text_el = find_child(ref, "text")
                         count = int(text_el.text) if text_el is not None and text_el.text else 1
                         if pid is not None:
                             final[pid] = count

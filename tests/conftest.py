@@ -16,9 +16,13 @@ projection and budget overrun, and ``reference_expansions`` bisects for
 the least budget it finishes under. ``reference_escaping_edges_precision``
 replays model words with a dict keyed on every prefix and the reference
 silent closure over ``Marking`` sets, where the library walks an
-int-node prefix tree over marking ids. ``reference_export_xes`` builds
-the XES document as an ElementTree and lets ElementTree indent, escape
-and encode it; the library writes the same bytes as text.
+int-node prefix tree over marking ids. ``reference_export_xes`` and
+``reference_export_pnml`` build their documents as ElementTrees and let
+ElementTree indent, escape and encode them; the library writes the same
+bytes as text. ``language_upto`` enumerates a net's short words for the
+brute-force oracles; it walks the compiled move table, which
+``TestCompiledNetAgainstReference`` checks against the reference
+interpreter.
 """
 
 from __future__ import annotations
@@ -27,14 +31,16 @@ import heapq
 import io
 import random
 import xml.etree.ElementTree as ET
+from collections import deque
 from typing import Sequence
 
 import pytest
 
-from protomine import AlignmentResult, BudgetExceeded, Marking, PetriNet, choice_parallel_net, language_upto
+from protomine import AlignmentResult, BudgetExceeded, Marking, PetriNet, choice_parallel_net
 from protomine.conformance import DEFAULT_ALIGN_BUDGET
 from protomine.eventlog import XES_NAMESPACE, EventLog, LogFormatError, Trace, variants
 from protomine.discovery import ProcessTree, leaf, parallel, seq, tree_to_net, xor
+from protomine.petrinet import PNML_NAMESPACE, PTNET_TYPE
 
 
 @pytest.fixture
@@ -95,6 +101,43 @@ def reference_simulate_trace(net: PetriNet, rng: random.Random, max_steps: int =
                 word.append(net.label(t))
             marking = reference_fire(net, marking, t)
     raise RuntimeError("simulation repeatedly failed to reach the final marking")
+
+
+def language_upto(net: PetriNet, max_len: int, max_states: int = 100_000) -> set[Trace]:
+    """All visible words of length <= max_len accepted by the net.
+
+    Breadth-first walk over (marking, word) pairs; silent transitions
+    extend the firing sequence but not the word. The budget counts
+    distinct markings, so nets whose reachability graph is too large for
+    brute-force enumeration raise instead of hanging.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
+    compiled = net.compiled
+    words: set[Trace] = set()
+    start = (compiled.initial, ())
+    seen_pairs = {start}
+    seen_ids = {compiled.initial}
+    queue = deque([start])
+    while queue:
+        sid, word = queue.popleft()
+        if sid == compiled.final:
+            words.add(word)
+        for _, label, fired in compiled.moves(sid):
+            next_word = word if label is None else word + (label,)
+            if len(next_word) > max_len:
+                continue
+            state = (fired, next_word)
+            if state in seen_pairs:
+                continue
+            seen_pairs.add(state)
+            if fired not in seen_ids:
+                seen_ids.add(fired)
+                if len(seen_ids) > max_states:
+                    what = f"language enumeration of words up to length {max_len} on {net!r}"
+                    raise BudgetExceeded(what, max_states)
+            queue.append(state)
+    return words
 
 
 def lcs_oracle(a, b) -> int:
@@ -394,6 +437,39 @@ def reference_export_xes(log: EventLog) -> bytes:
     buf = io.BytesIO()
     tree.write(buf, encoding="UTF-8", xml_declaration=True)
     return buf.getvalue()
+
+
+def reference_export_pnml(net: PetriNet) -> bytes:
+    """PNML bytes as ElementTree writes them, with a raw carriage return in text as ``&#13;``."""
+    root = ET.Element("pnml", {"xmlns": PNML_NAMESPACE})
+    net_el = ET.SubElement(root, "net", {"id": "net1", "type": PTNET_TYPE})
+    page = ET.SubElement(net_el, "page", {"id": "page1"})
+    initial = net.initial_marking.as_dict()
+    for place in sorted(net.places):
+        place_el = ET.SubElement(page, "place", {"id": place})
+        if initial.get(place, 0) > 0:
+            marking_el = ET.SubElement(place_el, "initialMarking")
+            ET.SubElement(marking_el, "text").text = str(initial[place])
+    for t in sorted(net.transitions):
+        t_el = ET.SubElement(page, "transition", {"id": t})
+        label = net.transitions[t]
+        if label is not None:
+            name_el = ET.SubElement(t_el, "name")
+            ET.SubElement(name_el, "text").text = label
+    for i, (source, target) in enumerate(sorted(net.arcs)):
+        ET.SubElement(page, "arc", {"id": f"arc{i}", "source": source, "target": target})
+    final_el = ET.SubElement(net_el, "finalmarkings")
+    marking_el = ET.SubElement(final_el, "marking")
+    for place, count in net.final_marking.tokens:
+        ref = ET.SubElement(marking_el, "place", {"idref": place})
+        ET.SubElement(ref, "text").text = str(count)
+    tree = ET.ElementTree(root)
+    ET.indent(tree)
+    buf = io.BytesIO()
+    tree.write(buf, encoding="UTF-8", xml_declaration=True)
+    # ElementTree escapes a CR in an attribute but writes it raw in text,
+    # where XML parsing would turn it into a line feed
+    return buf.getvalue().replace(b"\r", b"&#13;")
 
 
 def xml_char(c: str) -> bool:

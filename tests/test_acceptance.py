@@ -20,7 +20,6 @@ from protomine import (
     flower_net,
     gen_synthetic,
     kmedoids,
-    language_upto,
     select_incremental,
     shortest_visible_path,
     two_group_net,
@@ -31,6 +30,7 @@ from protomine.discovery import leaf, seq, tree_to_net
 from .conftest import (
     brute_force_alignment_cost,
     insert_delete_dp,
+    language_upto,
     lcs_oracle,
     random_acyclic_net,
     random_trace,

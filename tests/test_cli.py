@@ -1,5 +1,7 @@
+import ast
 import csv
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -23,7 +25,7 @@ from protomine import (
     two_group_net,
 )
 from protomine import cli, protoselect
-from protomine.builtin_models import choice_parallel_net
+from protomine.builtin_models import MODELS, choice_parallel_net
 from protomine.cli import main
 from protomine.protoselect import _perturb
 
@@ -72,6 +74,14 @@ class TestGen:
 
     def test_invalid_noise(self, tmp_path):
         assert run("gen", "--model", "flower", "--n", "1", "--noise", "2", "--out", tmp_path) == 2
+
+    def test_help_lists_the_built_in_models(self, capsys):
+        # the parser names the models without importing builtin_models
+        assert cli.GEN_MODELS == tuple(sorted(MODELS))
+        with pytest.raises(SystemExit) as info:
+            run("gen", "--help")
+        assert info.value.code == 0
+        assert f"base model: {', '.join(sorted(MODELS))}" in " ".join(capsys.readouterr().out.split())
 
 
 class TestDiscover:
@@ -408,6 +418,77 @@ class TestPipelines:
         assert run("evaluate", "--in", plain_log, "--model", model_path, "--out", tmp_path / "eval") == 1
         err = capsys.readouterr().err
         assert f"error: {model_path}: unreadable gzip data (" in err and reason in err
+
+
+# runs the CLI as ``python -m protomine.cli`` does and prints, last, the
+# modules that the run added to sys.modules; -S keeps what a host's site
+# hooks import out of the way, and protomine needs only the standard library
+LOADED_BY_RUN = """
+import runpy, sys
+before = set(sys.modules)
+sys.argv = ["protomine", *sys.argv[1:]]
+try:
+    runpy.run_module("protomine.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def modules_loaded(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(protomine.__file__).parents[1])}
+    command = [sys.executable, "-S", "-c", LOADED_BY_RUN, *map(str, argv)]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, check=True, timeout=120)
+    return set(ast.literal_eval(done.stdout.splitlines()[-1]))
+
+
+class TestLoadedModules:
+    # a command loads only what it runs: start-up is paid by every command
+    NEVER_IN_DISCOVER = {"xml.etree.ElementTree", "datetime", "gzip", "protomine.builtin_models"}
+
+    def test_discover_and_compare_load_only_what_they_run(self, small_log_path, tmp_path):
+        loaded = modules_loaded("discover", "--in", small_log_path, "--k", "2", "--out", tmp_path / "d")
+        assert "protomine.discovery" in loaded  # the check sees the command's own imports
+        assert not self.NEVER_IN_DISCOVER & loaded
+        loaded = modules_loaded("compare", "--in", small_log_path, "--k", "2", "--out", tmp_path / "c")
+        assert not (self.NEVER_IN_DISCOVER | {"json"}) & loaded
+
+    def test_evaluate_and_gen_load_their_own_modules(self, small_log_path, tmp_path):
+        model = tmp_path / "model.pnml"
+        model.write_bytes(export_pnml(three_group_net()))
+        loaded = modules_loaded("evaluate", "--in", small_log_path, "--model", model, "--out", tmp_path / "e")
+        assert "xml.etree.ElementTree" in loaded
+        loaded = modules_loaded("gen", "--model", "flower", "--n", "5", "--out", tmp_path / "g")
+        assert "protomine.builtin_models" in loaded
+
+    def test_importing_the_package_loads_no_submodule(self):
+        code = "import sys; import protomine; print(sorted(n for n in sys.modules if n.startswith('protomine.')))"
+        env = {**os.environ, "PYTHONPATH": str(Path(protomine.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
+
+class TestLazyExports:
+    def test_every_name_is_its_defining_modules_object(self):
+        for name in protomine.__all__:
+            module = importlib.import_module(f"protomine.{protomine._MODULE_OF[name]}")
+            value = getattr(protomine, name)
+            assert value is getattr(module, name), name
+            assert vars(protomine)[name] is value  # cached after the first access
+            if getattr(value, "__qualname__", None) == name:  # a function or class
+                assert value.__module__ == module.__name__, name
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from protomine import *", namespace)
+        assert all(namespace[name] is getattr(protomine, name) for name in protomine.__all__)
+
+    def test_dir_lists_every_name(self):
+        assert set(protomine.__all__) <= set(dir(protomine))
+
+    def test_unknown_name_raises_naming_the_package(self):
+        with pytest.raises(AttributeError, match="^module 'protomine' has no attribute 'language_upto'$"):
+            protomine.language_upto
 
 
 # sha256 of every artifact of the golden runs below. A change that alters

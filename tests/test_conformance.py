@@ -18,7 +18,6 @@ from protomine import (
     f_beta,
     flower_net,
     gen_synthetic,
-    language_upto,
     shortest_visible_path,
     two_group_net,
     variant_alignments,
@@ -30,6 +29,7 @@ from protomine.discovery import leaf, parallel, seq, tree_to_net, xor
 
 from .conftest import (
     brute_force_alignment_cost,
+    language_upto,
     lcs_oracle as _lcs,
     random_acyclic_net,
     random_trace,

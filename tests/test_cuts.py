@@ -1,6 +1,6 @@
 """Direct checks of the cut detectors on hand-analysable graphs."""
 
-from protomine import EventLog, alignment_cost, discover, discover_tree, language_upto
+from protomine import EventLog, alignment_cost, discover, discover_tree
 from protomine.discovery import (
     _dfg_from_table,
     _loop_cut,
@@ -8,6 +8,8 @@ from protomine.discovery import (
     _sequence_cut,
     _xor_cut,
 )
+
+from .conftest import language_upto
 
 
 def graph_of(table):

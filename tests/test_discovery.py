@@ -11,13 +11,12 @@ from protomine import (
     discover,
     discover_tree,
     export_pnml,
-    language_upto,
     tree_to_net,
     variant_alignments,
 )
 from protomine.discovery import ProcessTree, flower, leaf, loop, parallel, seq, silent_leaf, xor
 
-from .conftest import random_trace
+from .conftest import language_upto, random_trace
 
 
 class TestDfg:

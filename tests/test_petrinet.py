@@ -11,11 +11,8 @@ from protomine import (
     PetriNet,
     cardoso_metric,
     choice_parallel_net,
-    enabled,
     export_pnml,
-    fire,
     flower_net,
-    language_upto,
     parse_pnml,
     shortest_visible_path,
     size_metric,
@@ -25,10 +22,12 @@ from protomine.builtin_models import silent_only_net
 from protomine.discovery import leaf, loop, parallel, seq, silent_leaf, tree_to_net
 
 from .conftest import (
+    language_upto,
     random_acyclic_net,
     reference_alignment_cost,
     reference_enabled,
     reference_expansions,
+    reference_export_pnml,
     reference_fire,
     reference_silent_closure,
     xml_char,
@@ -56,11 +55,19 @@ class TestMarking:
             Marking.of({"a": -1})
 
 
+def moves_at(net, marking):
+    """The compiled moves at a marking, as transition -> successor marking."""
+    compiled = net.compiled
+    return {t: compiled.marking(fired) for t, _, fired in compiled.moves(compiled.state_id(marking))}
+
+
 class TestEnabledAndFire:
+    # the firing rule, through the compiled move table: the enabled
+    # transitions are the keys of moves_at, firing one gives its value
     def test_single_input(self):
         net = single_transition_net()
-        assert enabled(net, Marking.of({"p1": 1})) == {"t1"}
-        assert enabled(net, Marking.of({})) == set()
+        assert set(moves_at(net, Marking.of({"p1": 1}))) == {"t1"}
+        assert set(moves_at(net, Marking.of({}))) == set()
 
     def test_partial_marking_disables(self):
         net = PetriNet(
@@ -70,11 +77,11 @@ class TestEnabledAndFire:
             initial_marking=Marking.of({"p1": 1}),
             final_marking=Marking.of({"p3": 1}),
         )
-        assert enabled(net, Marking.of({"p1": 1})) == set()
+        assert set(moves_at(net, Marking.of({"p1": 1}))) == set()
 
     def test_fire_moves_token(self):
         net = single_transition_net()
-        assert fire(net, Marking.of({"p1": 1}), "t1") == Marking.of({"p2": 1})
+        assert moves_at(net, Marking.of({"p1": 1}))["t1"] == Marking.of({"p2": 1})
 
     def test_fire_self_loop(self):
         net = PetriNet(
@@ -84,7 +91,7 @@ class TestEnabledAndFire:
             initial_marking=Marking.of({"p": 1}),
             final_marking=Marking.of({"p": 1}),
         )
-        assert fire(net, Marking.of({"p": 1}), "t") == Marking.of({"p": 1})
+        assert moves_at(net, Marking.of({"p": 1}))["t"] == Marking.of({"p": 1})
 
     def test_fire_consumes_one_token_per_arc(self):
         net = PetriNet(
@@ -94,12 +101,12 @@ class TestEnabledAndFire:
             initial_marking=Marking.of({"p": 2}),
             final_marking=Marking.of({"q": 1}),
         )
-        assert fire(net, Marking.of({"p": 2}), "t") == Marking.of({"p": 1, "q": 1})
+        assert moves_at(net, Marking.of({"p": 2}))["t"] == Marking.of({"p": 1, "q": 1})
 
-    def test_fire_disabled_raises(self):
+    def test_disabled_transition_has_no_move(self):
         net = single_transition_net()
-        with pytest.raises(ValueError, match="not enabled"):
-            fire(net, Marking.of({}), "t1")
+        compiled = net.compiled
+        assert compiled.moves(compiled.state_id(Marking.of({}))) == []
 
     def test_token_conservation_on_random_nets(self):
         rng = random.Random(13)
@@ -107,11 +114,11 @@ class TestEnabledAndFire:
             net, _ = random_acyclic_net(rng)
             marking = net.initial_marking
             for _ in range(30):
-                options = sorted(enabled(net, marking))
-                if not options:
+                moves = moves_at(net, marking)
+                if not moves:
                     break
-                t = rng.choice(options)
-                nxt = fire(net, marking, t)
+                t = rng.choice(sorted(moves))
+                nxt = moves[t]
                 for place in net.places:
                     delta = nxt.as_dict().get(place, 0) - marking.as_dict().get(place, 0)
                     outdeg = net.outputs(t).count(place)
@@ -197,11 +204,9 @@ class TestCompiledNetAgainstReference:
                 expected = reference_enabled(net, marking)
                 moves = compiled.moves(sid)
                 assert [t for t, _, _ in moves] == sorted(expected)
-                assert enabled(net, marking) == expected
                 for t, label, fired in moves:
                     assert label == net.label(t)
                     assert compiled.marking(fired) == reference_fire(net, marking, t)
-                    assert fire(net, marking, t) == reference_fire(net, marking, t)
 
     def test_silent_closures_match_reference(self):
         for net in differential_nets():
@@ -229,7 +234,7 @@ class TestCompiledNetAgainstReference:
 
     def test_marking_with_unknown_place_rejected(self):
         with pytest.raises(ValueError, match="unknown places"):
-            enabled(single_transition_net(), Marking.of({"zz": 1}))
+            single_transition_net().compiled.state_id(Marking.of({"zz": 1}))
 
 
 class TestLanguage:
@@ -265,7 +270,8 @@ class TestLanguage:
             net, leaves = random_acyclic_net(rng)
             words = language_upto(net, leaves)
             for word in words:
-                # replaying the word must be possible step by step
+                # replaying the word on the reference interpreter must be
+                # possible step by step
                 markings = {net.initial_marking}
                 for symbol in word:
                     nxt = set()
@@ -273,14 +279,14 @@ class TestLanguage:
                     seen = set(markings)
                     while frontier:
                         m = frontier.pop()
-                        for t in enabled(net, m):
+                        for t in reference_enabled(net, m):
                             if net.label(t) is None:
-                                fired = fire(net, m, t)
+                                fired = reference_fire(net, m, t)
                                 if fired not in seen:
                                     seen.add(fired)
                                     frontier.append(fired)
                             elif net.label(t) == symbol:
-                                nxt.add(fire(net, m, t))
+                                nxt.add(reference_fire(net, m, t))
                     assert nxt, f"word {word} not replayable at symbol {symbol}"
                     markings = nxt
 
@@ -443,6 +449,30 @@ class TestPnml:
         markings = st.dictionaries(st.sampled_from(places), st.integers(1, 3)).map(Marking.of)
         net = PetriNet(places, transitions, arcs, data.draw(markings), data.draw(markings))
         assert parse_pnml(export_pnml(net)) == net
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_export_equals_the_element_tree_writer(self, data):
+        # ids and labels from the characters XML escapes, non-ASCII text
+        # and lone surrogates (character references in both writers);
+        # markings empty, leaving places unmarked, or holding many tokens
+        chars = st.sampled_from("&<>\"'\r\n\t a\ud800\udfff") | st.characters(min_codepoint=0x80)
+        ids = st.text(chars, max_size=4)
+        places = data.draw(st.lists(ids.map("p".__add__), min_size=1, max_size=4, unique=True))
+        some_places = st.lists(st.sampled_from(places), min_size=1, unique=True)
+        labels = st.none() | st.text(chars, min_size=1, max_size=4)
+        transitions, arcs = {}, []
+        for t in data.draw(st.lists(ids.map("t".__add__), max_size=4, unique=True)):
+            transitions[t] = data.draw(labels)
+            arcs += [(p, t) for p in data.draw(some_places)]
+            arcs += [(t, p) for p in data.draw(some_places)]
+        markings = st.dictionaries(st.sampled_from(places), st.integers(0, 3)).map(Marking.of)
+        net = PetriNet(places, transitions, arcs, data.draw(markings), data.draw(markings))
+        document = export_pnml(net)
+        assert document == reference_export_pnml(net)
+        text = "".join(places) + "".join(transitions) + "".join(filter(None, transitions.values()))
+        if all(map(xml_char, text)):  # a surrogate's reference is no XML character
+            assert parse_pnml(document) == net
 
     def test_invalid_document(self):
         with pytest.raises(ValueError):

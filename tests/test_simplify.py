@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from protomine import language_upto, tree_to_net
+from protomine import tree_to_net
 from protomine.discovery import (
     ProcessTree,
     flower,
@@ -17,6 +17,8 @@ from protomine.discovery import (
     tree_alphabet,
     xor,
 )
+
+from .conftest import language_upto
 
 
 def random_tree(rng: random.Random, budget: int) -> ProcessTree:
