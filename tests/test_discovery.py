@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,9 +12,12 @@ from protomine import (
     discover,
     discover_tree,
     export_pnml,
+    gen_synthetic,
     tree_to_net,
     variant_alignments,
+    variants,
 )
+from protomine.builtin_models import MODELS
 from protomine.discovery import ProcessTree, flower, leaf, loop, parallel, seq, silent_leaf, xor
 
 from .conftest import language_upto, random_trace
@@ -176,3 +180,34 @@ class TestDiscover:
         forward = EventLog(dict(items))
         backward = EventLog(dict(reversed(items)))
         assert export_pnml(discover(forward)) == export_pnml(discover(backward))
+
+
+# sha256 of export_pnml over every net of pinned_corpus(): a change to
+# any cut, split or compilation step that alters one net changes it
+PINNED_DIGEST = "28b9fa64eac07c38d6d257f13f5bb7770b39c609b72ec6cdd1deed7510b31c5c"
+
+
+def pinned_corpus():
+    """Variant tables: every prefix of simulated logs, then random tables."""
+    for _, build in sorted(MODELS.items()):
+        for noise in (0.0, 0.1, 0.3):
+            for seed in range(4):
+                table = variants(gen_synthetic(build(), 60, noise, seed))
+                for i in range(1, len(table) + 1):
+                    yield dict(table[:i])
+    rng = random.Random(18)
+    for _ in range(200):
+        alphabet = "abcdefg"[: rng.randint(1, 7)]
+        table = {}
+        for _ in range(rng.randint(1, 8)):
+            trace = random_trace(rng, alphabet, 7)  # lengths 0-7, the empty trace too
+            table[trace] = table.get(trace, 0) + rng.randint(1, 3)
+        yield table
+
+
+class TestPinnedNets:
+    def test_corpus_nets_are_byte_identical(self):
+        digest = hashlib.sha256()
+        for table in pinned_corpus():
+            digest.update(export_pnml(discover(EventLog(table))))
+        assert digest.hexdigest() == PINNED_DIGEST
