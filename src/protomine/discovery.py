@@ -1,12 +1,26 @@
 """Process discovery: directly-follows graphs, process trees, Petri nets.
 
-The one miner is a basic inductive-style
-recursion: detect a cut of the directly-follows graph (exclusive choice,
-then sequence, then parallel, then loop), split the log accordingly and
-recurse; when no cut applies, fall through to the flower model over the
-sub-log's alphabet. No infrequency filtering is applied, which yields the
-central guarantee used downstream: every trace of the input log replays
-on the discovered net with alignment cost zero.
+The one miner is a basic inductive-style recursion: detect a cut of the
+directly-follows graph (DFG), split the log accordingly and recurse; when
+no cut applies, fall through to the flower model over the sub-log's
+alphabet. Each cut is taken over one relation or fixpoint, tried in turn:
+
+- exclusive choice: the connected components of "a DFG edge in either
+  direction";
+- sequence: the fixpoint of merging, first pair first, any two parts that
+  reach each other both ways or neither way; it is a cut when the parts
+  left are reachable in one total order;
+- parallel: the components of "not directly-following both ways", those
+  without both a start and an end activity folded into the first that has;
+- loop: the redo parts are the components of "a DFG edge in either
+  direction" among the activities that neither start nor end a trace; the
+  body, first the start and end activities, absorbs redo parts until the
+  fixpoint where every one left is entered only from end activities and
+  left only for start activities.
+
+No infrequency filtering is applied, which yields the central guarantee
+used downstream: every trace of the input log replays on the discovered
+net with alignment cost zero.
 
 Discovery is deterministic: all internal orderings are fixed
 lexicographically, so equal logs give identical nets.
@@ -15,7 +29,8 @@ lexicographically, so equal logs give identical nets.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Mapping, NamedTuple
+from itertools import combinations
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .eventlog import EventLog, Trace
 from .petrinet import Marking, PetriNet
@@ -30,9 +45,6 @@ class DirectlyFollowsGraph(NamedTuple):
     edges: dict[tuple[str, str], int]
     start_activities: dict[str, int]
     end_activities: dict[str, int]
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return (a, b) in self.edges
 
 
 def _dfg_from_table(table: Mapping[Trace, int]) -> DirectlyFollowsGraph:
@@ -119,31 +131,25 @@ def flower(alphabet: Iterable[str]) -> ProcessTree:
 # --- cut detection ------------------------------------------------------
 
 
-def _undirected_components(nodes: list[str], pairs: set[frozenset[str]]) -> list[frozenset[str]]:
-    """Connected components; pairs are undirected edges over nodes."""
+def _components(nodes: Iterable[str], linked: Callable[[str, str], bool]) -> list[frozenset[str]]:
+    """Connected components of a symmetric relation, sorted by least member."""
     remaining = set(nodes)
     components = []
-    for start in nodes:
-        if start not in remaining:
-            continue
-        component = {start}
-        frontier = [start]
-        remaining.discard(start)
+    while remaining:
+        component = set()
+        frontier = [remaining.pop()]
         while frontier:
             u = frontier.pop()
-            for v in list(remaining):
-                if frozenset((u, v)) in pairs:
-                    component.add(v)
-                    remaining.discard(v)
-                    frontier.append(v)
+            component.add(u)
+            reached = {v for v in remaining if linked(u, v)}
+            remaining -= reached
+            frontier.extend(reached)
         components.append(frozenset(component))
     return sorted(components, key=min)
 
 
 def _xor_cut(graph: DirectlyFollowsGraph) -> list[frozenset[str]] | None:
-    nodes = sorted(graph.nodes)
-    pairs = {frozenset((a, b)) for a, b in graph.edges if a != b}
-    components = _undirected_components(nodes, pairs)
+    components = _components(graph.nodes, lambda a, b: (a, b) in graph.edges or (b, a) in graph.edges)
     return components if len(components) >= 2 else None
 
 
@@ -167,92 +173,47 @@ def _reachability(graph: DirectlyFollowsGraph) -> dict[str, set[str]]:
 
 
 def _sequence_cut(graph: DirectlyFollowsGraph) -> list[frozenset[str]] | None:
-    nodes = sorted(graph.nodes)
-    if len(nodes) < 2:
-        return None
     reach = _reachability(graph)
-
-    # group activities that are mutually reachable (same cycle) or
-    # mutually unreachable (not orderable by sequence)
-    group_of = {n: i for i, n in enumerate(nodes)}
-
-    def merge(i: int, j: int) -> None:
-        for n, g in group_of.items():
-            if g == j:
-                group_of[n] = i
-
-    changed = True
-    while changed:
-        changed = False
-        groups: dict[int, list[str]] = {}
-        for n, g in group_of.items():
-            groups.setdefault(g, []).append(n)
-        ids = sorted(groups)
-        for x in range(len(ids)):
-            for y in range(x + 1, len(ids)):
-                a_nodes, b_nodes = groups[ids[x]], groups[ids[y]]
-                fwd = any(b in reach[a] for a in a_nodes for b in b_nodes)
-                bwd = any(a in reach[b] for a in a_nodes for b in b_nodes)
-                if fwd == bwd:
-                    merge(ids[x], ids[y])
-                    changed = True
-                    break
-            if changed:
-                break
-
-    groups = {}
-    for n, g in group_of.items():
-        groups.setdefault(g, []).append(n)
-    parts = [frozenset(v) for v in groups.values()]
-    if len(parts) < 2:
-        return None
 
     def reaches(a_part: frozenset[str], b_part: frozenset[str]) -> bool:
         return any(b in reach[a] for a in a_part for b in b_part)
 
+    # fold part y into part x for the first pair (x, y) that is mutually
+    # reachable (same cycle) or mutually unreachable (not orderable by
+    # sequence); the merge is not confluent, so this order is part of the
+    # result. x's least member stays the merged part's, so parts stay sorted
+    parts = [frozenset((n,)) for n in sorted(graph.nodes)]
+    while pair := next(
+        ((x, y) for x, y in combinations(range(len(parts)), 2)
+         if reaches(parts[x], parts[y]) == reaches(parts[y], parts[x])),
+        None,
+    ):
+        x, y = pair
+        parts[x] |= parts.pop(y)
+
+    # every remaining pair is ordered one way; the order must be total
     ordered = sorted(parts, key=lambda p: (-sum(reaches(p, q) for q in parts if q is not p), min(p)))
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            if not reaches(ordered[i], ordered[j]) or reaches(ordered[j], ordered[i]):
-                return None
+    if len(ordered) < 2 or any(reaches(later, earlier) for earlier, later in combinations(ordered, 2)):
+        return None
     return ordered
 
 
 def _parallel_cut(graph: DirectlyFollowsGraph) -> list[frozenset[str]] | None:
-    nodes = sorted(graph.nodes)
-    if len(nodes) < 2:
-        return None
-    # activities that are not mutually directly-following cannot be in
-    # different parallel branches: connect them in the negated graph
-    pairs = set()
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            if not (graph.has_edge(a, b) and graph.has_edge(b, a)):
-                pairs.add(frozenset((a, b)))
-    components = _undirected_components(nodes, pairs)
-    if len(components) < 2:
-        return None
+    # activities that are not directly-following both ways cannot be in
+    # different parallel branches
+    components = _components(graph.nodes, lambda a, b: not ((a, b) in graph.edges and (b, a) in graph.edges))
     starts, ends = set(graph.start_activities), set(graph.end_activities)
     valid = [c for c in components if c & starts and c & ends]
-    if not valid:
+    if len(valid) < 2:
         return None
     invalid = [c for c in components if not (c & starts and c & ends)]
-    if invalid:
-        merged = valid[0].union(*invalid)
-        components = sorted([merged] + valid[1:], key=min)
-    if len(components) < 2:
-        return None
-    return components
+    return sorted([valid[0].union(*invalid)] + valid[1:], key=min)
 
 
 def _loop_cut(graph: DirectlyFollowsGraph) -> list[frozenset[str]] | None:
     starts, ends = set(graph.start_activities), set(graph.end_activities)
-    body = set(starts | ends)
-    rest = sorted(graph.nodes - body)
-    if not rest:
-        return None
-    pairs = {frozenset((a, b)) for a, b in graph.edges if a in rest and b in rest and a != b}
-    candidates = _undirected_components(rest, pairs)
+    body = starts | ends
+    candidates = _components(graph.nodes - body, lambda a, b: (a, b) in graph.edges or (b, a) in graph.edges)
 
     def valid_redo(component: frozenset[str]) -> bool:
         for a, b in graph.edges:
@@ -262,17 +223,14 @@ def _loop_cut(graph: DirectlyFollowsGraph) -> list[frozenset[str]] | None:
                 return False
         return True
 
-    changed = True
-    while changed:
-        changed = False
-        for component in list(candidates):
-            if not valid_redo(component):
-                body |= component
-                candidates.remove(component)
-                changed = True
+    # a growing body only invalidates more parts, so any merge order
+    # reaches the same fixpoint
+    while invalid := next((c for c in candidates if not valid_redo(c)), None):
+        body |= invalid
+        candidates.remove(invalid)
     if not candidates:
         return None
-    return [frozenset(body)] + sorted(candidates, key=min)
+    return [frozenset(body)] + candidates
 
 
 # --- log splitting ------------------------------------------------------
@@ -410,11 +368,7 @@ def simplify_tree(tree: ProcessTree) -> ProcessTree:
         # the empty word is the identity of concatenation and shuffle
         children = [c for c in children if not is_tau(c)] or [silent_leaf()]
     elif tree.operator == "xor":
-        dedup: list[ProcessTree] = []
-        for child in children:
-            if child not in dedup:
-                dedup.append(child)
-        children = dedup
+        children = list(dict.fromkeys(children))
         if any(not is_tau(c) and _accepts_empty(c) for c in children):
             children = [c for c in children if not is_tau(c)]
 
@@ -430,8 +384,6 @@ def simplify_tree(tree: ProcessTree) -> ProcessTree:
 
 
 def _discover(table: VariantTable) -> ProcessTree:
-    if not table:
-        return silent_leaf()
     nonempty = {t: c for t, c in table.items() if t}
     if not nonempty:
         return silent_leaf()
@@ -470,17 +422,13 @@ def tree_to_net(tree: ProcessTree) -> PetriNet:
     places: list[str] = []
     transitions: dict[str, str | None] = {}
     arcs: list[tuple[str, str]] = []
-    counter = {"p": 0, "t": 0}
 
     def new_place() -> str:
-        name = f"p{counter['p']}"
-        counter["p"] += 1
-        places.append(name)
-        return name
+        places.append(f"p{len(places)}")
+        return places[-1]
 
     def new_transition(label: str | None) -> str:
-        name = f"t{counter['t']}"
-        counter["t"] += 1
+        name = f"t{len(transitions)}"
         transitions[name] = label
         return name
 
@@ -508,7 +456,7 @@ def tree_to_net(tree: ProcessTree) -> PetriNet:
                 arcs.append((split, c_in))
                 arcs.append((c_out, join))
                 compile_node(child, c_in, c_out)
-        elif node.operator == "loop":
+        else:  # loop
             body_in, body_out = new_place(), new_place()
             enter = new_transition(None)
             leave = new_transition(None)
@@ -519,8 +467,6 @@ def tree_to_net(tree: ProcessTree) -> PetriNet:
             compile_node(node.children[0], body_in, body_out)
             for redo in node.children[1:]:
                 compile_node(redo, body_out, body_in)
-        else:  # pragma: no cover - ProcessTree validates operators
-            raise ValueError(f"unknown operator {node.operator!r}")
 
     source = new_place()
     sink = new_place()

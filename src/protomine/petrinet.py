@@ -361,11 +361,17 @@ def parse_pnml(document: bytes) -> PetriNet:
     if net_el is None:
         raise ValueError("PNML document has no <net> element")
 
-    places: list[str] = []
+    places: set[str] = set()
     transitions: dict[str, str | None] = {}
     arcs: list[tuple[str, str]] = []
     initial: dict[str, int] = {}
     final: dict[str, int] = {}
+
+    def tokens(text: str, pid: str | None, which: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"{which} marking of place {pid!r} is not an integer: {text!r}") from None
 
     def walk(element: ET.Element) -> None:
         for child in element:
@@ -374,16 +380,20 @@ def parse_pnml(document: bytes) -> PetriNet:
                 pid = child.get("id")
                 if pid is None:
                     raise ValueError("place without id")
-                places.append(pid)
+                if pid in places:
+                    raise ValueError(f"duplicate place id {pid!r}")
+                places.add(pid)
                 marking_el = find_child(child, "initialMarking")
                 if marking_el is not None:
                     text_el = find_child(marking_el, "text")
                     if text_el is not None and text_el.text:
-                        initial[pid] = int(text_el.text)
+                        initial[pid] = tokens(text_el.text, pid, "initial")
             elif kind == "transition":
                 tid = child.get("id")
                 if tid is None:
                     raise ValueError("transition without id")
+                if tid in transitions:
+                    raise ValueError(f"duplicate transition id {tid!r}")
                 label: str | None = None
                 name_el = find_child(child, "name")
                 if name_el is not None:
@@ -403,7 +413,7 @@ def parse_pnml(document: bytes) -> PetriNet:
                             continue
                         pid = ref.get("idref")
                         text_el = find_child(ref, "text")
-                        count = int(text_el.text) if text_el is not None and text_el.text else 1
+                        count = tokens(text_el.text, pid, "final") if text_el is not None and text_el.text else 1
                         if pid is not None:
                             final[pid] = count
             elif kind in ("page", "net"):

@@ -146,13 +146,7 @@ def baseline_random(log: EventLog, n: int, seed: int) -> list[Trace]:
     return rng.sample([t for t, _ in table], n)
 
 
-def gen_synthetic(
-    net: PetriNet,
-    n_traces: int,
-    noise_rate: float,
-    seed: int,
-    max_steps: int = 1000,
-) -> EventLog:
+def gen_synthetic(net: PetriNet, n_traces: int, noise_rate: float, seed: int) -> EventLog:
     """Simulate a base model into a log, optionally perturbing traces.
 
     Each trace is a random walk over enabled transitions from the initial
@@ -167,19 +161,23 @@ def gen_synthetic(
     rng = random.Random(seed)
     traces = []
     for _ in range(n_traces):
-        trace = _simulate_trace(net, rng, max_steps)
+        trace = _simulate_trace(net, rng)
         if rng.random() < noise_rate:
             trace = _perturb(trace, rng)
         traces.append(trace)
     return EventLog.from_traces(traces)
 
 
-def _simulate_trace(net: PetriNet, rng: random.Random, max_steps: int) -> Trace:
+# steps a simulated walk may take before it counts as failed and is retried
+MAX_STEPS = 1000
+
+
+def _simulate_trace(net: PetriNet, rng: random.Random) -> Trace:
     compiled = net.compiled
     for _ in range(100):  # retries in case a walk dead-ends
         sid = compiled.initial
         word: list[str] = []
-        for _ in range(max_steps):
+        for _ in range(MAX_STEPS):
             if sid == compiled.final:
                 return tuple(word)
             options = compiled.moves(sid)  # in transition_ids (sorted) order

@@ -220,6 +220,12 @@ class TestEvaluate:
         bad.write_bytes(b"definitely not pnml")
         assert run("evaluate", "--in", small_log_path, "--model", bad, "--out", tmp_path) == 1
 
+    def test_non_integer_marking_is_runtime_error_naming_the_place(self, small_log_path, tmp_path, capsys):
+        bad = tmp_path / "bad.pnml"
+        bad.write_bytes(b'<net><place id="p"><initialMarking><text>1.5</text></initialMarking></place></net>')
+        assert run("evaluate", "--in", small_log_path, "--model", bad, "--out", tmp_path) == 1
+        assert "initial marking of place 'p' is not an integer" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_four_method_rows(self, tmp_path):

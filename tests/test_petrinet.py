@@ -480,6 +480,27 @@ class TestPnml:
         with pytest.raises(ValueError):
             parse_pnml(b"<pnml></pnml>")
 
+    def test_duplicate_place_id(self):
+        page = (b'<place id="a"><initialMarking><text>1</text></initialMarking></place>'
+                b'<place id="a"><initialMarking><text>2</text></initialMarking></place>')
+        with pytest.raises(ValueError, match="duplicate place id 'a'"):
+            parse_pnml(b"<pnml><net><page>" + page + b"</page></net></pnml>")
+
+    def test_duplicate_transition_id(self):
+        page = b'<transition id="t"/><transition id="t"><name><text>x</text></name></transition>'
+        with pytest.raises(ValueError, match="duplicate transition id 't'"):
+            parse_pnml(b"<pnml><net><page>" + page + b"</page></net></pnml>")
+
+    @pytest.mark.parametrize("text", ["1.5", "one"])
+    def test_marking_that_is_no_integer(self, text):
+        initial = f'<place id="p"><initialMarking><text>{text}</text></initialMarking></place>'
+        final = (f'<place id="p"/><finalmarkings><marking>'
+                 f'<place idref="p"><text>{text}</text></place></marking></finalmarkings>')
+        with pytest.raises(ValueError, match=f"initial marking of place 'p' is not an integer: '{text}'"):
+            parse_pnml(f"<pnml><net><page>{initial}</page></net></pnml>".encode())
+        with pytest.raises(ValueError, match=f"final marking of place 'p' is not an integer: '{text}'"):
+            parse_pnml(f"<pnml><net><page></page>{final}</net></pnml>".encode())
+
 
 class TestValidation:
     def test_arc_must_be_bipartite(self):
