@@ -262,7 +262,7 @@ def _split_loop(table: VariantTable, parts: list[frozenset[str]]) -> list[Varian
         sublogs[i][segment] = sublogs[i].get(segment, 0) + count
 
     for trace, count in sorted(table.items()):
-        current = 0  # the body part opens every trace
+        current = 0  # the body part opens and closes every trace: it holds all start and end activities
         segment: list[str] = []
         for activity in trace:
             target = part_of[activity]
@@ -272,8 +272,6 @@ def _split_loop(table: VariantTable, parts: list[frozenset[str]]) -> list[Varian
                 current = target
             segment.append(activity)
         add(current, tuple(segment), count)
-        if current != 0:  # trace ended inside a redo part: close the loop body
-            add(0, (), count)
     return sublogs
 
 

@@ -25,6 +25,7 @@ text; ElementTree is imported only to read one, in ``parse_pnml``.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
@@ -65,9 +66,6 @@ class Marking(NamedTuple):
 
     def places(self) -> frozenset[str]:
         return frozenset(p for p, _ in self.tokens)
-
-    def __bool__(self) -> bool:
-        return bool(self.tokens)
 
 
 class PetriNet:
@@ -278,16 +276,8 @@ def cardoso_metric(net: PetriNet) -> int:
     the split-counting complexity family; absolute values are not
     comparable across tools using other readings.
     """
-    place_out: dict[str, int] = {p: 0 for p in net.places}
-    trans_out: dict[str, int] = {t: 0 for t in net.transitions}
-    for source, _ in net.arcs:
-        if source in place_out:
-            place_out[source] += 1
-        else:
-            trans_out[source] += 1
-    score = sum(max(0, d - 1) for d in place_out.values())
-    score += sum(max(0, d - 1) for d in trans_out.values())
-    return score
+    fan_out = Counter(source for source, _ in net.arcs)
+    return sum(d - 1 for d in fan_out.values() if d > 1)
 
 
 # ElementTree's text escapes, with the carriage return that XML parsing would read as a line feed
@@ -344,20 +334,18 @@ def _local(tag: str) -> str:
 
 
 def parse_pnml(document: bytes) -> PetriNet:
-    """Parse a PNML document written by export_pnml (or compatible)."""
-    import xml.etree.ElementTree as ET
+    """Parse a PNML document written by export_pnml (or compatible).
 
-    def find_child(element: ET.Element, name: str) -> ET.Element | None:
-        for child in element:
-            if _local(child.tag) == name:
-                return child
-        return None
+    Tags match in any namespace or in none, and ``<page>`` and ``<net>``
+    containers nest to any depth. Of repeated children the first counts.
+    """
+    import xml.etree.ElementTree as ET
 
     try:
         root = ET.fromstring(document)
     except ET.ParseError as exc:
         raise ValueError(f"malformed PNML XML: {exc}") from exc
-    net_el = root if _local(root.tag) == "net" else find_child(root, "net")
+    net_el = root if _local(root.tag) == "net" else root.find("{*}net")
     if net_el is None:
         raise ValueError("PNML document has no <net> element")
 
@@ -367,14 +355,20 @@ def parse_pnml(document: bytes) -> PetriNet:
     initial: dict[str, int] = {}
     final: dict[str, int] = {}
 
-    def tokens(text: str, pid: str | None, which: str) -> int:
+    def tokens(text: str, pid: str, which: str) -> int:
         try:
             return int(text)
         except ValueError:
             raise ValueError(f"{which} marking of place {pid!r} is not an integer: {text!r}") from None
 
-    def walk(element: ET.Element) -> None:
-        for child in element:
+    def first_text(element: ET.Element, tag: str) -> str | None:
+        child = element.find(tag)
+        return None if child is None else child.findtext("{*}text")
+
+    # one iterator per open container: a page resumes where its subpage left it
+    stack = [iter(net_el)]
+    while stack:
+        for child in stack[-1]:
             kind = _local(child.tag)
             if kind == "place":
                 pid = child.get("id")
@@ -383,43 +377,33 @@ def parse_pnml(document: bytes) -> PetriNet:
                 if pid in places:
                     raise ValueError(f"duplicate place id {pid!r}")
                 places.add(pid)
-                marking_el = find_child(child, "initialMarking")
-                if marking_el is not None:
-                    text_el = find_child(marking_el, "text")
-                    if text_el is not None and text_el.text:
-                        initial[pid] = tokens(text_el.text, pid, "initial")
+                text = first_text(child, "{*}initialMarking")
+                if text:
+                    initial[pid] = tokens(text, pid, "initial")
             elif kind == "transition":
                 tid = child.get("id")
                 if tid is None:
                     raise ValueError("transition without id")
                 if tid in transitions:
                     raise ValueError(f"duplicate transition id {tid!r}")
-                label: str | None = None
-                name_el = find_child(child, "name")
-                if name_el is not None:
-                    text_el = find_child(name_el, "text")
-                    if text_el is not None and text_el.text:
-                        label = text_el.text
-                transitions[tid] = label
+                transitions[tid] = first_text(child, "{*}name") or None
             elif kind == "arc":
                 source, target = child.get("source"), child.get("target")
                 if source is None or target is None:
                     raise ValueError("arc without source/target")
                 arcs.append((source, target))
             elif kind == "finalmarkings":
-                for marking_el in child:
-                    for ref in marking_el:
-                        if _local(ref.tag) != "place":
-                            continue
-                        pid = ref.get("idref")
-                        text_el = find_child(ref, "text")
-                        count = tokens(text_el.text, pid, "final") if text_el is not None and text_el.text else 1
-                        if pid is not None:
-                            final[pid] = count
+                for ref in child.iterfind("*/{*}place"):
+                    pid = ref.get("idref")
+                    if pid is None:
+                        raise ValueError("final marking <place> without idref")
+                    text = ref.findtext("{*}text")
+                    final[pid] = tokens(text, pid, "final") if text else 1
             elif kind in ("page", "net"):
-                walk(child)
-
-    walk(net_el)
+                stack.append(iter(child))
+                break
+        else:
+            stack.pop()
     return PetriNet(
         places=places,
         transitions=transitions,

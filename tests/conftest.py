@@ -16,13 +16,15 @@ projection and budget overrun, and ``reference_expansions`` bisects for
 the least budget it finishes under. ``reference_escaping_edges_precision``
 replays model words with a dict keyed on every prefix and the reference
 silent closure over ``Marking`` sets, where the library walks an
-int-node prefix tree over marking ids. ``reference_export_xes`` and
-``reference_export_pnml`` build their documents as ElementTrees and let
-ElementTree indent, escape and encode them; the library writes the same
-bytes as text. ``language_upto`` enumerates a net's short words for the
-brute-force oracles; it walks the compiled move table, which
-``TestCompiledNetAgainstReference`` checks against the reference
-interpreter.
+int-node prefix tree over marking ids. ``reference_parse_pnml`` walks the
+tree recursively with a hand-written child lookup, where the library
+uses ElementTree's namespace wildcards and a stack of iterators.
+``reference_export_xes`` and ``reference_export_pnml`` build their
+documents as ElementTrees and let ElementTree indent, escape and encode
+them; the library writes the same bytes as text. ``language_upto``
+enumerates a net's short words for the brute-force oracles; it walks the
+compiled move table, which ``TestCompiledNetAgainstReference`` checks
+against the reference interpreter.
 """
 
 from __future__ import annotations
@@ -519,3 +521,95 @@ def reference_parse_xes(document: bytes) -> EventLog:
         traces.append(tuple(activities))
         trace_index += 1
     return EventLog.from_traces(traces)
+
+
+def reference_parse_pnml(document: bytes) -> PetriNet:
+    """The PNML reader as a recursive walk with a hand-written child lookup.
+
+    Children match on their local tag name. ``<page>`` and ``<net>``
+    containers are read recursively in document order; a place's first
+    ``<initialMarking>`` and a transition's first ``<name>`` count, each
+    with its first ``<text>``. A final-marking ``<place>`` without an
+    ``idref`` is skipped.
+    """
+
+    def find_child(element: ET.Element, name: str) -> ET.Element | None:
+        for child in element:
+            if _local(child.tag) == name:
+                return child
+        return None
+
+    try:
+        root = ET.fromstring(document)
+    except ET.ParseError as exc:
+        raise ValueError(f"malformed PNML XML: {exc}") from exc
+    net_el = root if _local(root.tag) == "net" else find_child(root, "net")
+    if net_el is None:
+        raise ValueError("PNML document has no <net> element")
+
+    places: set[str] = set()
+    transitions: dict[str, str | None] = {}
+    arcs: list[tuple[str, str]] = []
+    initial: dict[str, int] = {}
+    final: dict[str, int] = {}
+
+    def tokens(text: str, pid: str | None, which: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"{which} marking of place {pid!r} is not an integer: {text!r}") from None
+
+    def walk(element: ET.Element) -> None:
+        for child in element:
+            kind = _local(child.tag)
+            if kind == "place":
+                pid = child.get("id")
+                if pid is None:
+                    raise ValueError("place without id")
+                if pid in places:
+                    raise ValueError(f"duplicate place id {pid!r}")
+                places.add(pid)
+                marking_el = find_child(child, "initialMarking")
+                if marking_el is not None:
+                    text_el = find_child(marking_el, "text")
+                    if text_el is not None and text_el.text:
+                        initial[pid] = tokens(text_el.text, pid, "initial")
+            elif kind == "transition":
+                tid = child.get("id")
+                if tid is None:
+                    raise ValueError("transition without id")
+                if tid in transitions:
+                    raise ValueError(f"duplicate transition id {tid!r}")
+                label: str | None = None
+                name_el = find_child(child, "name")
+                if name_el is not None:
+                    text_el = find_child(name_el, "text")
+                    if text_el is not None and text_el.text:
+                        label = text_el.text
+                transitions[tid] = label
+            elif kind == "arc":
+                source, target = child.get("source"), child.get("target")
+                if source is None or target is None:
+                    raise ValueError("arc without source/target")
+                arcs.append((source, target))
+            elif kind == "finalmarkings":
+                for marking_el in child:
+                    for ref in marking_el:
+                        if _local(ref.tag) != "place":
+                            continue
+                        pid = ref.get("idref")
+                        text_el = find_child(ref, "text")
+                        count = tokens(text_el.text, pid, "final") if text_el is not None and text_el.text else 1
+                        if pid is not None:
+                            final[pid] = count
+            elif kind in ("page", "net"):
+                walk(child)
+
+    walk(net_el)
+    return PetriNet(
+        places=places,
+        transitions=transitions,
+        arcs=arcs,
+        initial_marking=Marking.of(initial),
+        final_marking=Marking.of(final),
+    )

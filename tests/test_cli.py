@@ -226,8 +226,27 @@ class TestEvaluate:
         assert run("evaluate", "--in", small_log_path, "--model", bad, "--out", tmp_path) == 1
         assert "initial marking of place 'p' is not an integer" in capsys.readouterr().err
 
+    def test_final_place_without_idref_is_runtime_error(self, small_log_path, tmp_path, capsys):
+        bad = tmp_path / "bad.pnml"
+        bad.write_bytes(b"<net><place id='p'/><finalmarkings><marking><place/></marking></finalmarkings></net>")
+        assert run("evaluate", "--in", small_log_path, "--model", bad, "--out", tmp_path) == 1
+        assert "final marking <place> without idref" in capsys.readouterr().err
+
 
 class TestCompare:
+    def test_failed_method_is_left_out_and_named(self, tmp_path, capsys):
+        # the random baseline's prototypes discover a net on which one
+        # alignment overruns this budget; the other methods still score
+        assert run("gen", "--model", "two-group", "--n", "100", "--noise", "0.2", "--seed", "1",
+                   "--out", tmp_path) == 0
+        capsys.readouterr()
+        out = tmp_path / "cmp"
+        assert run("compare", "--in", tmp_path / "log.xes", "--k", "2", "--align-budget", "40", "--out", out) == 1
+        with open(out / "compare.csv", newline="") as handle:
+            assert [row["method"] for row in csv.DictReader(handle)] == ["prototypes", "frequency", "nothing"]
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and warnings[0].startswith("warning: method failed: random: "), warnings
+
     def test_four_method_rows(self, tmp_path):
         log_path = tmp_path / "noisy.xes"
         log = gen_synthetic(two_group_net(), 120, 0.1, seed=2)
@@ -317,6 +336,13 @@ class TestCompare:
 
 
 class TestCsvInput:
+    def test_unknown_extension_without_format_is_usage_error(self, tmp_path, capsys):
+        log_path = tmp_path / "log.txt"
+        log_path.write_text("case_id,activity\n1,a\n")
+        assert run("discover", "--in", log_path, "--out", tmp_path / "run") == 2
+        assert "cannot infer format of log.txt; pass --format" in capsys.readouterr().err
+        assert run("discover", "--in", log_path, "--format", "csv", "--k", "1", "--out", tmp_path / "run") == 0
+
     def test_csv_with_columns(self, tmp_path):
         csv_path = tmp_path / "events.csv"
         csv_path.write_text("case_id,activity\n1,a\n1,b\n2,a\n2,b\n")

@@ -265,6 +265,23 @@ class TestParseCsv:
         log = parse_csv(CSV_HEADER.encode(), CsvColumns(case_id="case", activity="act"))
         assert log.total_traces == 0
 
+    def test_empty_document_has_no_header_row(self):
+        with pytest.raises(LogFormatError, match="^CSV document has no header row$"):
+            parse_csv(b"", CsvColumns(case_id="case", activity="act"))
+
+    def test_short_row_names_the_row(self):
+        doc = (CSV_HEADER + "c1,a,1\nc1\n").encode()
+        with pytest.raises(LogFormatError, match="^row 3: expected 3 fields, got 1$"):
+            parse_csv(doc, CsvColumns(case_id="case", activity="act"))
+
+    def test_blank_line_is_skipped(self):
+        # a blank line is a row of no fields, not a short one, and row numbers count it
+        columns = CsvColumns(case_id="case", activity="act")
+        doc = (CSV_HEADER + "c1,a,\n\nc1,b,\n").encode()
+        assert parse_csv(doc, columns).variants == {("a", "b"): 1}
+        with pytest.raises(LogFormatError, match="^row 5: empty activity$"):
+            parse_csv(doc + b"c2,,\n", columns)
+
     def test_missing_column(self):
         with pytest.raises(LogFormatError, match="nope"):
             parse_csv(CSV_HEADER.encode(), CsvColumns(case_id="nope", activity="act"))
