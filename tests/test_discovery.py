@@ -175,6 +175,14 @@ class TestDiscover:
         alignments = variant_alignments(log, discover(log))
         assert {trace: result.cost for trace, result in alignments.items()} == dict.fromkeys(log.variants, 0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.lists(st.sampled_from("abcdefgh"), max_size=12).map(tuple), st.integers(1, 3),
+                           min_size=1, max_size=30).map(EventLog))
+    def test_counts_reach_no_cut(self, log):
+        # without infrequency filtering every cut reads which variants
+        # occur, not how often: the variant set alone fixes the net
+        assert export_pnml(discover(log)) == export_pnml(discover(EventLog(dict.fromkeys(log.variants, 1))))
+
     def test_determinism_under_insertion_order(self):
         items = [(("a", "b", "c"), 2), (("a", "c", "b"), 1), (("d",), 4)]
         forward = EventLog(dict(items))
