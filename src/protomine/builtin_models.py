@@ -87,17 +87,6 @@ def three_group_net() -> PetriNet:
     return tree_to_net(tree)
 
 
-def silent_only_net() -> PetriNet:
-    """Accepts exactly the empty word through one silent transition."""
-    return PetriNet(
-        places=["p_in", "p_out"],
-        transitions={"t_skip": None},
-        arcs=[("p_in", "t_skip"), ("t_skip", "p_out")],
-        initial_marking=Marking.of({"p_in": 1}),
-        final_marking=Marking.of({"p_out": 1}),
-    )
-
-
 MODELS = {
     "choice-parallel": choice_parallel_net,
     "two-group": two_group_net,

@@ -1,9 +1,10 @@
 """Process discovery: directly-follows graphs, process trees, Petri nets.
 
-The one miner is a basic inductive-style recursion: detect a cut of the
-directly-follows graph (DFG), split the log accordingly and recurse; when
-no cut applies, fall through to the flower model over the sub-log's
-alphabet. Each cut is taken over one relation or fixpoint, tried in turn:
+The one miner is a basic inductive-style recursion over the log's variant
+set: detect a cut of the directly-follows graph (DFG), split the traces
+accordingly and recurse; when no cut applies, fall through to the flower
+model over the sub-log's alphabet. Each cut is taken over one relation or
+fixpoint, tried in turn:
 
 - exclusive choice: the connected components of "a DFG edge in either
   direction";
@@ -20,22 +21,22 @@ alphabet. Each cut is taken over one relation or fixpoint, tried in turn:
 
 No infrequency filtering is applied, which yields the central guarantee
 used downstream: every trace of the input log replays on the discovered
-net with alignment cost zero.
+net with alignment cost zero. It also means every cut reads only the DFG's
+edges and its start and end activities, which depend on which variants
+occur, not on how often: counts reach no cut.
 
 Discovery is deterministic: all internal orderings are fixed
-lexicographically, so equal logs give identical nets.
+lexicographically, so logs with the same variants give identical nets.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .eventlog import EventLog, Trace
 from .petrinet import Marking, PetriNet
-
-VariantTable = dict[Trace, int]
 
 
 class DirectlyFollowsGraph(NamedTuple):
@@ -236,43 +237,23 @@ def _loop_cut(graph: DirectlyFollowsGraph) -> list[frozenset[str]] | None:
 # --- log splitting ------------------------------------------------------
 
 
-def _split_by_first(table: VariantTable, parts: list[frozenset[str]]) -> list[VariantTable]:
+def _split_runs(traces: set[Trace], parts: list[frozenset[str]]) -> list[set[Trace]]:
+    """Each run of a trace's activities from one part, in that part's sub-log.
+
+    Serves the xor cut, whose parts hold whole traces (consecutive
+    activities share a DFG edge), and the loop cut, whose runs alternate
+    between the body, which holds every start and end activity, and a redo.
+    """
     part_of = {a: i for i, part in enumerate(parts) for a in part}
-    sublogs: list[VariantTable] = [{} for _ in parts]
-    for trace, count in sorted(table.items()):
-        i = part_of[trace[0]]
-        sublogs[i][trace] = sublogs[i].get(trace, 0) + count
+    sublogs: list[set[Trace]] = [set() for _ in parts]
+    for trace in traces:
+        for i, run in groupby(trace, part_of.__getitem__):
+            sublogs[i].add(tuple(run))
     return sublogs
 
 
-def _split_by_projection(table: VariantTable, parts: list[frozenset[str]]) -> list[VariantTable]:
-    sublogs: list[VariantTable] = [{} for _ in parts]
-    for trace, count in sorted(table.items()):
-        for i, part in enumerate(parts):
-            projected = tuple(a for a in trace if a in part)
-            sublogs[i][projected] = sublogs[i].get(projected, 0) + count
-    return sublogs
-
-
-def _split_loop(table: VariantTable, parts: list[frozenset[str]]) -> list[VariantTable]:
-    part_of = {a: i for i, part in enumerate(parts) for a in part}
-    sublogs: list[VariantTable] = [{} for _ in parts]
-
-    def add(i: int, segment: tuple[str, ...], count: int) -> None:
-        sublogs[i][segment] = sublogs[i].get(segment, 0) + count
-
-    for trace, count in sorted(table.items()):
-        current = 0  # the body part opens and closes every trace: it holds all start and end activities
-        segment: list[str] = []
-        for activity in trace:
-            target = part_of[activity]
-            if target != current:
-                add(current, tuple(segment), count)
-                segment = []
-                current = target
-            segment.append(activity)
-        add(current, tuple(segment), count)
-    return sublogs
+def _split_by_projection(traces: set[Trace], parts: list[frozenset[str]]) -> list[set[Trace]]:
+    return [{tuple(a for a in trace if a in part) for trace in traces} for part in parts]
 
 
 # --- the miner ----------------------------------------------------------
@@ -282,7 +263,7 @@ def discover_tree(log: EventLog) -> ProcessTree:
     """Discover a process tree; every log trace is replayable on it."""
     if len(log) == 0:
         raise ValueError("cannot discover a model from an empty log")
-    return simplify_tree(_discover(log.variants))
+    return simplify_tree(_discover(set(log.variants)))
 
 
 def tree_alphabet(tree: ProcessTree) -> frozenset[str]:
@@ -381,29 +362,29 @@ def simplify_tree(tree: ProcessTree) -> ProcessTree:
     return result
 
 
-def _discover(table: VariantTable) -> ProcessTree:
-    nonempty = {t: c for t, c in table.items() if t}
+def _discover(traces: set[Trace]) -> ProcessTree:
+    nonempty = traces - {()}
     if not nonempty:
         return silent_leaf()
-    if len(nonempty) < len(table):
+    if nonempty != traces:
         return xor(silent_leaf(), _discover(nonempty))
-    alphabet = sorted({a for t in table for a in t})
-    if len(alphabet) == 1 and all(t == (alphabet[0],) for t in table):
+    alphabet = sorted({a for t in traces for a in t})
+    if traces == {(alphabet[0],)}:
         return leaf(alphabet[0])
 
-    graph = _dfg_from_table(table)
+    graph = _dfg_from_table(dict.fromkeys(traces, 1))
     parts = _xor_cut(graph)
     if parts:
-        return xor(*(_discover(s) for s in _split_by_first(table, parts)))
+        return xor(*(_discover(s) for s in _split_runs(traces, parts)))
     parts = _sequence_cut(graph)
     if parts:
-        return seq(*(_discover(s) for s in _split_by_projection(table, parts)))
+        return seq(*(_discover(s) for s in _split_by_projection(traces, parts)))
     parts = _parallel_cut(graph)
     if parts:
-        return parallel(*(_discover(s) for s in _split_by_projection(table, parts)))
+        return parallel(*(_discover(s) for s in _split_by_projection(traces, parts)))
     parts = _loop_cut(graph)
     if parts:
-        return loop(*(_discover(s) for s in _split_loop(table, parts)))
+        return loop(*(_discover(s) for s in _split_runs(traces, parts)))
     return flower(alphabet)
 
 

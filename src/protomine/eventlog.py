@@ -41,10 +41,9 @@ def _check_trace(trace: Sequence[str]) -> Trace:
 class EventLog:
     """A multiset of traces, stored as variant -> count."""
 
-    def __init__(self, variants: Mapping[Trace, int] | Iterable[tuple[Trace, int]]):
-        items = variants.items() if isinstance(variants, Mapping) else variants
+    def __init__(self, variants: Mapping[Trace, int]):
         table: dict[Trace, int] = {}
-        for trace, count in items:
+        for trace, count in variants.items():
             if not isinstance(count, int) or count < 1:
                 raise ValueError(f"variant count must be a positive integer, got {count!r}")
             t = _check_trace(trace)
@@ -256,7 +255,8 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
     order; timestamp ties keep file order (stable sort). A timestamp
     column must hold a single kind: numbers, naive ISO datetimes, or ISO
     datetimes with a UTC offset. The first row of another kind raises
-    LogFormatError, as does an empty activity, an activity holding a
+    LogFormatError, as does a mapped column that the header names more
+    than once or not at all, an empty activity, an activity holding a
     character XML 1.0 forbids, or a document that is not UTF-8 text.
     """
     import csv
@@ -274,16 +274,13 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
     except StopIteration:
         raise LogFormatError("CSV document has no header row") from None
 
-    index: dict[str, int] = {name: i for i, name in enumerate(header)}
-    wanted = [columns.case_id, columns.activity]
-    if columns.timestamp is not None:
-        wanted.append(columns.timestamp)
-    for name in wanted:
-        if name not in index:
-            raise LogFormatError(f"mapped column {name!r} not present in CSV header {header}")
-    case_col = index[columns.case_id]
-    act_col = index[columns.activity]
-    time_col = index[columns.timestamp] if columns.timestamp is not None else None
+    for name in columns:
+        if name is not None and header.count(name) != 1:
+            problem = "not present in" if name not in header else f"named {header.count(name)} times in"
+            raise LogFormatError(f"mapped column {name!r} {problem} CSV header {header}")
+    case_col = header.index(columns.case_id)
+    act_col = header.index(columns.activity)
+    time_col = header.index(columns.timestamp) if columns.timestamp is not None else None
 
     # case id -> list of (sort key, activity); cases keep first-appearance order
     cases: dict[str, list[tuple[object, str]]] = {}

@@ -24,7 +24,8 @@ documents as ElementTrees and let ElementTree indent, escape and encode
 them; the library writes the same bytes as text. ``language_upto``
 enumerates a net's short words for the brute-force oracles; it walks the
 compiled move table, which ``TestCompiledNetAgainstReference`` checks
-against the reference interpreter.
+against the reference interpreter. ``silent_only_net``, which accepts
+only the empty word, is a net only the tests use.
 """
 
 from __future__ import annotations
@@ -48,6 +49,17 @@ from protomine.petrinet import PNML_NAMESPACE, PTNET_TYPE
 @pytest.fixture
 def fixture_net() -> PetriNet:
     return choice_parallel_net()
+
+
+def silent_only_net() -> PetriNet:
+    """Accepts exactly the empty word through one silent transition."""
+    return PetriNet(
+        places=["p_in", "p_out"],
+        transitions={"t_skip": None},
+        arcs=[("p_in", "t_skip"), ("t_skip", "p_out")],
+        initial_marking=Marking.of({"p_in": 1}),
+        final_marking=Marking.of({"p_out": 1}),
+    )
 
 
 def reference_enabled(net: PetriNet, marking: Marking) -> set[str]:

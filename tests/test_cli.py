@@ -374,6 +374,12 @@ class TestCsvInput:
         assert run("discover", "--in", csv_path, "--case-col", "case", "--out", tmp_path / "run") == 1
         assert "mapped column 'case' not present" in capsys.readouterr().err
 
+    def test_duplicate_mapped_column_is_runtime_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "events.csv"
+        csv_path.write_text("case_id,activity,case_id\n1,a,2\n1,b,3\n")
+        assert run("discover", "--in", csv_path, "--k", "1", "--out", tmp_path / "run") == 1
+        assert "mapped column 'case_id' named 2 times in CSV header" in capsys.readouterr().err
+
 
 class TestPipelines:
     def test_gen_then_evaluate_closes_the_loop(self, tmp_path):

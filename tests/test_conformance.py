@@ -23,7 +23,6 @@ from protomine import (
     variant_alignments,
 )
 from protomine import conformance
-from protomine.builtin_models import silent_only_net
 from protomine.conformance import DEFAULT_ALIGN_BUDGET, DEFAULT_CLOSURE_BUDGET
 from protomine.discovery import leaf, parallel, seq, tree_to_net, xor
 
@@ -36,6 +35,7 @@ from .conftest import (
     reference_alignment_cost,
     reference_escaping_edges_precision,
     reference_expansions,
+    silent_only_net,
 )
 from .test_petrinet import differential_nets, reachable_markings, unreachable_final_net
 

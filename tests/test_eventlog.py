@@ -286,6 +286,16 @@ class TestParseCsv:
         with pytest.raises(LogFormatError, match="nope"):
             parse_csv(CSV_HEADER.encode(), CsvColumns(case_id="nope", activity="act"))
 
+    def test_mapped_column_named_twice_is_rejected(self):
+        # a dict from header names to indices read the last copy: two traces, a and b
+        doc = b"case_id,activity,case_id\n1,a,2\n1,b,3\n"
+        with pytest.raises(LogFormatError, match="^mapped column 'case_id' named 2 times in CSV header "):
+            parse_csv(doc, CsvColumns(case_id="case_id", activity="activity"))
+
+    def test_unmapped_column_named_twice_is_accepted(self):
+        doc = b"case_id,note,activity,note\n1,x,a,y\n1,x,b,y\n"
+        assert parse_csv(doc, CsvColumns(case_id="case_id", activity="activity")).variants == {("a", "b"): 1}
+
     def test_bad_timestamp_reports_row(self):
         doc = (CSV_HEADER + "c1,a,2024-01-01T00:00:00\nc1,b,not-a-time\n").encode()
         with pytest.raises(LogFormatError, match="row 3"):

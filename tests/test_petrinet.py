@@ -18,7 +18,6 @@ from protomine import (
     size_metric,
     two_group_net,
 )
-from protomine.builtin_models import silent_only_net
 from protomine.petrinet import PNML_NAMESPACE
 from protomine.discovery import leaf, loop, parallel, seq, silent_leaf, tree_to_net
 
@@ -32,6 +31,7 @@ from .conftest import (
     reference_fire,
     reference_parse_pnml,
     reference_silent_closure,
+    silent_only_net,
     xml_char,
 )
 
