@@ -10,10 +10,23 @@ The implementation is Lloyd-style alternation with deterministic
 tie-breaking (lowest index everywhere) and greedy farthest-point
 initialisation starting at the most frequent variant, so the same input
 always gives the same clustering.
+
+The medoid update is the costly step, O(m²) per cluster of m members.
+A candidate's cost is summed in two halves, the distances to the
+weight-1 members as they are read and the weighted distances to the
+rest, since most variants of a log occur once. Candidates whose cost
+cannot beat the best one are skipped: by the triangle inequality
+C(j) ≥ |W·d(j, m) − C(m)|, with W the cluster's total weight, m its
+current medoid and C(m) that medoid's cost, computed first (the
+one-medoid bound of trimed, Newling & Fleuret, AISTATS 2017). Members
+are visited in order and one is skipped when its bound reaches the best
+cost visited so far, so it could at most tie, and ties keep the lowest
+index.
 """
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter, mul
 from typing import Callable, NamedTuple, Sequence
 
@@ -35,8 +48,12 @@ class Clustering(NamedTuple):
 
 def _gatherer(positions: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
     """Reads the entries at positions from a matrix row, in their order."""
-    first = positions[0]
-    return itemgetter(*positions) if len(positions) > 1 else lambda row: (row[first],)
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        first = positions[0]
+        return lambda row: (row[first],)
+    return lambda row: ()
 
 
 def kmedoids(
@@ -89,13 +106,34 @@ def kmedoids(
             members = [i for i, a in enumerate(assign) if a == c]
             if not members:  # unreachable for metric distances; keep medoid
                 continue
-            # weighted cost of each member as the candidate medoid
-            weights = [counts[i] for i in members]
-            pick = _gatherer([positions[i] for i in members])
-            candidate_costs = [sum(map(mul, weights, pick(rows[i]))) for i in members]
-            best = candidate_costs.index(min(candidate_costs))
-            medoid_idx[c] = members[best]
-            round_cost += candidate_costs[best]
+            # weighted cost of a member as the candidate medoid
+            heavy = [i for i in members if counts[i] != 1]
+            gather_ones = _gatherer([positions[i] for i in members if counts[i] == 1])
+            gather_rest = _gatherer([positions[i] for i in heavy])
+            weights = [counts[i] for i in heavy]
+
+            def cost(i: int) -> int:
+                row = rows[i]
+                return sum(gather_ones(row)) + sum(map(mul, weights, gather_rest(row)))
+
+            # a member whose bound |W * d(j, m) - C(m)| reaches the best cost
+            # visited so far can at most tie it, and ties keep the lower index
+            medoid = medoid_idx[c]
+            medoid_cost = cost(medoid)
+            total_weight = sum(counts[i] for i in members)
+            to_medoid = columns[c]
+            best, best_cost = medoid, math.inf
+            for i in members:
+                if i == medoid:
+                    candidate = medoid_cost
+                elif abs(total_weight * to_medoid[i] - medoid_cost) >= best_cost:
+                    continue
+                else:
+                    candidate = cost(i)
+                if candidate < best_cost:
+                    best, best_cost = i, candidate
+            medoid_idx[c] = best
+            round_cost += best_cost
         iteration_costs.append(round_cost)
     assign = new_assign  # differs from the last one only at the round cap
 

@@ -16,7 +16,12 @@ empty trace's alignment cost. The ratio is kept exact, so a trace deviates
 Precision follows the escaping-edges idea: replay the aligned model
 projection of every trace, weight each replay state by the traces passing
 through it, and compare the activities the model enables against the
-activities actually observed leaving the state.
+activities actually observed leaving the state. The replay states are
+the nodes of the words' prefix tree, each holding the set of markings
+reachable with its prefix. Many prefixes share a set (a flower net has
+two), so sets are interned per call and each subset step ``(set,
+label)``, with its silent closure and its enabled labels, is computed
+once and memoised; weights and observed labels stay per node.
 
 ``variant_alignments`` aligns each variant of a log once, and
 ``compute_report`` derives every metric from those alignments in one
@@ -391,16 +396,31 @@ def _escaping_edges_precision(
     # prefix tree of the replayed words with int nodes, 0 the empty
     # prefix: per node the traces passing through, its children by label
     # (the activities seen leaving it) and, by subset construction from
-    # its parent's set when the node is created, the ids of every marking
-    # reachable with exactly that visible word
+    # its parent's set, the id of the set of every marking reachable with
+    # exactly that visible word. Sets are interned for the call and each
+    # step (set id, label) -> set id is memoised; a step is first taken
+    # at the same prefix as without the memo, so a closure overrun names
+    # the same prefix
     compiled = net.compiled
     moves = compiled.moves
+    set_ids: dict[frozenset[int], int] = {}
+    marking_sets: list[frozenset[int]] = []
+    enabled: list[frozenset[str]] = []  # per set id, the labels its markings enable
+    steps: dict[tuple[int, str], int] = {}
 
-    def closure(prefix: Trace, start: Iterable[int]) -> set[int]:
+    def closure(prefix: Trace, start: Iterable[int]) -> int:
         try:
-            return compiled.silent_closure(start, closure_budget)
+            reached = frozenset(compiled.silent_closure(start, closure_budget))
         except BudgetExceeded:
             raise BudgetExceeded(f"silent closure after prefix {_events(prefix)}", closure_budget) from None
+        set_id = set_ids.get(reached)
+        if set_id is None:
+            set_id = set_ids[reached] = len(marking_sets)
+            marking_sets.append(reached)
+            enabled.append(
+                frozenset(label for sid in reached for _, label, _ in moves(sid) if label is not None)
+            )
+        return set_id
 
     weight = [0]
     children: list[dict[str, int]] = [{}]
@@ -411,18 +431,24 @@ def _escaping_edges_precision(
         for i, label in enumerate(word):
             child = children[node].get(label)
             if child is None:
-                stepped = {nxt for sid in states[node] for _, step, nxt in moves(sid) if step == label}
+                key = (states[node], label)
+                reached = steps.get(key)
+                if reached is None:
+                    stepped = {
+                        nxt for sid in marking_sets[states[node]] for _, step, nxt in moves(sid) if step == label
+                    }
+                    reached = steps[key] = closure(word[: i + 1], stepped)
                 child = children[node][label] = len(weight)
                 weight.append(0)
                 children.append({})
-                states.append(closure(word[: i + 1], stepped))
+                states.append(reached)
             weight[child] += count
             node = child
 
     escaping_total = 0
     enabled_total = 0
-    for w, observed, sids in zip(weight, children, states):
-        enabled_labels = {label for sid in sids for _, label, _ in moves(sid) if label is not None}
+    for w, observed, set_id in zip(weight, children, states):
+        enabled_labels = enabled[set_id]
         escaping_total += w * len(enabled_labels - observed.keys())
         enabled_total += w * len(enabled_labels)
     if enabled_total == 0:

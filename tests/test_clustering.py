@@ -4,6 +4,7 @@ import random
 import pytest
 
 from protomine import distance_matrix, kmedoids
+from protomine.tracedist import DistanceMatrix
 
 from .conftest import random_trace, reference_kmedoids
 
@@ -39,6 +40,29 @@ def fields(clustering):
         "total_cost": clustering.total_cost,
         "iteration_costs": clustering.iteration_costs,
     }
+
+
+class CountingRow(list):
+    """A distance-matrix row that counts the reads of its entries."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def counting_matrix(traces):
+    """The distance matrix of traces, with rows that count their reads."""
+    matrix = distance_matrix(traces)
+    return DistanceMatrix(matrix.variant_index, tuple(CountingRow(row) for row in matrix.entries))
+
+
+WEIGHT_REGIMES = {
+    "ones": lambda rng: 1,
+    "heavy": lambda rng: rng.randint(2, 12),
+    "spread": lambda rng: 1 if rng.random() < 0.7 else rng.randint(2, 12),
+}
 
 
 class TestKMedoids:
@@ -130,6 +154,60 @@ class TestKMedoids:
             for k in range(1, min(4, len(subset)) + 1):
                 clustering = kmedoids(variant_counts, k, matrix)
                 assert fields(clustering) == reference_kmedoids(variant_counts, k)
+
+    @pytest.mark.parametrize("regime", sorted(WEIGHT_REGIMES))
+    def test_weight_split_and_bound_match_reference(self, regime):
+        # all weight 1 leaves the weighted half of every cluster empty, all
+        # weights >= 2 the weight-1 half; the spread fills both
+        rng = random.Random(17)
+        halves = set()
+        for _ in range(30):
+            alphabet, max_len = rng.choice([("ab", 3), ("abc", 4), ("abcde", 8)])
+            pool = sorted({random_trace(rng, alphabet, max_len) for _ in range(rng.randint(2, 30))})
+            matrix = distance_matrix(pool)
+            variant_counts = [(t, WEIGHT_REGIMES[regime](rng)) for t in pool]
+            count = dict(variant_counts)
+            for k in range(1, min(4, len(pool)) + 1):
+                clustering = kmedoids(variant_counts, k, matrix)
+                assert fields(clustering) == reference_kmedoids(variant_counts, k)
+                halves |= {
+                    (any(count[t] == 1 for t in members), any(count[t] > 1 for t in members))
+                    for members in clustering.members
+                }
+        expected = {"ones": {(True, False)}, "heavy": {(False, True)}}.get(regime)
+        if expected is None:
+            assert (True, True) in halves
+        else:
+            assert halves == expected
+
+    def test_member_whose_bound_equals_the_best_cost_is_skipped(self):
+        # the medoid ("b", "b", "a") costs 4 and comes second; the last
+        # member's bound |W * d - C(m)| = |4 * 2 - 4| equals that best cost,
+        # so its sum (6) is never computed: a computed sum reads the
+        # whole row, and the final total cost one entry of every row
+        variant_counts = [(("a", "b", "a"), 1), (("b", "b", "a"), 2), (("b", "a", "b"), 1)]
+        matrix = counting_matrix([t for t, _ in variant_counts])
+        clustering = kmedoids(variant_counts, 1, matrix)
+        assert clustering.medoids == (("b", "b", "a"),)
+        assert fields(clustering) == reference_kmedoids(variant_counts, 1)
+        assert matrix.entries[0].reads == 3 + 1
+        assert matrix.entries[2].reads == 1
+
+    def test_later_member_tying_the_best_cost_loses(self):
+        # the first member (the medoid) and the last both cost 12; the last
+        # one's bound (4) is below 12, so its sum is computed and must lose
+        variant_counts = [
+            (("b", "a", "b"), 3),
+            (("a", "a", "a"), 1),
+            (("b", "b", "a"), 1),
+            (("a", "b", "b"), 3),
+        ]
+        matrix = counting_matrix([t for t, _ in variant_counts])
+        clustering = kmedoids(variant_counts, 1, matrix)
+        assert clustering.medoids == (("b", "a", "b"),)
+        assert clustering.total_cost == 12
+        assert fields(clustering) == reference_kmedoids(variant_counts, 1)
+        assert matrix.entries[3].reads == 4 + 1
 
     def test_singleton_clusters_match_reference(self):
         variant_counts = [(("a",), 3), (("b",), 3), (("a", "b"), 1), (("b", "a"), 1)]

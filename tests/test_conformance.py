@@ -34,7 +34,10 @@ from .conftest import (
     random_trace,
     reference_alignment_cost,
     reference_escaping_edges_precision,
+    reference_enabled,
     reference_expansions,
+    reference_fire,
+    reference_silent_closure,
     silent_only_net,
 )
 from .test_petrinet import differential_nets, reachable_markings, unreachable_final_net
@@ -382,6 +385,25 @@ class TestEtcPrecision:
             precision_of(log, net, closure_budget=2)
         assert info.value.budget == 2
 
+    def test_recurring_overrun_names_its_first_prefix(self):
+        # a loops on the start place, so [a] reaches the marking set of []
+        # and the step by b overruns under [a b] first, then again under
+        # the later sorted word [b]; the first prefix is named
+        net = PetriNet(
+            places=["p1", "p2", "p3", "p4"],
+            transitions={"ta": "a", "tb": "b", "s1": None, "s2": None},
+            arcs=[("p1", "ta"), ("ta", "p1"), ("p1", "tb"), ("tb", "p2"),
+                  ("p2", "s1"), ("s1", "p3"), ("p3", "s2"), ("s2", "p4")],
+            initial_marking=Marking.of(["p1"]),
+            final_marking=Marking.of(["p4"]),
+        )
+        log = EventLog({("a", "b"): 1, ("b",): 2})
+        expected = reference_escaping_edges_precision(net, dict(log.variants), 3)
+        assert precision_of(log, net, closure_budget=3) == expected
+        with pytest.raises(BudgetExceeded, match=r"^silent closure after prefix \[a b\] \(2 events\)") as info:
+            precision_of(log, net, closure_budget=2)
+        assert info.value.budget == 2
+
 
 def _precision_outcome(net, table, closure_budget):
     """compute_report's precision over replayed words, or what it raised and its budget.
@@ -413,14 +435,22 @@ class TestPrecisionAgainstReference:
     @staticmethod
     def tables():
         rng = random.Random(43)
+        long_rng = random.Random(47)
         for net in differential_nets():
-            alphabet = sorted({l for l in net.transitions.values() if l is not None} | {"z"})
+            labels = sorted({l for l in net.transitions.values() if l is not None})
+            alphabet = labels + ["z"]
             accepted = sorted(language_upto(net, 4))
+            # a net accepting a word longer than its visible transitions
+            # repeats one: there long words revisit a few marking sets
+            flower_like = any(len(word) > len(labels) for word in language_upto(net, len(labels) + 2))
             for _ in range(3):
                 words = [()] + [random_trace(rng, alphabet, 5) for _ in range(4)]
                 words += rng.sample(accepted, min(4, len(accepted)))
                 words.append(rng.choice(words))  # two variants replaying one word
-                yield net, [(word, rng.randint(1, 6)) for word in words]
+                table = [(word, rng.randint(1, 6)) for word in words]
+                if flower_like:
+                    table += [(random_trace(long_rng, labels, 10), long_rng.randint(1, 6)) for _ in range(4)]
+                yield net, table
 
     def test_exact_equality_and_budget_boundary(self):
         tripped = 0
@@ -436,6 +466,50 @@ class TestPrecisionAgainstReference:
                 assert _precision_outcome(net, table, least - 1) == (BudgetExceeded, least - 1)
                 tripped += 1
         assert tripped > 20
+
+
+def reference_steps(net, words):
+    """The distinct (marking set, label) subset steps of the prefixes of ``words``."""
+    marking_sets = {(): frozenset(reference_silent_closure(net, {net.initial_marking}))}
+    steps = set()
+    for word in words:
+        for i in range(1, len(word) + 1):
+            prefix = word[:i]
+            before = marking_sets[prefix[:-1]]
+            steps.add((before, prefix[-1]))
+            if prefix not in marking_sets:
+                marking_sets[prefix] = frozenset(reference_silent_closure(net, {
+                    reference_fire(net, marking, t)
+                    for marking in before
+                    for t in reference_enabled(net, marking)
+                    if net.label(t) == prefix[-1]
+                }))
+    return steps, len(marking_sets)
+
+
+class TestPrecisionStepMemo:
+    """The replay closes each distinct subset step once, however many prefixes take it."""
+
+    def test_one_closure_per_distinct_step(self, monkeypatch):
+        rng = random.Random(3)
+        net = flower_net(["a", "b", "c"])
+        table = [(random_trace(rng, "abc", 30), rng.randint(1, 12)) for _ in range(60)]
+        words = [word for word, _ in table]
+        steps, prefixes = reference_steps(net, words)
+        calls = []
+        closure = net.compiled.silent_closure
+
+        def counted(start, budget):
+            calls.append(budget)
+            return closure(start, budget)
+
+        monkeypatch.setattr(net.compiled, "silent_closure", counted)
+        precision = _precision_outcome(net, table, DEFAULT_CLOSURE_BUDGET)
+        # two marking sets (before and after the first event) and three labels
+        assert len(steps) == 6
+        assert len(calls) == len(steps) + 1
+        assert prefixes > 500
+        assert precision == _reference_outcome(net, table, DEFAULT_CLOSURE_BUDGET)
 
 
 class TestMemoOrder:
