@@ -29,7 +29,6 @@ from .conformance import (
     check_beta,
     compute_report,
     f_beta,
-    variant_alignments,
 )
 from .discovery import discover
 from .eventlog import CsvColumns, EventLog, LogFormatError, export_xes, parse_csv, parse_xes, variants
@@ -182,36 +181,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     rows: list[list[str]] = []
     failures: list[str] = []
-    aligned = []  # (net, its variant alignments) per distinct net scored so far
+    nets = []  # each distinct net scored so far, whose compiled form keeps its alignments
 
     def add_row(method: str, report, n: int) -> None:
         f1 = f_beta(report.precision, report.fitness, 1.0)
-        rows.append(
-            [
-                method,
-                f"{f1:.6f}",
-                f"{report.f_beta:.6f}",
-                f"{report.fitness:.6f}",
-                f"{report.precision:.6f}",
-                str(report.size),
-                str(report.cardoso),
-                str(n),
-            ]
-        )
+        scores = [f"{x:.6f}" for x in (f1, report.f_beta, report.fitness, report.precision)]
+        rows.append([method, *scores, str(report.size), str(report.cardoso), str(n)])
 
     def score_baseline(selected):
         net = discover(EventLog({t: log.count(t) for t in selected}))
         # baselines often rediscover a net already scored (the flower of a
-        # log whose variants are all kept, say); alignments depend only on
-        # the net's structure, so an equal net reuses them
-        alignments = next((a for seen, a in aligned if seen == net), None)
-        if alignments is None:
-            alignments = variant_alignments(log, net, args.align_budget)
-            aligned.append((net, alignments))
-        return compute_report(
-            log, net, selected, args.beta,
-            alignments=alignments, closure_budget=args.lang_budget,
-        )
+        # log whose variants are all kept, say); scoring the held equal net
+        # reuses its alignments, move table and silent closures
+        held = next((seen for seen in nets if seen == net), None)
+        if held is None:
+            nets.append(net)
+        return compute_report(log, held or net, selected, args.beta, args.align_budget, args.lang_budget)
 
     n_selected = None
     try:
@@ -220,7 +205,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             align_budget=args.align_budget, closure_budget=args.lang_budget,
         )
         n_selected = len(result.prototypes)
-        aligned.append((result.model, result.alignments))
+        nets.append(result.model)
         # the loop already scored its returned model against the whole log
         add_row("prototypes", result.best_report, n_selected)
     except Exception as exc:  # flagged, remaining methods still run

@@ -23,10 +23,10 @@ two), so sets are interned per call and each subset step ``(set,
 label)``, with its silent closure and its enabled labels, is computed
 once and memoised; weights and observed labels stay per node.
 
-``variant_alignments`` aligns each variant of a log once, and
-``compute_report`` derives every metric from those alignments in one
-pass: fitness, precision, F_beta and both coverages. No other function
-turns alignments into metrics.
+``variant_alignments`` aligns each variant of a log once per net and
+budget, and ``compute_report`` derives every metric from those
+alignments in one pass: fitness, precision, F_beta and both coverages.
+No other function turns alignments into metrics.
 
 Every search here, the alignments and the precision replay alike, runs
 on the net's compiled form (``PetriNet.compiled``), so they share its one
@@ -116,14 +116,20 @@ def variant_alignments(
     each variant's cost and projection are those of its own search
     (``_align_trie``), and when the joint search raises, that loop runs
     instead, so the error names the first sorted variant that fails.
+    The one place alignments are reused: each result is kept on
+    ``net.compiled`` by (sorted variants, budget), and each call gets its
+    own copy. A search that raises keeps nothing.
     """
     ordered = sorted(log.variants)
     if not ordered:
         return {}
-    try:
-        return dict(zip(ordered, _align_trie(ordered, net, budget)))
-    except (BudgetExceeded, ValueError):
-        return {trace: alignment_cost(trace, net, budget) for trace in ordered}
+    memo, key = net.compiled.alignments, (tuple(ordered), budget)
+    if key not in memo:
+        try:
+            memo[key] = dict(zip(ordered, _align_trie(ordered, net, budget)))
+        except (BudgetExceeded, ValueError):
+            memo[key] = {trace: alignment_cost(trace, net, budget) for trace in ordered}
+    return dict(memo[key])
 
 
 def _align_trie(ordered: Sequence[Trace], net: PetriNet, budget: int) -> list[AlignmentResult]:
@@ -328,7 +334,6 @@ def compute_report(
     prototype_list: Sequence[Trace],
     beta: float,
     budget: int = DEFAULT_ALIGN_BUDGET,
-    alignments: Mapping[Trace, AlignmentResult] | None = None,
     closure_budget: int = DEFAULT_CLOSURE_BUDGET,
 ) -> QualityReport:
     """Score a net against a log from one alignment per variant.
@@ -339,11 +344,11 @@ def compute_report(
     its closest model word. Log coverage is the share of traces equal to
     a prototype, model trace coverage the share aligning at cost zero.
 
-    Callers that already hold per-variant alignments (the selection loop
-    does) can pass them in to avoid a second search. An empty log, or a
-    prototype that is not a variant of the log, raises ValueError. The
-    shortest model word is found before any variant is aligned, so a net
-    whose final marking is unreachable fails fast with ValueError.
+    The alignments are ``variant_alignments``', reused when that net was
+    aligned before. An empty log, or a prototype that is not a variant of
+    the log, raises ValueError. The shortest model word is found before
+    any variant is aligned, so a net whose final marking is unreachable
+    fails fast with ValueError.
     """
     table = log.variants
     total = log.total_traces
@@ -354,23 +359,8 @@ def compute_report(
     if unknown:
         raise ValueError(f"prototype {unknown[0]!r} is not a variant of the log")
     shortest = shortest_visible_path(net)
-    if alignments is None:
-        alignments = variant_alignments(log, net, budget)
-    # 1 - fitness is sum(count * cost / (len(trace) + shortest)) / total;
-    # fitting variants add nothing (nor does the empty trace against a
-    # model accepting the empty word, the one zero denominator), so only
-    # deviating costs are summed per denominator; over the denominators'
-    # least common multiple the rational is exact in integers, and int /
-    # int true division rounds it once, as float(Fraction) does
-    deviation: dict[int, int] = {}
-    for trace, count in table.items():
-        cost = alignments[trace].cost
-        if cost:
-            denominator = len(trace) + shortest
-            deviation[denominator] = deviation.get(denominator, 0) + count * cost
-    common = math.lcm(*deviation)
-    scale = common * total
-    fit = (scale - sum(v * (common // d) for d, v in deviation.items())) / scale
+    alignments = variant_alignments(log, net, budget)
+    fit = _log_fitness(table, total, alignments, shortest)
     projected: dict[Trace, int] = {}
     for trace, count in table.items():
         word = alignments[trace].model_projection
@@ -388,6 +378,26 @@ def compute_report(
         log_coverage=log_cov,
         model_trace_coverage=model_cov,
     )
+
+
+def _log_fitness(
+    table: Mapping[Trace, int], total: int, alignments: Mapping[Trace, AlignmentResult], shortest: int
+) -> float:
+    # 1 - fitness is sum(count * cost / (len(trace) + shortest)) / total;
+    # fitting variants add nothing (nor does the empty trace against a
+    # model accepting the empty word, the one zero denominator), so only
+    # deviating costs are summed per denominator; over the denominators'
+    # least common multiple the rational is exact in integers, and int /
+    # int true division rounds it once, as float(Fraction) does
+    deviation: dict[int, int] = {}
+    for trace, count in table.items():
+        cost = alignments[trace].cost
+        if cost:
+            denominator = len(trace) + shortest
+            deviation[denominator] = deviation.get(denominator, 0) + count * cost
+    common = math.lcm(*deviation)
+    scale = common * total
+    return (scale - sum(v * (common // d) for d, v in deviation.items())) / scale
 
 
 def _escaping_edges_precision(

@@ -25,7 +25,6 @@ from .clustering import kmedoids
 from .conformance import (
     DEFAULT_ALIGN_BUDGET,
     DEFAULT_CLOSURE_BUDGET,
-    AlignmentResult,
     QualityReport,
     check_beta,
     compute_report,
@@ -56,16 +55,15 @@ class IterationRecord(NamedTuple):
 class SelectionResult(NamedTuple):
     """Final model, its prototypes, and the full iteration history.
 
-    ``alignments`` holds the model's alignment of every variant of the
-    log, and ``distances`` the variant distance matrix the loop clustered
-    on, so callers reuse both instead of computing them again.
+    ``distances`` is the variant distance matrix the loop clustered on,
+    for callers to reuse. The model keeps its alignments itself: scored
+    again on this log and budget, it is not aligned again.
     """
 
     model: PetriNet
     prototypes: tuple[Trace, ...]
     history: tuple[IterationRecord, ...]
     stop_reason: str
-    alignments: dict[Trace, AlignmentResult]
     distances: DistanceMatrix
 
     @property
@@ -109,24 +107,21 @@ def select_incremental(
         try:
             net = discover(EventLog({t: log.count(t) for t in selected}))
             alignments = variant_alignments(log, net, align_budget)
-            report = compute_report(
-                log, net, selected, beta, alignments=alignments, closure_budget=closure_budget
-            )
+            # the report finds these alignments on the net and searches them no more
+            report =compute_report(log, net, selected, beta, align_budget, closure_budget)
         except Exception as exc:
             raise RuntimeError(f"prototype selection failed at iteration {iteration}: {exc}") from exc
         history.append(IterationRecord(iteration, added, len(selected), report))
         if len(history) > 1 and report.f_beta <= history[-2].report.f_beta:
             stop_reason = STOP_NO_IMPROVEMENT
             break
-        model, kept, model_alignments = net, len(selected), alignments
+        model, kept = net, len(selected)
         pool = [(t, c) for t, c in ordered if alignments[t].cost > 0]  # fitness < 1, exactly
         if not pool:
             stop_reason = STOP_NO_DEVIATING_TRACES
             break
 
-    return SelectionResult(
-        model, tuple(selected[:kept]), tuple(history), stop_reason, model_alignments, matrix
-    )
+    return SelectionResult(model, tuple(selected[:kept]), tuple(history), stop_reason, matrix)
 
 
 def baseline_frequency(log: EventLog, n: int) -> list[Trace]:

@@ -24,7 +24,7 @@ from protomine import (
     three_group_net,
     two_group_net,
 )
-from protomine import cli, protoselect
+from protomine import cli, petrinet
 from protomine.builtin_models import MODELS, choice_parallel_net
 from protomine.cli import main
 from protomine.protoselect import _perturb
@@ -288,14 +288,16 @@ class TestCompare:
         log = gen_synthetic(flower_net("abc"), 150, 0.2, seed=1)
         log_path = tmp_path / "flower.xes"
         log_path.write_bytes(export_xes(log))
-        nets, aligned = [], []  # the selected model, then each baseline's net
-        loop_calls = []  # the alignment passes made by the selection loop
-        discover = cli.discover
+        nets = []  # the selected model, then each baseline's net
+        aligned, built = [], []  # the nets of each full-log search and of each CompiledNet built
+        loop_aligned = []  # the full-log searches made by the selection loop
+        discover, search, compile_net = cli.discover, conformance._align_trie, petrinet.CompiledNet.__init__
 
         def select(*args, **kwargs):
             result = select_incremental(*args, **kwargs)
-            loop_calls.extend(aligned)
+            loop_aligned.extend(aligned)
             aligned.clear()
+            built.clear()
             nets.append(result.model)
             return result
 
@@ -303,13 +305,17 @@ class TestCompare:
             nets.append(discover(prototype_log))
             return nets[-1]
 
-        # every alignment pass over the log, through each module that can make one
-        for module in (cli, protoselect, conformance):
-            def counted(log, net, budget, name=module.__name__, align=module.variant_alignments):
-                aligned.append((name, net))
-                return align(log, net, budget)
+        def counted_search(ordered, net, budget):
+            if list(ordered) == sorted(log.variants):  # every variant, not the shortest word
+                aligned.append(net)
+            return search(ordered, net, budget)
 
-            monkeypatch.setattr(module, "variant_alignments", counted)
+        def counted_build(compiled, net):
+            built.append(net)
+            compile_net(compiled, net)
+
+        monkeypatch.setattr(conformance, "_align_trie", counted_search)
+        monkeypatch.setattr(petrinet.CompiledNet, "__init__", counted_build)
         monkeypatch.setattr(cli, "select_incremental", select)
         monkeypatch.setattr(cli, "discover", rediscover)
         assert run("compare", "--in", log_path, "--k", "2", "--out", tmp_path / "c") == 0
@@ -318,10 +324,12 @@ class TestCompare:
             if net not in distinct:
                 distinct.append(net)
         assert len(nets) == 4 and len(distinct) < len(nets)  # the property this log exercises
-        assert loop_calls and {name for name, _ in loop_calls} == {"protomine.protoselect"}
-        # the model's alignments are reused; every other distinct net is aligned once
-        assert [name for name, _ in aligned] == ["protomine.cli"] * (len(distinct) - 1)
-        assert [net for _, net in aligned] == distinct[1:]
+        assert loop_aligned
+        # the model's alignments are reused; every other distinct net is
+        # compiled and aligned once, and a baseline equal to a scored net
+        # is scored on that net's object
+        assert [id(net) for net in aligned] == [id(net) for net in distinct[1:]]
+        assert [id(net) for net in built] == [id(net) for net in distinct[1:]]
 
     def test_prototypes_row_matches_discover_report(self, tmp_path):
         log_path = tmp_path / "noisy.xes"

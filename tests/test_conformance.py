@@ -255,6 +255,61 @@ class TestJointSearch:
         assert variant_alignments(EventLog({}), unreachable_final_net(), 0) == {}
 
 
+class TestAlignmentMemo:
+    """``variant_alignments`` keeps each result on the net's compiled form, per variants and budget."""
+
+    @staticmethod
+    def searches(monkeypatch):
+        """The variant lists ``_align_trie`` searches from now on."""
+        searched, search = [], conformance._align_trie
+        monkeypatch.setattr(
+            conformance, "_align_trie", lambda ordered, *rest: searched.append(list(ordered)) or search(ordered, *rest)
+        )
+        return searched
+
+    def test_same_variants_and_budget_search_once(self, monkeypatch):
+        log = gen_synthetic(two_group_net(), 200, noise_rate=0.4, seed=3)
+        net = two_group_net()
+        searched = self.searches(monkeypatch)
+        first = variant_alignments(log, net)
+        # equal variants under other counts are the same key
+        recounted = EventLog({trace: 1 for trace in reversed(list(log.variants))})
+        assert variant_alignments(recounted, net) == first
+        assert compute_report(log, net, [], 1.0).fitness < 1
+        assert searched == [sorted(log.variants), [()]]  # the second is compute_report's shortest word
+        assert variant_alignments(log, net, DEFAULT_ALIGN_BUDGET - 1) == first
+        assert len(searched) == 3
+
+    def test_smaller_budget_after_a_success_raises_as_on_a_fresh_net(self):
+        log = gen_synthetic(two_group_net(), 200, noise_rate=0.4, seed=3)
+        net = two_group_net()
+        least = max(reference_expansions(trace, net) for trace in log.variants)
+        variant_alignments(log, net, least)
+        expected = _log_outcome(variant_alignments, log, two_group_net(), least - 1)
+        assert expected[0] is BudgetExceeded
+        assert _log_outcome(variant_alignments, log, net, least - 1) == expected
+
+    def test_an_overrun_keeps_nothing(self, monkeypatch):
+        log = gen_synthetic(two_group_net(), 200, noise_rate=0.4, seed=3)
+        net = two_group_net()
+        with pytest.raises(BudgetExceeded):
+            variant_alignments(log, net, 1)
+        assert net.compiled.alignments == {}
+        searched = self.searches(monkeypatch)
+        assert variant_alignments(log, net) == variant_alignments(log, two_group_net())
+        assert len(searched) == 2  # one search per net
+
+    def test_each_call_gets_its_own_dict(self):
+        log = gen_synthetic(two_group_net(), 200, noise_rate=0.4, seed=3)
+        net = two_group_net()
+        first = variant_alignments(log, net)
+        expected = dict(first)
+        trace = next(iter(first))
+        first[trace] = AlignmentResult(99, ())
+        del first[sorted(first)[-1]]
+        assert variant_alignments(log, net) == expected
+
+
 class TestTraceFitness:
     def test_perfect(self, fixture_net):
         assert fitness_of(("a", "d", "c", "e"), fixture_net) == 1
@@ -320,8 +375,7 @@ class TestLogFitness:
                 else:
                     expected += count * (1 - Fraction(alignments[trace].cost, denominator))
             expected /= log.total_traces
-            report = compute_report(log, net, [], 1.0, alignments=alignments)
-            assert report.fitness == float(expected)
+            assert conformance._log_fitness(log.variants, log.total_traces, alignments, shortest) == float(expected)
 
 
 class TestEtcPrecision:
@@ -409,12 +463,14 @@ def _precision_outcome(net, table, closure_budget):
     """compute_report's precision over replayed words, or what it raised and its budget.
 
     ``table`` lists (model word, count) pairs, one log variant each; every
-    variant aligns at cost 0 onto its word, which the net may reject.
+    variant aligns at cost 0 onto its word, which the net may reject, so
+    the words are replayed as ``compute_report`` replays projections.
     """
-    log = EventLog({(f"v{i}",): count for i, (_, count) in enumerate(table)})
-    alignments = {(f"v{i}",): AlignmentResult(0, word) for i, (word, _) in enumerate(table)}
+    projected = {}
+    for word, count in table:
+        projected[word] = projected.get(word, 0) + count
     try:
-        return compute_report(log, net, [], 1.0, alignments=alignments, closure_budget=closure_budget).precision
+        return conformance._escaping_edges_precision(net, projected, closure_budget)
     except BudgetExceeded as exc:
         return BudgetExceeded, exc.budget
 

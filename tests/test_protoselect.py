@@ -20,7 +20,6 @@ from protomine import (
     select_incremental,
     three_group_net,
     two_group_net,
-    variant_alignments,
     variants,
 )
 
@@ -174,8 +173,7 @@ class TestSelectIncremental:
         assert best.report == result.best_report
         for p in result.prototypes:
             assert alignment_cost(p, result.model).cost == 0
-        # what the result carries for reuse is the returned model's, and the loop's matrix
-        assert result.alignments == variant_alignments(log, result.model)
+        # what the result carries for reuse is the loop's matrix
         assert result.distances == distance_matrix([t for t, _ in variants(log)])
         if result.stop_reason == "no_improvement":
             assert best is history[-2]
