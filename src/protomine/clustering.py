@@ -12,22 +12,24 @@ initialisation starting at the most frequent variant, so the same input
 always gives the same clustering.
 
 The medoid update is the costly step, O(m²) per cluster of m members.
-A candidate's cost is summed in two halves, the distances to the
-weight-1 members as they are read and the weighted distances to the
-rest, since most variants of a log occur once. Candidates whose cost
-cannot beat the best one are skipped: by the triangle inequality
-C(j) ≥ |W·d(j, m) − C(m)|, with W the cluster's total weight, m its
-current medoid and C(m) that medoid's cost, computed first (the
-one-medoid bound of trimed, Newling & Fleuret, AISTATS 2017). Members
-are visited in order and one is skipped when its bound reaches the best
-cost visited so far, so it could at most tie, and ties keep the lowest
-index.
+It runs on packed integers, as ``tracedist`` does: once per call, each
+member's matrix row is read as one int with one fixed-width field per
+matrix column, its count times that row's distance. The sum of the
+members' ints holds in field j the weighted cost of variant j as the
+medoid, every candidate at once, and one ``to_bytes`` reads them all.
+A field's sum is at most the total weight times the largest distance,
+twice the longest variant, so while that bound is below 2**31 the
+fields are the rows' 4-byte entries and no field carries into the next;
+below 2**63 they widen to 8 bytes. A pool whose bound reaches 2**63, a
+total weight of 2**62 divided by the longest variant's length, raises
+ValueError.
 """
 
 from __future__ import annotations
 
-import math
-from operator import itemgetter, mul
+import sys
+from array import array
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .eventlog import Trace
@@ -47,13 +49,9 @@ class Clustering(NamedTuple):
 
 
 def _gatherer(positions: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
-    """Reads the entries at positions from a matrix row, in their order."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    if positions:
-        first = positions[0]
-        return lambda row: (row[first],)
-    return lambda row: ()
+    """Reads the entries at positions (at least one) from a matrix row, in their order."""
+    get = itemgetter(*positions)
+    return get if len(positions) > 1 else lambda row: (get(row),)
 
 
 def kmedoids(
@@ -75,6 +73,10 @@ def kmedoids(
     if k > n:
         raise ValueError(f"k={k} exceeds the number of variants ({n})")
     traces, counts = zip(*variant_counts)
+    bound = sum(counts) * 2 * max(map(len, matrix.variant_index))  # above every weighted cost
+    if bound >= 1 << 63:
+        raise ValueError(f"weighted costs up to {bound} do not fit 8-byte fields (2**63)")
+    code = "i" if bound < 1 << 31 else "q"
     index = {t: i for i, t in enumerate(matrix.variant_index)}
     positions = [index.get(t, -1) for t in traces]
     if -1 in positions:
@@ -83,6 +85,9 @@ def kmedoids(
         raise ValueError("variant list contains duplicates")
     rows = [matrix.entries[p] for p in positions]
     gather = _gatherer(positions)  # row -> distances to the given variants
+    # field j of packed[i] holds counts[i] * d(i, j), as wide as an item of code
+    packed = [c * int.from_bytes(array(code, row), sys.byteorder) for c, row in zip(counts, rows)]
+    size = len(matrix.variant_index) * array(code).itemsize
 
     # farthest-point init: start at the most frequent variant, then
     # repeatedly take the variant farthest from all chosen medoids
@@ -106,33 +111,11 @@ def kmedoids(
             members = [i for i, a in enumerate(assign) if a == c]
             if not members:  # unreachable for metric distances; keep medoid
                 continue
-            # weighted cost of a member as the candidate medoid
-            heavy = [i for i in members if counts[i] != 1]
-            gather_ones = _gatherer([positions[i] for i in members if counts[i] == 1])
-            gather_rest = _gatherer([positions[i] for i in heavy])
-            weights = [counts[i] for i in heavy]
-
-            def cost(i: int) -> int:
-                row = rows[i]
-                return sum(gather_ones(row)) + sum(map(mul, weights, gather_rest(row)))
-
-            # a member whose bound |W * d(j, m) - C(m)| reaches the best cost
-            # visited so far can at most tie it, and ties keep the lower index
-            medoid = medoid_idx[c]
-            medoid_cost = cost(medoid)
-            total_weight = sum(counts[i] for i in members)
-            to_medoid = columns[c]
-            best, best_cost = medoid, math.inf
-            for i in members:
-                if i == medoid:
-                    candidate = medoid_cost
-                elif abs(total_weight * to_medoid[i] - medoid_cost) >= best_cost:
-                    continue
-                else:
-                    candidate = cost(i)
-                if candidate < best_cost:
-                    best, best_cost = i, candidate
-            medoid_idx[c] = best
+            # field j of the sum is variant j's weighted cost as the medoid
+            costs = sum(map(packed.__getitem__, members)).to_bytes(size, sys.byteorder)
+            candidates = _gatherer([positions[i] for i in members])(memoryview(costs).cast(code))
+            best_cost = min(candidates)  # the first least cost wins: ties keep the lowest index
+            medoid_idx[c] = members[candidates.index(best_cost)]
             round_cost += best_cost
         iteration_costs.append(round_cost)
     assign = new_assign  # differs from the last one only at the round cap

@@ -32,14 +32,10 @@ Every search here, the alignments and the precision replay alike, runs
 on the net's compiled form (``PetriNet.compiled``), so they share its one
 id-keyed table of moves and its silent closures.
 
-There is one alignment search, ``_align_trie``, and it runs over the
-prefix trie of the traces it aligns (after prefix-alignments, van Zelst
-et al., IJDSA 2019): one trace for ``alignment_cost``, every variant of
-a log for ``variant_alignments``. Its states are ints, ``marking id *
-nodes + node``, and its queue is a bucket queue (Dial, 1969) over costs
-0 and 1: two arrays of LIFO stacks indexed by trie depth, one per cost.
-On one trace it pops in the order of a heap search on (marking, pos)
-tuples, and restricted to one variant's path the joint search pops in
+There is one alignment search, ``_align_trie`` (after prefix-alignments,
+van Zelst et al., IJDSA 2019), over a prefix trie: one trace's path for
+``alignment_cost``, the log's trie of every variant, built once per log,
+for ``variant_alignments``. Restricted to one variant's path it pops in
 that variant's own order, so every cost, projection and budget overrun
 is that of aligning the variant alone.
 
@@ -55,7 +51,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .eventlog import EventLog, Trace
+from .eventlog import EventLog, PrefixTrie, Trace, prefix_trie
 from .petrinet import BudgetExceeded, PetriNet, cardoso_metric, size_metric
 
 DEFAULT_ALIGN_BUDGET = 500_000
@@ -78,9 +74,7 @@ def alignment_cost(
     fire a transition matching the next activity (free), fire a silent
     transition (free), fire a visible transition without consuming input
     (cost 1, an insertion), or skip the next input activity (cost 1, a
-    deletion). Among equal-cost states the search prefers those with
-    more of the trace consumed, which does not affect optimality.
-    Raises BudgetExceeded naming the trace when over ``budget`` states
+    deletion). Raises BudgetExceeded naming the trace when over ``budget`` states
     expand, and ValueError when the final marking is not reachable.
 
     This is ``_align_trie`` on the one-path trie of the trace, where a
@@ -89,15 +83,18 @@ def alignment_cost(
     ``tests/conftest.py`` keeps as the oracle, so costs, projections and
     budget overruns are the oracle's.
     """
-    return _align_trie([tuple(trace)], net, budget)[0]
+    return _align_trie(prefix_trie([tuple(trace)]), net, budget)[0]
 
 
 def shortest_visible_path(net: PetriNet, budget: int = DEFAULT_ALIGN_BUDGET) -> int:
-    """Fewest visible labels on any accepting firing sequence: the empty trace's alignment cost."""
-    try:
-        return alignment_cost((), net, budget).cost
-    except BudgetExceeded:
-        raise BudgetExceeded(f"shortest path search on {net!r}", budget) from None
+    """Fewest visible labels of an accepted word: the empty trace's cost, kept on the net per budget."""
+    memo = net.compiled.shortest
+    if budget not in memo:
+        try:
+            memo[budget] = alignment_cost((), net, budget).cost
+        except BudgetExceeded:
+            raise BudgetExceeded(f"shortest path search on {net!r}", budget) from None
+    return memo[budget]
 
 
 def _events(trace: Trace) -> str:
@@ -109,7 +106,7 @@ def _events(trace: Trace) -> str:
 def variant_alignments(
     log: EventLog, net: PetriNet, budget: int = DEFAULT_ALIGN_BUDGET
 ) -> dict[Trace, AlignmentResult]:
-    """Optimal alignment per variant, in sorted order, from one search over the variants' prefix trie.
+    """Optimal alignment per variant, in sorted order, from one search over ``log.prefix_trie``.
 
     The result, budget overruns and errors included, is that of
     ``{t: alignment_cost(t, net, budget) for t in sorted(log.variants)}``:
@@ -120,31 +117,29 @@ def variant_alignments(
     ``net.compiled`` by (sorted variants, budget), and each call gets its
     own copy. A search that raises keeps nothing.
     """
-    ordered = sorted(log.variants)
-    if not ordered:
+    trie = log.prefix_trie
+    if not trie.traces:
         return {}
-    memo, key = net.compiled.alignments, (tuple(ordered), budget)
+    memo, key = net.compiled.alignments, (trie.traces, budget)
     if key not in memo:
         try:
-            memo[key] = dict(zip(ordered, _align_trie(ordered, net, budget)))
+            memo[key] = dict(zip(trie.traces, _align_trie(trie, net, budget)))
         except (BudgetExceeded, ValueError):
-            memo[key] = {trace: alignment_cost(trace, net, budget) for trace in ordered}
+            memo[key] = {trace: alignment_cost(trace, net, budget) for trace in trie.traces}
     return dict(memo[key])
 
 
-def _align_trie(ordered: Sequence[Trace], net: PetriNet, budget: int) -> list[AlignmentResult]:
-    """Optimal alignment of each of the sorted, distinct traces ``ordered``, in one search.
+def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentResult]:
+    """Optimal alignment of each of the trie's traces, in one search.
 
-    The search runs over the traces' prefix trie, a node standing for
-    the prefix consumed so far. A state is one int, ``marking id * nodes
-    + node``; the marking ids and their move lists come from
-    ``PetriNet.compiled`` (``initial``, ``final``, ``moves``) and outlive
-    the call, so every search against the same net reuses what earlier
-    ones built. Silent moves (free) and insertions (cost 1) stay at the
-    node; a synchronous move (free) steps to the child with its label, a
-    deletion (cost 1) to every child. A trace is settled when (final,
-    its node) pops; a state whose node has no unsettled trace at or
-    below it is skipped.
+    A node stands for the prefix consumed so far, and a state is one
+    int, ``marking id * nodes + node``, over the marking ids and moves of
+    ``PetriNet.compiled``, which outlive the call. Silent moves (free)
+    and insertions (cost 1) stay at the node; a synchronous move (free)
+    steps to the child with its label, a deletion (cost 1) to every
+    child. A trace is settled when (final, its node) pops. A node with
+    no unsettled trace at or below it stays so, and a state there is
+    neither pushed nor expanded.
 
     Every move costs 0 or 1, so a state popped at ``cost`` pushes only
     at ``cost`` or ``cost + 1``, and the queue is a bucket queue (Dial,
@@ -173,24 +168,9 @@ def _align_trie(ordered: Sequence[Trace], net: PetriNet, budget: int) -> list[Al
     unsettled raises ValueError. This is the hot loop of every
     log-versus-model score.
     """
-    # the prefix trie: per node its parent, children by label and the
-    # index of the trace ending there, if any; parents come first
-    up, kids, ends = [-1], [{}], [-1]
-    for index, trace in enumerate(ordered):
-        node = 0
-        for label in trace:
-            child = kids[node].get(label)
-            if child is None:
-                child = kids[node][label] = len(up)
-                up.append(node)
-                kids.append({})
-                ends.append(-1)
-            node = child
-        ends[node] = index
+    ordered, up, kids, ends = trie.traces, trie.up, trie.kids, trie.ends
     nodes = len(up)
-    live = [int(end >= 0) for end in ends]  # unsettled traces at or below each node
-    for node in range(nodes - 1, 0, -1):
-        live[up[node]] += live[node]
+    live = trie.live.copy()  # unsettled traces at or below each node
 
     compiled = net.compiled
     moves_of = compiled.moves
@@ -254,7 +234,7 @@ def _align_trie(ordered: Sequence[Trace], net: PetriNet, budget: int) -> list[Al
                             here.append(nxt)
                         continue
                     child = children.get(label)
-                    if child is not None:  # synchronous
+                    if child is not None and live[child]:  # synchronous
                         sync = nxt - node + child
                         if cost < dist.get(sync, paid):
                             dist[sync] = cost
@@ -266,7 +246,7 @@ def _align_trie(ordered: Sequence[Trace], net: PetriNet, budget: int) -> list[Al
                         inserted.append(nxt)
                 for child in children.values():  # trace-only (deletion)
                     nxt = state - node + child
-                    if paid < dist.get(nxt, paid + 1):
+                    if live[child] and paid < dist.get(nxt, paid + 1):
                         dist[nxt] = paid
                         parent[nxt] = (state, None)
                         deleted.append(nxt)

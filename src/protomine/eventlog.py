@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 import math
 import re
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from xml.parsers import expat
 
@@ -72,6 +73,11 @@ class EventLog:
         """The activity universe: every label occurring in the log."""
         return frozenset(a for trace in self._variants for a in trace)
 
+    @cached_property
+    def prefix_trie(self) -> "PrefixTrie":
+        """The prefix trie of the sorted variants, built on first use."""
+        return prefix_trie(self._variants)
+
     def count(self, trace: Sequence[str]) -> int:
         return self._variants.get(tuple(trace), 0)
 
@@ -92,6 +98,36 @@ class EventLog:
 
     def __repr__(self) -> str:
         return f"EventLog({len(self)} variants, {self.total_traces} traces)"
+
+
+class PrefixTrie(NamedTuple):
+    """The prefix trie of sorted, distinct traces; node 0 is the empty prefix, parents come first."""
+
+    traces: tuple[Trace, ...]
+    up: list[int]  # per node, its parent (-1 at the root)
+    kids: list[dict[str, int]]  # per node, its children by label
+    ends: list[int]  # per node, the index in traces of the trace ending there, or -1
+    live: list[int]  # per node, the traces ending at or below it
+
+
+def prefix_trie(traces: Iterable[Trace]) -> PrefixTrie:
+    """The prefix trie of distinct traces, which it sorts."""
+    ordered = tuple(sorted(traces))
+    up, kids, ends, live = [-1], [{}], [-1], [len(ordered)]
+    for index, trace in enumerate(ordered):
+        node = 0
+        for label in trace:
+            child = kids[node].get(label)
+            if child is None:
+                child = kids[node][label] = len(up)
+                up.append(node)
+                kids.append({})
+                ends.append(-1)
+                live.append(0)
+            node = child
+            live[node] += 1
+        ends[node] = index
+    return PrefixTrie(ordered, up, kids, ends, live)
 
 
 def variants(log: EventLog) -> list[tuple[Trace, int]]:

@@ -164,8 +164,8 @@ class CompiledNet:
     holds the silent closure of each single id. Both are filled on
     demand and kept for every later query, so all alignments and the
     precision replay on one net share that work; the memo grows with the
-    states the searches visit and lives as long as the net, as does
-    ``alignments``, ``conformance.variant_alignments``' memo. Ids depend
+    states the searches visit and lives as long as the net, as do the memos
+    of ``conformance``: ``alignments`` and ``shortest``. Ids depend
     on the order earlier searches reached the markings, so a search may
     use them only as identities, never to order states.
     """
@@ -187,6 +187,7 @@ class CompiledNet:
         self._moves: list[list[Move] | None] = []  # id -> moves, None until asked
         self._closures: dict[int, frozenset[int]] = {}
         self.alignments: dict[tuple, dict] = {}
+        self.shortest: dict[int, int] = {}
         self.initial = self.state_id(net.initial_marking)
         self.final = self.state_id(net.final_marking)
 

@@ -108,7 +108,7 @@ def select_incremental(
             net = discover(EventLog({t: log.count(t) for t in selected}))
             alignments = variant_alignments(log, net, align_budget)
             # the report finds these alignments on the net and searches them no more
-            report =compute_report(log, net, selected, beta, align_budget, closure_budget)
+            report = compute_report(log, net, selected, beta, align_budget, closure_budget)
         except Exception as exc:
             raise RuntimeError(f"prototype selection failed at iteration {iteration}: {exc}") from exc
         history.append(IterationRecord(iteration, added, len(selected), report))

@@ -305,10 +305,10 @@ class TestCompare:
             nets.append(discover(prototype_log))
             return nets[-1]
 
-        def counted_search(ordered, net, budget):
-            if list(ordered) == sorted(log.variants):  # every variant, not the shortest word
+        def counted_search(trie, net, budget):
+            if list(trie.traces) == sorted(log.variants):  # every variant, not the shortest word
                 aligned.append(net)
-            return search(ordered, net, budget)
+            return search(trie, net, budget)
 
         def counted_build(compiled, net):
             built.append(net)

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from protomine import distance_matrix, kmedoids
-from protomine.tracedist import DistanceMatrix
 
 from .conftest import random_trace, reference_kmedoids
 
@@ -40,22 +39,6 @@ def fields(clustering):
         "total_cost": clustering.total_cost,
         "iteration_costs": clustering.iteration_costs,
     }
-
-
-class CountingRow(list):
-    """A distance-matrix row that counts the reads of its entries."""
-
-    reads = 0
-
-    def __getitem__(self, index):
-        self.reads += 1
-        return super().__getitem__(index)
-
-
-def counting_matrix(traces):
-    """The distance matrix of traces, with rows that count their reads."""
-    matrix = distance_matrix(traces)
-    return DistanceMatrix(matrix.variant_index, tuple(CountingRow(row) for row in matrix.entries))
 
 
 WEIGHT_REGIMES = {
@@ -157,8 +140,8 @@ class TestKMedoids:
 
     @pytest.mark.parametrize("regime", sorted(WEIGHT_REGIMES))
     def test_weight_split_and_bound_match_reference(self, regime):
-        # all weight 1 leaves the weighted half of every cluster empty, all
-        # weights >= 2 the weight-1 half; the spread fills both
+        # clusters of weight-1 members only, of heavier members only, and
+        # of both
         rng = random.Random(17)
         halves = set()
         for _ in range(30):
@@ -180,34 +163,52 @@ class TestKMedoids:
         else:
             assert halves == expected
 
-    def test_member_whose_bound_equals_the_best_cost_is_skipped(self):
-        # the medoid ("b", "b", "a") costs 4 and comes second; the last
-        # member's bound |W * d - C(m)| = |4 * 2 - 4| equals that best cost,
-        # so its sum (6) is never computed: a computed sum reads the
-        # whole row, and the final total cost one entry of every row
+    def test_middle_member_with_the_least_weighted_cost_is_the_medoid(self):
+        # the members cost 6, 4 and 6 as the medoid: the weight-2 middle
+        # one wins, and the first and the last tie above it
         variant_counts = [(("a", "b", "a"), 1), (("b", "b", "a"), 2), (("b", "a", "b"), 1)]
-        matrix = counting_matrix([t for t, _ in variant_counts])
+        matrix = distance_matrix([t for t, _ in variant_counts])
         clustering = kmedoids(variant_counts, 1, matrix)
         assert clustering.medoids == (("b", "b", "a"),)
         assert fields(clustering) == reference_kmedoids(variant_counts, 1)
-        assert matrix.entries[0].reads == 3 + 1
-        assert matrix.entries[2].reads == 1
 
     def test_later_member_tying_the_best_cost_loses(self):
-        # the first member (the medoid) and the last both cost 12; the last
-        # one's bound (4) is below 12, so its sum is computed and must lose
+        # the first member (the medoid) and the last both cost 12, and the
+        # first least cost wins
         variant_counts = [
             (("b", "a", "b"), 3),
             (("a", "a", "a"), 1),
             (("b", "b", "a"), 1),
             (("a", "b", "b"), 3),
         ]
-        matrix = counting_matrix([t for t, _ in variant_counts])
+        matrix = distance_matrix([t for t, _ in variant_counts])
         clustering = kmedoids(variant_counts, 1, matrix)
         assert clustering.medoids == (("b", "a", "b"),)
         assert clustering.total_cost == 12
         assert fields(clustering) == reference_kmedoids(variant_counts, 1)
-        assert matrix.entries[3].reads == 4 + 1
+
+    def test_weights_past_four_byte_fields_match_reference(self):
+        # a weighted cost can pass 2**31, so the packed sums need 8-byte fields
+        rng = random.Random(21)
+        costs = []
+        for _ in range(20):
+            pool = sorted({random_trace(rng, "abc", 5) for _ in range(rng.randint(2, 20))})
+            matrix = distance_matrix(pool)
+            variant_counts = [(t, rng.choice([1, 3 << 30, rng.randint(1, 3 << 40)])) for t in pool]
+            assert sum(c for _, c in variant_counts) * 2 * max(map(len, pool)) >= 1 << 31
+            for k in range(1, min(3, len(pool)) + 1):
+                clustering = kmedoids(variant_counts, k, matrix)
+                assert fields(clustering) == reference_kmedoids(variant_counts, k)
+                costs.append(clustering.total_cost)
+        assert max(costs) >= 1 << 31
+
+    def test_pool_whose_costs_can_reach_2_to_the_63_rejected(self):
+        matrix = distance_matrix([("a",), ("b",)])
+        variant_counts = [(("a",), 1 << 61), (("b",), 1 << 61)]
+        with pytest.raises(ValueError, match=r"weighted costs up to 9223372036854775808 .*2\*\*63"):
+            kmedoids(variant_counts, 1, matrix)
+        # one trace less fits the 8-byte fields
+        assert kmedoids([(("a",), (1 << 61) - 1), (("b",), 1 << 61)], 1, matrix).total_cost == (1 << 62) - 2
 
     def test_singleton_clusters_match_reference(self):
         variant_counts = [(("a",), 3), (("b",), 3), (("a", "b"), 1), (("b", "a"), 1)]

@@ -263,7 +263,7 @@ class TestAlignmentMemo:
         """The variant lists ``_align_trie`` searches from now on."""
         searched, search = [], conformance._align_trie
         monkeypatch.setattr(
-            conformance, "_align_trie", lambda ordered, *rest: searched.append(list(ordered)) or search(ordered, *rest)
+            conformance, "_align_trie", lambda trie, *rest: searched.append(list(trie.traces)) or search(trie, *rest)
         )
         return searched
 
@@ -298,6 +298,25 @@ class TestAlignmentMemo:
         searched = self.searches(monkeypatch)
         assert variant_alignments(log, net) == variant_alignments(log, two_group_net())
         assert len(searched) == 2  # one search per net
+
+    def test_second_report_on_a_net_searches_nothing(self, monkeypatch):
+        log = gen_synthetic(two_group_net(), 200, noise_rate=0.4, seed=3)
+        net = two_group_net()
+        first = compute_report(log, net, [], 1.0)
+        searched = self.searches(monkeypatch)
+        assert compute_report(log, net, [], 1.0) == first
+        assert searched == []  # neither the variants nor the shortest word
+
+    def test_shortest_word_overrun_keeps_nothing(self, monkeypatch):
+        net = two_group_net()
+        searched = self.searches(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded, match=r"^shortest path search on PetriNet\(") as info:
+                shortest_visible_path(net, 1)
+            assert info.value.budget == 1
+            assert net.compiled.shortest == {}
+        assert shortest_visible_path(net) == shortest_visible_path(net) == shortest_visible_path(two_group_net())
+        assert searched == [[()]] * 4  # two overruns, then one search per net
 
     def test_each_call_gets_its_own_dict(self):
         log = gen_synthetic(two_group_net(), 200, noise_rate=0.4, seed=3)

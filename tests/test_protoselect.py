@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import protomine.eventlog as eventlog_module
 import protomine.protoselect as protoselect_module
 from protomine import (
     EventLog,
@@ -182,6 +183,20 @@ class TestSelectIncremental:
         else:
             assert result.stop_reason == "iteration_cap"
             assert len(history) == cap
+
+    def test_one_run_builds_the_log_trie_once(self, monkeypatch):
+        log = gen_synthetic(three_group_net(), 300, noise_rate=0.3, seed=1)
+        built, build = [], eventlog_module.prefix_trie
+
+        def counted(traces):
+            trie = build(traces)
+            built.append(trie.traces)
+            return trie
+
+        monkeypatch.setattr(eventlog_module, "prefix_trie", counted)
+        result = select_incremental(log, k=2, beta=1.0)
+        assert len(result.history) > 1  # each iteration aligns the whole log
+        assert built.count(tuple(sorted(log.variants))) == 1
 
 
 class TestBaselines:
