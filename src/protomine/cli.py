@@ -48,6 +48,11 @@ class UsageError(Exception):
     """Invalid configuration detected after argument parsing."""
 
 
+def _message(exc: Exception) -> str:
+    """The exception's message, or its type's name when the message is empty."""
+    return str(exc) or type(exc).__name__
+
+
 def positive_int(text: str) -> int:
     """argparse type of the iteration cap and the budgets: exits 2 below 1."""
     value = int(text)
@@ -125,7 +130,10 @@ def _write_csv(path: Path, rows: list[list[str]]) -> None:
 
 
 def _dump_distances(matrix: DistanceMatrix, path: Path) -> None:
-    labels = [" ".join(t) for t in matrix.variant_index]
+    # activities joined by spaces, a backslash escaping each backslash and
+    # space inside a name, so distinct variants get distinct labels
+    escape = lambda a: a.replace("\\", "\\\\").replace(" ", "\\ ")
+    labels = [" ".join(map(escape, t)) for t in matrix.variant_index]
     rows = ([label] + [str(d) for d in row] for label, row in zip(labels, matrix.entries))
     _write_csv(path, [["variant"] + labels, *rows])
 
@@ -209,7 +217,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         # the loop already scored its returned model against the whole log
         add_row("prototypes", result.best_report, n_selected)
     except Exception as exc:  # flagged, remaining methods still run
-        failures.append(f"prototypes: {exc}")
+        failures.append(f"prototypes: {_message(exc)}")
     if n_selected is None:
         n_selected = min(args.k, len(log))
 
@@ -222,7 +230,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             selected = pick()
             add_row(method, score_baseline(selected), len(selected))
         except Exception as exc:
-            failures.append(f"{method}: {exc}")
+            failures.append(f"{method}: {_message(exc)}")
 
     header = ["method", "f1", "f_beta", "fitness", "precision", "size", "cardoso", "n_selected"]
     _write_csv(out / "compare.csv", [header, *rows])
@@ -327,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -17,7 +17,7 @@ Precision follows the escaping-edges idea: replay the aligned model
 projection of every trace, weight each replay state by the traces passing
 through it, and compare the activities the model enables against the
 activities actually observed leaving the state. The replay states are
-the nodes of the words' prefix tree, each holding the set of markings
+the nodes of the words' ``prefix_trie``, each holding the set of markings
 reachable with its prefix. Many prefixes share a set (a flower net has
 two), so sets are interned per call and each subset step ``(set,
 label)``, with its silent closure and its enabled labels, is computed
@@ -383,14 +383,13 @@ def _log_fitness(
 def _escaping_edges_precision(
     net: PetriNet, projected: dict[Trace, int], closure_budget: int
 ) -> float:
-    # prefix tree of the replayed words with int nodes, 0 the empty
-    # prefix: per node the traces passing through, its children by label
-    # (the activities seen leaving it) and, by subset construction from
+    # the replayed words' prefix trie (eventlog.prefix_trie), with per
+    # node the traces passing through it and, by subset construction from
     # its parent's set, the id of the set of every marking reachable with
     # exactly that visible word. Sets are interned for the call and each
-    # step (set id, label) -> set id is memoised; a step is first taken
-    # at the same prefix as without the memo, so a closure overrun names
-    # the same prefix
+    # step (set id, label) -> set id is memoised; walking the sorted words
+    # meets the nodes in number order, so a step is first taken at the
+    # same prefix as without the memo and a closure overrun names it
     compiled = net.compiled
     moves = compiled.moves
     set_ids: dict[frozenset[int], int] = {}
@@ -412,15 +411,17 @@ def _escaping_edges_precision(
             )
         return set_id
 
-    weight = [0]
-    children: list[dict[str, int]] = [{}]
+    trie = prefix_trie(projected)
+    kids = trie.kids
+    weight = [0] * len(kids)
     states = [closure((), [compiled.initial])]
-    for word, count in sorted(projected.items()):
+    for word in trie.traces:
+        count = projected[word]
         node = 0
         weight[0] += count
         for i, label in enumerate(word):
-            child = children[node].get(label)
-            if child is None:
+            child = kids[node][label]
+            if child == len(states):  # first reached
                 key = (states[node], label)
                 reached = steps.get(key)
                 if reached is None:
@@ -428,16 +429,13 @@ def _escaping_edges_precision(
                         nxt for sid in marking_sets[states[node]] for _, step, nxt in moves(sid) if step == label
                     }
                     reached = steps[key] = closure(word[: i + 1], stepped)
-                child = children[node][label] = len(weight)
-                weight.append(0)
-                children.append({})
                 states.append(reached)
             weight[child] += count
             node = child
 
     escaping_total = 0
     enabled_total = 0
-    for w, observed, set_id in zip(weight, children, states):
+    for w, observed, set_id in zip(weight, kids, states):
         enabled_labels = enabled[set_id]
         escaping_total += w * len(enabled_labels - observed.keys())
         enabled_total += w * len(enabled_labels)

@@ -1,16 +1,17 @@
 """Process discovery: directly-follows graphs, process trees, Petri nets.
 
 The one miner is a basic inductive-style recursion over the log's variant
-set: detect a cut of the directly-follows graph (DFG), split the traces
-accordingly and recurse; when no cut applies, fall through to the flower
-model over the sub-log's alphabet. Each cut is taken over one relation or
-fixpoint, tried in turn:
+set: a loop over ``_CUTS`` tries each cut of the directly-follows graph
+(DFG) in turn, splits the traces with the first that applies and recurses
+under its operator, and otherwise falls through to the flower model over
+the sub-log's alphabet. Each cut is taken over one relation or fixpoint:
 
 - exclusive choice: the connected components of "a DFG edge in either
   direction";
 - sequence: the fixpoint of merging, first pair first, any two parts that
-  reach each other both ways or neither way; it is a cut when the parts
-  left are reachable in one total order;
+  reach each other both ways or neither way in the DFG's transitive
+  closure (Warshall's rule); it is a cut when the parts left are reachable
+  in one total order;
 - parallel: the components of "not directly-following both ways", those
   without both a start and an end activity folded into the first that has;
 - loop: the redo parts are the components of "a DFG edge in either
@@ -155,21 +156,14 @@ def _xor_cut(graph: DirectlyFollowsGraph) -> list[frozenset[str]] | None:
 
 
 def _reachability(graph: DirectlyFollowsGraph) -> dict[str, set[str]]:
-    """Transitive closure over DFG edges (paths of length >= 1)."""
-    succ: dict[str, set[str]] = {n: set() for n in graph.nodes}
+    """Transitive closure over DFG edges (paths of length >= 1), by Warshall's rule."""
+    reach: dict[str, set[str]] = {n: set() for n in graph.nodes}
     for a, b in graph.edges:
-        succ[a].add(b)
-    reach: dict[str, set[str]] = {}
-    for start in graph.nodes:
-        seen: set[str] = set()
-        frontier = list(succ[start])
-        while frontier:
-            u = frontier.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            frontier.extend(succ[u])
-        reach[start] = seen
+        reach[a].add(b)
+    for via in graph.nodes:
+        for targets in reach.values():
+            if via in targets:
+                targets |= reach[via]
     return reach
 
 
@@ -203,12 +197,11 @@ def _parallel_cut(graph: DirectlyFollowsGraph) -> list[frozenset[str]] | None:
     # activities that are not directly-following both ways cannot be in
     # different parallel branches
     components = _components(graph.nodes, lambda a, b: not ((a, b) in graph.edges and (b, a) in graph.edges))
-    starts, ends = set(graph.start_activities), set(graph.end_activities)
-    valid = [c for c in components if c & starts and c & ends]
-    if len(valid) < 2:
-        return None
-    invalid = [c for c in components if not (c & starts and c & ends)]
-    return sorted([valid[0].union(*invalid)] + valid[1:], key=min)
+    starts, ends = graph.start_activities.keys(), graph.end_activities.keys()
+    valid, invalid = [], []
+    for c in components:
+        (valid if c & starts and c & ends else invalid).append(c)
+    return sorted([valid[0].union(*invalid), *valid[1:]], key=min) if len(valid) >= 2 else None
 
 
 def _loop_cut(graph: DirectlyFollowsGraph) -> list[frozenset[str]] | None:
@@ -254,6 +247,15 @@ def _split_runs(traces: set[Trace], parts: list[frozenset[str]]) -> list[set[Tra
 
 def _split_by_projection(traces: set[Trace], parts: list[frozenset[str]]) -> list[set[Trace]]:
     return [{tuple(a for a in trace if a in part) for trace in traces} for part in parts]
+
+
+# each cut, in the order tried, with the splitter of its parts and its operator
+_CUTS = (
+    (_xor_cut, _split_runs, xor),
+    (_sequence_cut, _split_by_projection, seq),
+    (_parallel_cut, _split_by_projection, parallel),
+    (_loop_cut, _split_runs, loop),
+)
 
 
 # --- the miner ----------------------------------------------------------
@@ -373,18 +375,9 @@ def _discover(traces: set[Trace]) -> ProcessTree:
         return leaf(alphabet[0])
 
     graph = _dfg_from_table(dict.fromkeys(traces, 1))
-    parts = _xor_cut(graph)
-    if parts:
-        return xor(*(_discover(s) for s in _split_runs(traces, parts)))
-    parts = _sequence_cut(graph)
-    if parts:
-        return seq(*(_discover(s) for s in _split_by_projection(traces, parts)))
-    parts = _parallel_cut(graph)
-    if parts:
-        return parallel(*(_discover(s) for s in _split_by_projection(traces, parts)))
-    parts = _loop_cut(graph)
-    if parts:
-        return loop(*(_discover(s) for s in _split_runs(traces, parts)))
+    for cut, split, operator in _CUTS:
+        if parts := cut(graph):
+            return operator(*(_discover(s) for s in split(traces, parts)))
     return flower(alphabet)
 
 

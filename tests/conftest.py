@@ -24,8 +24,10 @@ documents as ElementTrees and let ElementTree indent, escape and encode
 them; the library writes the same bytes as text. ``language_upto``
 enumerates a net's short words for the brute-force oracles; it walks the
 compiled move table, which ``TestCompiledNetAgainstReference`` checks
-against the reference interpreter. ``silent_only_net``, which accepts
-only the empty word, is a net only the tests use.
+against the reference interpreter. ``reference_reachability`` searches
+the DFG from every node, where the miner closes it by Warshall's rule.
+``silent_only_net``, which accepts only the empty word, is a net only the
+tests use.
 """
 
 from __future__ import annotations
@@ -152,6 +154,25 @@ def language_upto(net: PetriNet, max_len: int, max_states: int = 100_000) -> set
                     raise BudgetExceeded(what, max_states)
             queue.append(state)
     return words
+
+
+def reference_reachability(graph) -> dict[str, set[str]]:
+    """Transitive closure over a DFG's edges by a search from every node."""
+    succ: dict[str, set[str]] = {n: set() for n in graph.nodes}
+    for a, b in graph.edges:
+        succ[a].add(b)
+    reach: dict[str, set[str]] = {}
+    for start in graph.nodes:
+        seen: set[str] = set()
+        frontier = list(succ[start])
+        while frontier:
+            u = frontier.pop()
+            if u in seen:
+                continue
+            seen.add(u)
+            frontier.extend(succ[u])
+        reach[start] = seen
+    return reach
 
 
 def lcs_oracle(a, b) -> int:

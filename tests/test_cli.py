@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -130,6 +131,14 @@ class TestDiscover:
         assert run("discover", "--in", log_path, "--out", tmp_path / "d") == 1
         assert "malformed XES" in capsys.readouterr().err
 
+    def test_exception_without_message_is_named_by_its_type(self, small_log_path, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "select_incremental", fail)
+        assert run("discover", "--in", small_log_path, "--k", "2", "--out", tmp_path / "d") == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
     def test_unknown_miner(self, small_log_path, tmp_path, capsys):
         # there is one miner and no option to choose it
         with pytest.raises(SystemExit) as info:
@@ -153,6 +162,22 @@ class TestDiscover:
         lines = (out / "distances.csv").read_text().strip().splitlines()
         assert lines[0].startswith("variant,")
         assert len(lines) == len(lines[0].split(","))  # square plus labels
+
+    def test_distance_dump_labels_are_distinct(self, tmp_path):
+        # activities holding spaces or backslashes are escaped, so "a b"
+        # alone and "a" then "b" get different labels
+        log = EventLog({("a b",): 3, ("a", "b"): 2, ("c\\", "d\\ e"): 1, (): 1})
+        log_path, out = tmp_path / "log.xes", tmp_path / "run"
+        log_path.write_bytes(export_xes(log))
+        assert run("discover", "--in", log_path, "--k", "1", "--dump-distances", "--out", out) == 0
+        with open(out / "distances.csv", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        # split at spaces no backslash escapes, then drop the escaping backslashes
+        read = lambda label: tuple(re.sub(r"\\(.)", r"\1", a) for a in re.findall(r"(?:\\.|[^ \\])+", label))
+        labels = [read(label) for label in header[1:]]
+        assert labels == [read(row[0]) for row in rows]
+        assert tuple(labels) == select_incremental(log, k=1).distances.variant_index
+        assert header[1:].count("a b") == 1 and r"a\ b" in header
 
     def test_distance_dump_builds_the_matrix_once(self, small_log_path, tmp_path, monkeypatch):
         calls = []
@@ -246,6 +271,15 @@ class TestCompare:
             assert [row["method"] for row in csv.DictReader(handle)] == ["prototypes", "frequency", "nothing"]
         warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
         assert len(warnings) == 1 and warnings[0].startswith("warning: method failed: random: "), warnings
+
+    def test_exception_without_message_is_named_by_its_type(self, small_log_path, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "select_incremental", fail)
+        assert run("compare", "--in", small_log_path, "--k", "2", "--out", tmp_path / "cmp") == 1
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert warnings == ["warning: method failed: prototypes: MemoryError"]
 
     def test_four_method_rows(self, tmp_path):
         log_path = tmp_path / "noisy.xes"

@@ -1,15 +1,20 @@
-"""Direct checks of the cut detectors on hand-analysable graphs."""
+"""Direct checks of the cut detectors on hand-analysable graphs, and of the
+closure the sequence cut reads against a search from every node."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protomine import EventLog, alignment_cost, discover, discover_tree
 from protomine.discovery import (
     _dfg_from_table,
     _loop_cut,
     _parallel_cut,
+    _reachability,
     _sequence_cut,
     _xor_cut,
 )
 
-from .conftest import language_upto
+from .conftest import language_upto, reference_reachability
 
 
 def graph_of(table):
@@ -24,6 +29,17 @@ class TestXorCut:
     def test_connected_graph_has_none(self):
         graph = graph_of({("a", "b"): 1, ("b", "x"): 1})
         assert _xor_cut(graph) is None
+
+
+class TestReachability:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.lists(st.sampled_from("abcde"), max_size=8).map(tuple), st.integers(1, 3),
+                           min_size=1, max_size=8))
+    def test_matches_a_search_from_every_node(self, table):
+        # self-loops and the empty trace are drawn too; only a node on a
+        # cycle reaches itself
+        graph = graph_of(table)
+        assert _reachability(graph) == reference_reachability(graph)
 
 
 class TestSequenceCut:
