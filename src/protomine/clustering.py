@@ -12,24 +12,25 @@ initialisation starting at the most frequent variant, so the same input
 always gives the same clustering.
 
 The medoid update is the costly step, O(m²) per cluster of m members.
-It runs on packed integers, as ``tracedist`` does: once per call, each
-member's matrix row is read as one int with one fixed-width field per
-matrix column, its count times that row's distance. The sum of the
+It runs on packed integers, as ``tracedist`` does: each member's matrix
+row is one int with one fixed-width field per matrix column, and times
+its count it holds that row's weighted distances. The sum of the
 members' ints holds in field j the weighted cost of variant j as the
 medoid, every candidate at once, and one ``to_bytes`` reads them all.
 A field's sum is at most the total weight times the largest distance,
 twice the longest variant, so while that bound is below 2**31 the
-fields are the rows' 4-byte entries and no field carries into the next;
-below 2**63 they widen to 8 bytes. A pool whose bound reaches 2**63, a
-total weight of 2**62 divided by the longest variant's length, raises
-ValueError.
+fields are the rows' 4-byte entries, packed once per matrix
+(``DistanceMatrix.packed``), and no field carries into the next; below
+2**63 they widen to 8 bytes, packed once per call. A pool whose bound
+reaches 2**63, a total weight of 2**62 divided by the longest variant's
+length, raises ValueError.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, NamedTuple, Sequence
 
 from .eventlog import Trace
@@ -86,7 +87,10 @@ def kmedoids(
     rows = [matrix.entries[p] for p in positions]
     gather = _gatherer(positions)  # row -> distances to the given variants
     # field j of packed[i] holds counts[i] * d(i, j), as wide as an item of code
-    packed = [c * int.from_bytes(array(code, row), sys.byteorder) for c, row in zip(counts, rows)]
+    if code == "i":
+        packed = list(map(mul, counts, map(matrix.packed.__getitem__, positions)))
+    else:
+        packed = [c * int.from_bytes(array(code, row), sys.byteorder) for c, row in zip(counts, rows)]
     size = len(matrix.variant_index) * array(code).itemsize
 
     # farthest-point init: start at the most frequent variant, then

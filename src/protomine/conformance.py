@@ -39,6 +39,10 @@ for ``variant_alignments``. Restricted to one variant's path it pops in
 that variant's own order, so every cost, projection and budget overrun
 is that of aligning the variant alone.
 
+The search reads each marking's moves once and pushes its cost-1 moves
+only when a cost level is exhausted, so on a log whose variants all fit
+it pushes no cost-1 move, and elsewhere none that would pop stale.
+
 Log fitness is folded exactly in integers: the deviating variants'
 ``count * cost`` are summed per denominator ``len(trace) + shortest``,
 each sum is scaled to the denominators' least common multiple, and one
@@ -154,6 +158,22 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
     order (silent, or synchronous then insertion, per transition; the
     deletions last).
 
+    A marking's moves are read once per search, on its first expansion,
+    and split into its silent successors and its visible ``(label,
+    successor)`` pairs, both times ``nodes``, so a state's move is one
+    add. The cost-1 pushes are deferred: each expansion is recorded, and
+    when ``now`` runs empty the records replay, in expansion order, the
+    insertions and deletions they would have pushed, before the queue is
+    tested for emptiness. Silent, synchronous, insertion and deletion
+    pushes each go to a stack of their own, and nothing pops from
+    ``later`` before the rollover, so every stack receives its pushes in
+    the same order as when they were made at once. A push left out is one
+    that would have popped stale: a free move reached its state at
+    ``cost`` meanwhile (an unreached state reads as ``cost + 1`` to a
+    free move, so an earlier cost-1 push changed no free move's test), or
+    its node settled. When every trace settles at ``cost``, no cost-1
+    move is pushed at all.
+
     Moves stay at a node or go down to its children, so the states along
     one trace's path are pushed only by states along that path.
     Restricted to that path, the pop order is the order ``(cost, events
@@ -174,7 +194,9 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
 
     compiled = net.compiled
     moves_of = compiled.moves
-    final = compiled.final
+    final = compiled.final * nodes  # a state's marking part: marking id * nodes
+    # marking part -> its silent successors' and its visible (label, successor's) marking parts
+    split: dict[int, tuple[list[int], list[tuple[str, int]]]] = {}
     start = compiled.initial * nodes
     dist: dict[int, int] = {start: 0}
     parent: dict[int, tuple[int, str | None] | None] = {start: None}
@@ -183,6 +205,8 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
     later: list[list[int]] = [[] for _ in range(top + 2)]  # at cost + 1, by depth
     now[0].append(start)
     level, cost, paid = 0, 0, 1
+    # the states expanded at cost, in order, whose cost-1 moves are pushed at the rollover
+    deferred: list[tuple[int, int, int, list[tuple[str, int]], dict[str, int]]] = []
     expanded = [0] * nodes
     total, limit = 0, budget * len(ordered)
     results: list[AlignmentResult | None] = [None] * len(ordered)
@@ -190,14 +214,14 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
     while True:
         while level >= 0:
             here, below = now[level], now[level + 1]
-            inserted, deleted = later[level], later[level + 1]
             while here:
                 state = here.pop()
                 if cost > dist[state]:
                     continue
-                marking, node = divmod(state, nodes)
+                node = state % nodes
                 if not live[node]:
                     continue
+                marking = state - node
                 if marking == final and ends[node] >= 0:
                     spent = 0
                     cursor = node
@@ -224,37 +248,54 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
                 if total > limit or expanded[node] > budget:
                     raise _overrun(ordered, budget)
 
+                moves = split.get(marking)
+                if moves is None:
+                    row = moves_of(marking // nodes)
+                    moves = split[marking] = (
+                        [succ * nodes for _, label, succ in row if label is None],
+                        [(label, succ * nodes) for _, label, succ in row if label is not None],
+                    )
+                silent, visible = moves
+                for base in silent:
+                    nxt = base + node
+                    if cost < dist.get(nxt, paid):
+                        dist[nxt] = cost
+                        parent[nxt] = (state, None)
+                        here.append(nxt)
                 children = kids[node]
-                for _, label, succ in moves_of(marking):
-                    nxt = succ * nodes + node
-                    if label is None:
-                        if cost < dist.get(nxt, paid):
-                            dist[nxt] = cost
-                            parent[nxt] = (state, None)
-                            here.append(nxt)
-                        continue
+                for label, base in visible:
                     child = children.get(label)
                     if child is not None and live[child]:  # synchronous
-                        sync = nxt - node + child
+                        sync = base + child
                         if cost < dist.get(sync, paid):
                             dist[sync] = cost
                             parent[sync] = (state, label)
                             below.append(sync)
-                    if paid < dist.get(nxt, paid + 1):  # model-only (insertion)
-                        dist[nxt] = paid
-                        parent[nxt] = (state, label)
-                        inserted.append(nxt)
-                for child in children.values():  # trace-only (deletion)
-                    nxt = state - node + child
-                    if live[child] and paid < dist.get(nxt, paid + 1):
-                        dist[nxt] = paid
-                        parent[nxt] = (state, None)
-                        deleted.append(nxt)
+                deferred.append((state, level, node, visible, children))
                 if below:  # empty before this state popped: level was the deepest
                     level += 1
                     break
             else:
                 level -= 1
+        for state, level, node, visible, children in deferred:
+            if not live[node]:  # settled since: a state here would pop only to be skipped
+                continue
+            inserted = later[level]
+            for label, base in visible:  # model-only (insertion)
+                nxt = base + node
+                if paid < dist.get(nxt, paid + 1):
+                    dist[nxt] = paid
+                    parent[nxt] = (state, label)
+                    inserted.append(nxt)
+            deleted = later[level + 1]
+            marking = state - node
+            for child in children.values():  # trace-only (deletion)
+                nxt = marking + child
+                if live[child] and paid < dist.get(nxt, paid + 1):
+                    dist[nxt] = paid
+                    parent[nxt] = (state, None)
+                    deleted.append(nxt)
+        deferred.clear()
         if not any(later):
             raise ValueError("final marking is not reachable from the initial marking")
         now, later = later, now
@@ -384,12 +425,13 @@ def _escaping_edges_precision(
     net: PetriNet, projected: dict[Trace, int], closure_budget: int
 ) -> float:
     # the replayed words' prefix trie (eventlog.prefix_trie), with per
-    # node the traces passing through it and, by subset construction from
-    # its parent's set, the id of the set of every marking reachable with
+    # node the traces passing through it, summed bottom-up from the words
+    # ending at or below it, and, by subset construction from its
+    # parent's set, the id of the set of every marking reachable with
     # exactly that visible word. Sets are interned for the call and each
-    # step (set id, label) -> set id is memoised; walking the sorted words
-    # meets the nodes in number order, so a step is first taken at the
-    # same prefix as without the memo and a closure overrun names it
+    # step (set id, label) -> set id is memoised; the nodes are stepped
+    # in number order, the order the sorted words first reach them, so a
+    # closure overrun names the first prefix in that order
     compiled = net.compiled
     moves = compiled.moves
     set_ids: dict[frozenset[int], int] = {}
@@ -397,11 +439,24 @@ def _escaping_edges_precision(
     enabled: list[frozenset[str]] = []  # per set id, the labels its markings enable
     steps: dict[tuple[int, str], int] = {}
 
-    def closure(prefix: Trace, start: Iterable[int]) -> int:
+    trie = prefix_trie(projected)
+    up, kids = trie.up, trie.kids
+    label_of: list[str] = [""] * len(up)  # per node, the label of the edge into it
+    for children in kids:
+        for label, child in children.items():
+            label_of[child] = label
+
+    def closure(node: int, start: Iterable[int]) -> int:
         try:
             reached = frozenset(compiled.silent_closure(start, closure_budget))
         except BudgetExceeded:
-            raise BudgetExceeded(f"silent closure after prefix {_events(prefix)}", closure_budget) from None
+            prefix = []
+            while node > 0:
+                prefix.append(label_of[node])
+                node = up[node]
+            raise BudgetExceeded(
+                f"silent closure after prefix {_events(tuple(reversed(prefix)))}", closure_budget
+            ) from None
         set_id = set_ids.get(reached)
         if set_id is None:
             set_id = set_ids[reached] = len(marking_sets)
@@ -411,27 +466,19 @@ def _escaping_edges_precision(
             )
         return set_id
 
-    trie = prefix_trie(projected)
-    kids = trie.kids
-    weight = [0] * len(kids)
-    states = [closure((), [compiled.initial])]
-    for word in trie.traces:
-        count = projected[word]
-        node = 0
-        weight[0] += count
-        for i, label in enumerate(word):
-            child = kids[node][label]
-            if child == len(states):  # first reached
-                key = (states[node], label)
-                reached = steps.get(key)
-                if reached is None:
-                    stepped = {
-                        nxt for sid in marking_sets[states[node]] for _, step, nxt in moves(sid) if step == label
-                    }
-                    reached = steps[key] = closure(word[: i + 1], stepped)
-                states.append(reached)
-            weight[child] += count
-            node = child
+    states = [closure(0, [compiled.initial])]
+    for node in range(1, len(up)):
+        key = (states[up[node]], label_of[node])
+        reached = steps.get(key)
+        if reached is None:
+            before, label = key
+            stepped = {nxt for sid in marking_sets[before] for _, step, nxt in moves(sid) if step == label}
+            reached = steps[key] = closure(node, stepped)
+        states.append(reached)
+
+    weight = [projected[trie.traces[end]] if end >= 0 else 0 for end in trie.ends]
+    for node in range(len(up) - 1, 0, -1):  # children before their parents
+        weight[up[node]] += weight[node]
 
     escaping_total = 0
     enabled_total = 0

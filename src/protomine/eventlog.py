@@ -19,7 +19,8 @@ import io
 import math
 import re
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence
 from xml.parsers import expat
 
 Trace = tuple[str, ...]
@@ -260,15 +261,10 @@ class CsvColumns(NamedTuple):
     timestamp: str | None = None
 
 
-def _parse_timestamp(text: str, fromisoformat: Callable[[str], object]) -> object:
-    """Accept ISO-8601 (with trailing Z) or a plain finite number of seconds."""
-    normalized = text.strip()
+def _parse_seconds(text: str) -> float:
+    """A timestamp that is not ISO-8601: a plain finite number of seconds, else LogFormatError."""
     try:
-        return fromisoformat(normalized.replace("Z", "+00:00"))
-    except ValueError:
-        pass
-    try:
-        seconds = float(normalized)
+        seconds = float(text.strip())
     except ValueError:
         raise LogFormatError(f"unparsable timestamp {text!r}") from None
     if not math.isfinite(seconds):  # NaN would unorder the sort, and 1e400 reads as inf
@@ -321,36 +317,46 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
     # case id -> list of (sort key, activity); cases keep first-appearance order
     cases: dict[str, list[tuple[object, str]]] = {}
     first_kind: tuple[int, str] | None = None  # (row, kind) of the first timestamp
+    width = max(case_col, act_col, time_col or 0)  # a row needs more fields than this
+    fromisoformat = datetime.fromisoformat
+    key: object = 0  # every row's sort key when no timestamp column is mapped
     for rownum, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) <= max(case_col, act_col, time_col or 0):
+        if len(row) <= width:
             raise LogFormatError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
-        case = row[case_col]
         activity = row[act_col]
         if not activity:
             raise LogFormatError(f"row {rownum}: empty activity")
         if not activity.isprintable() and re.search(_NOT_XML, activity):
             raise LogFormatError(f"row {rownum}: activity {activity!r} holds a character XML 1.0 forbids")
         if time_col is not None:
-            try:
-                key: object = _parse_timestamp(row[time_col], datetime.fromisoformat)
-            except LogFormatError as exc:
-                raise LogFormatError(f"row {rownum}: {exc}") from None
+            stamp = row[time_col]
+            try:  # ISO-8601, with a trailing Z for UTC, or else a number of seconds
+                key = fromisoformat(stamp.strip().replace("Z", "+00:00"))
+            except ValueError:
+                try:
+                    key = _parse_seconds(stamp)
+                except LogFormatError as exc:
+                    raise LogFormatError(f"row {rownum}: {exc}") from None
             kind = _timestamp_kind(key)
             if first_kind is None:
                 first_kind = (rownum, kind)
             elif kind != first_kind[1]:
                 raise LogFormatError(
-                    f"row {rownum}: timestamp {row[time_col]!r} is {kind}, but the column's "
+                    f"row {rownum}: timestamp {stamp!r} is {kind}, but the column's "
                     f"first timestamp (row {first_kind[0]}) is {first_kind[1]}"
                 )
+        case = row[case_col]
+        events = cases.get(case)
+        if events is None:
+            cases[case] = [(key, activity)]
         else:
-            key = 0
-        cases.setdefault(case, []).append((key, activity))
+            events.append((key, activity))
 
+    by_key, activity_of = itemgetter(0), itemgetter(1)
     traces = []
     for events in cases.values():
-        events.sort(key=lambda e: e[0])  # stable: file order breaks ties
-        traces.append([activity for _, activity in events])
+        events.sort(key=by_key)  # stable: file order breaks ties
+        traces.append(list(map(activity_of, events)))
     return EventLog.from_traces(traces)

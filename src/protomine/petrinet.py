@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from operator import add
 from typing import Iterable, Mapping, NamedTuple
 
 from .eventlog import _ATTRIBUTE_ESCAPES
@@ -152,10 +153,11 @@ class CompiledNet:
     """A net's firing rule over dense marking ids, with memoised moves.
 
     Places are indexed in sorted order and transitions kept in
-    ``transition_ids`` order as (id, label, input indices, output
-    indices). Each reached marking is stored once as a count vector over
-    the places and numbered densely (0, 1, 2, ... in order of first
-    reach); ``state_id`` and ``marking`` convert between ``Marking`` and
+    ``transition_ids`` order as (id, label, input indices, delta), the
+    delta one count per place, tokens added minus tokens taken, so
+    firing is one vector addition. Each reached marking is stored once
+    as a count vector over the places and numbered densely (0, 1, 2, ...
+    in order of first reach); ``state_id`` and ``marking`` convert between ``Marking`` and
     id at the API boundary, and every search keys its states on the ids,
     which hash in constant time where a vector rehashes every count.
 
@@ -173,15 +175,13 @@ class CompiledNet:
     def __init__(self, net: PetriNet):
         self.places: tuple[str, ...] = tuple(sorted(net.places))
         index = {p: i for i, p in enumerate(self.places)}
-        self.transitions = tuple(
-            (
-                t,
-                net.label(t),
-                tuple(index[p] for p in net.inputs(t)),
-                tuple(index[p] for p in net.outputs(t)),
-            )
-            for t in net.transition_ids
-        )
+        transitions = []
+        for t in net.transition_ids:
+            inputs, outputs = net.inputs(t), net.outputs(t)
+            # per place, tokens added minus tokens taken: 0 on a self-loop, whose input still needs its token
+            delta = tuple((p in outputs) - (p in inputs) for p in self.places)
+            transitions.append((t, net.label(t), tuple(map(index.__getitem__, inputs)), delta))
+        self.transitions = tuple(transitions)
         self._ids: dict[tuple[int, ...], int] = {}
         self._vectors: list[tuple[int, ...]] = []  # id -> count vector
         self._moves: list[list[Move] | None] = []  # id -> moves, None until asked
@@ -215,22 +215,19 @@ class CompiledNet:
 
         In ``transition_ids`` order. A transition is enabled when each
         input place holds a token; firing takes one token per input arc
-        and adds one per output arc. The returned list is shared: callers
+        and adds one per output arc, which is adding the transition's
+        delta to the count vector. The returned list is shared: callers
         must not mutate it.
         """
         moves = self._moves[sid]
         if moves is None:
             vector = self._vectors[sid]
-            moves = []
-            for t, label, inputs, outputs in self.transitions:
-                if all(vector[i] for i in inputs):
-                    fired = list(vector)
-                    for i in inputs:
-                        fired[i] -= 1
-                    for i in outputs:
-                        fired[i] += 1
-                    moves.append((t, label, self._id(tuple(fired))))
-            self._moves[sid] = moves
+            holds = vector.__getitem__
+            moves = self._moves[sid] = [
+                (t, label, self._id(tuple(map(add, vector, delta))))
+                for t, label, inputs, delta in self.transitions
+                if all(map(holds, inputs))
+            ]
         return moves
 
     def silent_closure(self, sids: Iterable[int], budget: int) -> set[int]:

@@ -33,11 +33,15 @@ Fredriksson & Navarro (2005):
 
 ``lcs_length`` runs the same kernel on a one-trace pack. Matrix rows are
 ``array("i")``, 4 bytes an entry, mirrored by C-level slice copies with
-no third-party dependency.
+no third-party dependency. Each row is also read once per matrix as one
+int of those 4-byte fields (``DistanceMatrix.packed``), so K-Medoids,
+which sums rows, packs nothing per call; the ints are a second
+4·V² bytes for V variants.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from itertools import accumulate, compress
 from typing import NamedTuple, Sequence
@@ -97,10 +101,16 @@ def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
 
 
 class DistanceMatrix(NamedTuple):
-    """Symmetric edit distances: ``entries[i][j]`` between variants i and j."""
+    """Symmetric edit distances: ``entries[i][j]`` between variants i and j.
+
+    ``packed[i]`` is row i's bytes read as one int, field j (4 bytes, in
+    native order) holding ``entries[i][j]``; ``clustering.kmedoids``
+    sums these rows times counts.
+    """
 
     variant_index: tuple[Trace, ...]
     entries: tuple[array, ...]
+    packed: tuple[int, ...]
 
 
 def distance_matrix(variant_list: Sequence[Trace]) -> DistanceMatrix:
@@ -130,4 +140,5 @@ def distance_matrix(variant_list: Sequence[Trace]) -> DistanceMatrix:
         flat[i * n + i + 1 : (i + 1) * n] = row  # (i, j) for j > i
         flat[(i + 1) * n + i :: n] = row  # mirrored: (j, i), down column i
     entries = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-    return DistanceMatrix(variant_index=traces, entries=entries)
+    packed = tuple(int.from_bytes(row, sys.byteorder) for row in entries)
+    return DistanceMatrix(variant_index=traces, entries=entries, packed=packed)

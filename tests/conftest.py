@@ -21,7 +21,8 @@ tree recursively with a hand-written child lookup, where the library
 uses ElementTree's namespace wildcards and a stack of iterators.
 ``reference_export_xes`` and ``reference_export_pnml`` build their
 documents as ElementTrees and let ElementTree indent, escape and encode
-them; the library writes the same bytes as text. ``language_upto``
+them; the library writes the same bytes as text. ``reference_parse_csv``
+is the CSV reader before its row loop was tightened. ``language_upto``
 enumerates a net's short words for the brute-force oracles; it walks the
 compiled move table, which ``TestCompiledNetAgainstReference`` checks
 against the reference interpreter. ``reference_reachability`` searches
@@ -34,16 +35,19 @@ from __future__ import annotations
 
 import heapq
 import io
+import math
 import random
+import re
 import xml.etree.ElementTree as ET
 from collections import deque
+from datetime import datetime
 from typing import Sequence
 
 import pytest
 
 from protomine import AlignmentResult, BudgetExceeded, Marking, PetriNet, choice_parallel_net
 from protomine.conformance import DEFAULT_ALIGN_BUDGET
-from protomine.eventlog import XES_NAMESPACE, EventLog, LogFormatError, Trace, variants
+from protomine.eventlog import _NOT_XML, XES_NAMESPACE, CsvColumns, EventLog, LogFormatError, Trace, _timestamp_kind, variants
 from protomine.discovery import ProcessTree, leaf, parallel, seq, tree_to_net, xor
 from protomine.petrinet import PNML_NAMESPACE, PTNET_TYPE
 
@@ -553,6 +557,87 @@ def reference_parse_xes(document: bytes) -> EventLog:
             activities.append(name)
         traces.append(tuple(activities))
         trace_index += 1
+    return EventLog.from_traces(traces)
+
+
+def _reference_timestamp(text: str) -> object:
+    normalized = text.strip()
+    try:
+        return datetime.fromisoformat(normalized.replace("Z", "+00:00"))
+    except ValueError:
+        pass
+    try:
+        seconds = float(normalized)
+    except ValueError:
+        raise LogFormatError(f"unparsable timestamp {text!r}") from None
+    if not math.isfinite(seconds):
+        raise LogFormatError(f"timestamp {text!r} is not a finite number")
+    return seconds
+
+
+def reference_parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
+    """The CSV reader as it was before its row loop was tightened.
+
+    One ``setdefault`` per row, the row-width bound taken per row, a
+    timestamp helper that tries ISO-8601 then a number, and a sort by a
+    lambda key.
+    """
+    import csv
+
+    body = document.removeprefix(b"\xef\xbb\xbf")
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = body[: exc.start].count(b"\n") + 1
+        raise LogFormatError(f"line {line}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise LogFormatError("CSV document has no header row") from None
+
+    for name in columns:
+        if name is not None and header.count(name) != 1:
+            problem = "not present in" if name not in header else f"named {header.count(name)} times in"
+            raise LogFormatError(f"mapped column {name!r} {problem} CSV header {header}")
+    case_col = header.index(columns.case_id)
+    act_col = header.index(columns.activity)
+    time_col = header.index(columns.timestamp) if columns.timestamp is not None else None
+
+    cases: dict[str, list[tuple[object, str]]] = {}
+    first_kind: tuple[int, str] | None = None
+    for rownum, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) <= max(case_col, act_col, time_col or 0):
+            raise LogFormatError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
+        case = row[case_col]
+        activity = row[act_col]
+        if not activity:
+            raise LogFormatError(f"row {rownum}: empty activity")
+        if not activity.isprintable() and re.search(_NOT_XML, activity):
+            raise LogFormatError(f"row {rownum}: activity {activity!r} holds a character XML 1.0 forbids")
+        if time_col is not None:
+            try:
+                key: object = _reference_timestamp(row[time_col])
+            except LogFormatError as exc:
+                raise LogFormatError(f"row {rownum}: {exc}") from None
+            kind = _timestamp_kind(key)
+            if first_kind is None:
+                first_kind = (rownum, kind)
+            elif kind != first_kind[1]:
+                raise LogFormatError(
+                    f"row {rownum}: timestamp {row[time_col]!r} is {kind}, but the column's "
+                    f"first timestamp (row {first_kind[0]}) is {first_kind[1]}"
+                )
+        else:
+            key = 0
+        cases.setdefault(case, []).append((key, activity))
+
+    traces = []
+    for events in cases.values():
+        events.sort(key=lambda e: e[0])
+        traces.append([activity for _, activity in events])
     return EventLog.from_traces(traces)
 
 

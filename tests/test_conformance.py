@@ -178,6 +178,9 @@ def _log_outcome(align, log, net, budget):
         return type(exc), str(exc), getattr(exc, "budget", None)
 
 
+FLOWER_WORDS = [word for n in range(4) for word in itertools.product("abc", repeat=n)]
+
+
 def _per_trace_loop(log, net, budget):
     return {trace: reference_alignment_cost(trace, net, budget) for trace in sorted(log.variants)}
 
@@ -198,6 +201,8 @@ class TestJointSearch:
         narrow = discover(EventLog({max(log.variants, key=log.variants.get): 1}))
         for net in (two_group_net(), narrow):
             yield log, net
+        # every variant fits: the search ends at cost 0, before any cost-1 move is pushed
+        yield EventLog.from_traces(FLOWER_WORDS), flower_net("abc")
 
     def test_equal_outcome_at_the_budget_boundary(self):
         checked = tripped = 0
@@ -231,10 +236,9 @@ class TestJointSearch:
              ("p", "s_grow"), ("s_grow", "p"), ("s_grow", "q"), ("p", "t_end"), ("t_end", "x")],
             Marking.of({"p": 1}), Marking.of({"x": 1}),
         )
-        fitting = [word for n in range(4) for word in itertools.product("abc", repeat=n)]
-        log = EventLog.from_traces(fitting + [("c", "d")])
+        log = EventLog.from_traces(FLOWER_WORDS + [("c", "d")])
         budget = 60
-        assert max(reference_expansions(word, net) for word in fitting) <= 4
+        assert max(reference_expansions(word, net) for word in FLOWER_WORDS) <= 4
         compiled, expanded, handed_over = net.compiled, [], []
         moves, align = compiled.moves, conformance.alignment_cost
         monkeypatch.setattr(compiled, "moves", lambda sid: expanded.append(sid) or moves(sid))
@@ -246,6 +250,18 @@ class TestJointSearch:
             variant_alignments(log, net, budget)
         # within the budget times the trie depth, not the budget times the 41 variants
         assert len(log.variants) == 41 and handed_over[0] <= budget * 3
+
+    def test_one_move_table_read_per_distinct_expanded_marking(self, monkeypatch):
+        # deviating variants: markings are expanded at many nodes and cost levels
+        log = gen_synthetic(two_group_net(), 200, noise_rate=0.4, seed=3)
+        net = discover(EventLog({max(log.variants, key=log.variants.get): 1}))
+        expected = _per_trace_loop(log, net, DEFAULT_ALIGN_BUDGET)
+        compiled, asked = net.compiled, []
+        moves = compiled.moves
+        monkeypatch.setattr(compiled, "moves", lambda sid: asked.append(sid) or moves(sid))
+        assert variant_alignments(log, net) == expected
+        assert len(asked) == len(set(asked)) > 1
+        assert any(result.cost > 1 for result in expected.values())
 
     def test_one_search_without_per_trace_calls(self, monkeypatch):
         log = gen_synthetic(two_group_net(), 200, noise_rate=0.4, seed=3)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from protomine import CsvColumns, EventLog, LogFormatError, export_xes, parse_csv, parse_xes, variants
 from protomine.eventlog import XES_NAMESPACE
 
-from .conftest import random_trace, reference_export_xes, reference_parse_xes, xml_char
+from .conftest import random_trace, reference_export_xes, reference_parse_csv, reference_parse_xes, xml_char
 
 
 def xes_doc(traces):
@@ -377,6 +377,58 @@ class TestParseCsv:
             cases.setdefault(case, []).append((float(time), i))
         expected = [tuple(str(i) for _, i in sorted(times)) for times in cases.values()]
         assert log == EventLog.from_traces(expected)
+
+
+# timestamps by kind; a document draws from one kind, or from all of them
+STAMPS = {
+    "naive": ["2024-01-01T00:00:00", "2024-01-02T10:00:00", " 2024-01-01T05:00:00 "],
+    "offset": ["2024-01-01T00:00:00Z", "2024-01-01T03:00:00+02:00", "2024-01-01T01:00:00+00:00"],
+    "number": ["1", "2.5", " 3 ", "-1e3", "2"],
+    "any": ["2024-01-01T00:00:00", "2024-01-01T00:00:00Z", "1", "nan", "inf", "1e400", "soon", ""],
+}
+
+
+@st.composite
+def csv_documents(draw):
+    """CSV documents over a few cases, labels and timestamps, valid and broken, with a mapping."""
+    columns = draw(st.permutations(["case", "act", "ts"]))
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, 3)), "note")
+    stamps = STAMPS[draw(st.sampled_from(["naive", "offset", "number", "any"]))]
+    labels = ["a", "b", '"c,d"'] + draw(st.sampled_from([[], [], ["", "x\x01", "y\t"]]))
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 10))):
+        shape = draw(st.sampled_from(["row"] * 12 + ["blank", "short"]))
+        if shape == "blank":
+            lines.append("")
+            continue
+        fields = {
+            "case": draw(st.sampled_from(["c1", "c2", "c3"])),
+            "act": draw(st.sampled_from(labels)),
+            "ts": draw(st.sampled_from(stamps)),
+            "note": "n",
+        }
+        row = [fields[c] for c in columns]
+        lines.append(",".join(row[: draw(st.integers(0, len(row) - 1))] if shape == "short" else row))
+    document = ("\n".join(lines) + "\n").encode()
+    damage = draw(st.sampled_from(["none"] * 8 + ["bom", "latin-1", "duplicate"]))
+    if damage == "bom":
+        document = b"\xef\xbb\xbf" + document
+    elif damage == "latin-1":
+        document += b"c1,\xe9,1\n"
+    elif damage == "duplicate":
+        document = b"case," + document
+    timestamp = draw(st.sampled_from(["ts", "ts", None, "missing"]))
+    return document, CsvColumns("case", "act", timestamp)
+
+
+class TestCsvReaderAgainstReference:
+    @settings(max_examples=500, deadline=None)
+    @given(csv_documents())
+    def test_matches_the_reference_reader(self, case):
+        document, mapping = case
+        expected = read_outcome(lambda data: reference_parse_csv(data, mapping), document)
+        assert read_outcome(lambda data: parse_csv(data, mapping), document) == expected
 
 
 class TestVariants:

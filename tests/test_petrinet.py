@@ -210,6 +210,27 @@ class TestCompiledNetAgainstReference:
                     assert label == net.label(t)
                     assert compiled.marking(fired) == reference_fire(net, marking, t)
 
+    def test_self_loop_and_several_tokens(self):
+        # "keep" takes and gives back p's token (delta 0 at p) and adds one to q;
+        # "spend" moves a token from p to r; p starts with two tokens
+        net = PetriNet(
+            ["p", "q", "r"],
+            {"keep": "k", "spend": None},
+            [("p", "keep"), ("keep", "p"), ("keep", "q"), ("p", "spend"), ("spend", "r")],
+            Marking.of({"p": 2}), Marking.of({"r": 2}),
+        )
+        compiled = net.compiled
+        for counts in ({"p": 2}, {"p": 2, "q": 3}, {"p": 1, "q": 1, "r": 1}, {"q": 2, "r": 2}):
+            marking = Marking.of(counts)
+            moves = compiled.moves(compiled.state_id(marking))
+            assert [t for t, _, _ in moves] == sorted(reference_enabled(net, marking))
+            for t, _, fired in moves:
+                assert compiled.marking(fired) == reference_fire(net, marking, t)
+        # p empty: the self-loop adds nothing to p, yet it needs p's token
+        assert compiled.moves(compiled.state_id(Marking.of({"q": 2, "r": 2}))) == []
+        keep = compiled.moves(compiled.state_id(Marking.of({"p": 2})))[0]
+        assert compiled.marking(keep[2]) == Marking.of({"p": 2, "q": 1})
+
     def test_silent_closures_match_reference(self):
         for net in differential_nets():
             compiled = net.compiled

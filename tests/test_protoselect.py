@@ -24,6 +24,9 @@ from protomine import (
     variants,
 )
 
+from .conftest import reference_kmedoids
+from .test_clustering import fields
+
 THREE_GROUP_LOG = EventLog(
     {
         ("k", "l", "m"): 30,
@@ -197,6 +200,25 @@ class TestSelectIncremental:
         result = select_incremental(log, k=2, beta=1.0)
         assert len(result.history) > 1  # each iteration aligns the whole log
         assert built.count(tuple(sorted(log.variants))) == 1
+
+
+class TestLoopClustering:
+    def test_each_round_clusters_a_shrinking_pool_on_one_matrix_as_the_reference(self, monkeypatch):
+        # the rows are packed once per matrix, and every round's pool reads them
+        log = gen_synthetic(three_group_net(), 300, noise_rate=0.3, seed=3)
+        calls, kmedoids = [], protoselect_module.kmedoids
+
+        def recorded(pool, k, matrix):
+            calls.append((list(pool), k, matrix, kmedoids(pool, k, matrix)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(protoselect_module, "kmedoids", recorded)
+        result = select_incremental(log, k=2)
+        sizes = [len(pool) for pool, _, _, _ in calls]
+        assert len(calls) >= 4 and sizes == sorted(set(sizes), reverse=True)
+        assert all(matrix is result.distances for _, _, matrix, _ in calls)
+        for pool, k, _, clustering in calls:
+            assert fields(clustering) == reference_kmedoids(pool, k)
 
 
 class TestBaselines:

@@ -1,4 +1,5 @@
 import random
+import sys
 from array import array
 
 import pytest
@@ -118,6 +119,9 @@ class TestBitParallelKernel:
         m = distance_matrix(traces)
         assert all(isinstance(row, array) and row.itemsize == 4 for row in m.entries)
         assert [len(row) for row in m.entries] == [len(traces)] * len(traces)
+        # each packed row reads back, 4 bytes a field, as that row of entries
+        width = 4 * len(traces)
+        assert [array("i", row.to_bytes(width, sys.byteorder)) for row in m.packed] == list(m.entries)
         for i, a in enumerate(traces):
             for j in range(i, len(traces)):
                 b = traces[j]
