@@ -24,8 +24,8 @@ variant_counts = [
 traces = [t for t, _ in variant_counts]
 matrix = distance_matrix(traces)
 print("\npairwise distances:")
-for i, row in enumerate(matrix.entries):
-    print(" ", " ".join(f"{d:2d}" for d in row), " <-", " ".join(traces[i]))
+for i, trace in enumerate(traces):
+    print(" ", " ".join(f"{d:2d}" for d in matrix.row(i)), " <-", " ".join(trace))
 
 clustering = kmedoids(variant_counts, k=2, matrix=matrix)
 print("\nclusters (medoid first):")

@@ -19,8 +19,8 @@ modules where they run.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .conformance import (
@@ -121,12 +121,13 @@ def _write_json(path: Path, payload: object) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, rows: list[list[str]]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     import csv
 
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    with path.open("w", encoding="utf-8") as handle:  # row by row, with write_text's encoding and newlines
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _dump_distances(matrix: DistanceMatrix, path: Path) -> None:
@@ -134,8 +135,7 @@ def _dump_distances(matrix: DistanceMatrix, path: Path) -> None:
     # space inside a name, so distinct variants get distinct labels
     escape = lambda a: a.replace("\\", "\\\\").replace(" ", "\\ ")
     labels = [" ".join(map(escape, t)) for t in matrix.variant_index]
-    rows = ([label] + [str(d) for d in row] for label, row in zip(labels, matrix.entries))
-    _write_csv(path, [["variant"] + labels, *rows])
+    _write_csv(path, ["variant", *labels], ([label, *matrix.row(i)] for i, label in enumerate(labels)))
 
 
 def cmd_discover(args: argparse.Namespace) -> int:
@@ -233,7 +233,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             failures.append(f"{method}: {_message(exc)}")
 
     header = ["method", "f1", "f_beta", "fitness", "precision", "size", "cardoso", "n_selected"]
-    _write_csv(out / "compare.csv", [header, *rows])
+    _write_csv(out / "compare.csv", header, rows)
 
     for failure in failures:
         print(f"warning: method failed: {failure}", file=sys.stderr)

@@ -19,7 +19,7 @@ members' ints holds in field j the weighted cost of variant j as the
 medoid, every candidate at once, and one ``to_bytes`` reads them all.
 A field's sum is at most the total weight times the largest distance,
 twice the longest variant, so while that bound is below 2**31 the
-fields are the rows' 4-byte entries, packed once per matrix
+fields are the 4-byte entries of the matrix's one store
 (``DistanceMatrix.packed``), and no field carries into the next; below
 2**63 they widen to 8 bytes, packed once per call. A pool whose bound
 reaches 2**63, a total weight of 2**62 divided by the longest variant's
@@ -34,7 +34,7 @@ from operator import itemgetter, mul
 from typing import Callable, NamedTuple, Sequence
 
 from .eventlog import Trace
-from .tracedist import DistanceMatrix
+from .tracedist import FIELD, DistanceMatrix
 
 MAX_LLOYD_ROUNDS = 100
 
@@ -77,35 +77,34 @@ def kmedoids(
     bound = sum(counts) * 2 * max(map(len, matrix.variant_index))  # above every weighted cost
     if bound >= 1 << 63:
         raise ValueError(f"weighted costs up to {bound} do not fit 8-byte fields (2**63)")
-    code = "i" if bound < 1 << 31 else "q"
+    code = FIELD if bound < 1 << 31 else "q"
     index = {t: i for i, t in enumerate(matrix.variant_index)}
     positions = [index.get(t, -1) for t in traces]
     if -1 in positions:
         raise ValueError(f"variant {traces[positions.index(-1)]!r} is not in the distance matrix")
     if len(set(positions)) != n:
         raise ValueError("variant list contains duplicates")
-    rows = [matrix.entries[p] for p in positions]
     gather = _gatherer(positions)  # row -> distances to the given variants
+    column = lambda i: gather(matrix.row(positions[i]))  # the matrix is symmetric: a row is its column
     # field j of packed[i] holds counts[i] * d(i, j), as wide as an item of code
-    if code == "i":
+    if code == FIELD:
         packed = list(map(mul, counts, map(matrix.packed.__getitem__, positions)))
     else:
-        packed = [c * int.from_bytes(array(code, row), sys.byteorder) for c, row in zip(counts, rows)]
+        packed = [c * int.from_bytes(array(code, matrix.row(p)), sys.byteorder) for c, p in zip(counts, positions)]
     size = len(matrix.variant_index) * array(code).itemsize
 
     # farthest-point init: start at the most frequent variant, then
     # repeatedly take the variant farthest from all chosen medoids
     medoid_idx = [counts.index(max(counts))]
-    nearest = gather(rows[medoid_idx[0]])
+    nearest = column(medoid_idx[0])
     while len(medoid_idx) < k:
         medoid_idx.append(nearest.index(max(nearest)))
-        nearest = list(map(min, nearest, gather(rows[medoid_idx[-1]])))
+        nearest = list(map(min, nearest, column(medoid_idx[-1])))
 
     iteration_costs: list[int] = []
     assign: list[int] | None = None
     while True:
-        # the matrix is symmetric, so a medoid's row is its column
-        columns = [gather(rows[m]) for m in medoid_idx]
+        columns = list(map(column, medoid_idx))
         new_assign = [d.index(min(d)) for d in zip(*columns)]
         if new_assign == assign or len(iteration_costs) == MAX_LLOYD_ROUNDS:
             break
@@ -128,8 +127,7 @@ def kmedoids(
         medoids=tuple(traces[i] for i in medoid_idx),
         members=tuple(tuple(t for t, a in zip(traces, assign) if a == c) for c in range(k)),
         assignment=dict(zip(traces, assign)),
-        total_cost=sum(
-            count * row[positions[medoid_idx[c]]] for count, row, c in zip(counts, rows, assign)
-        ),
+        # each variant's distance to its medoid is the least in its column
+        total_cost=sum(map(mul, counts, map(min, zip(*columns)))),
         iteration_costs=tuple(iteration_costs),
     )

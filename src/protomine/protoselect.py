@@ -56,8 +56,8 @@ class SelectionResult(NamedTuple):
     """Final model, its prototypes, and the full iteration history.
 
     ``distances`` is the variant distance matrix the loop clustered on,
-    for callers to reuse. The model keeps its alignments itself: scored
-    again on this log and budget, it is not aligned again.
+    held once, for callers to reuse. The model keeps its alignments itself:
+    scored again on this log and budget, it is not aligned again.
     """
 
     model: PetriNet

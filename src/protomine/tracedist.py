@@ -31,12 +31,10 @@ Fredriksson & Navarro (2005):
   ``o`` is half the difference of the sums at its two byte bounds, and
   d(i, j) = len(t_i) - len(t_j) + 2 * o.
 
-``lcs_length`` runs the same kernel on a one-trace pack. Matrix rows are
-``array("i")``, 4 bytes an entry, mirrored by C-level slice copies with
-no third-party dependency. Each row is also read once per matrix as one
-int of those 4-byte fields (``DistanceMatrix.packed``), so K-Medoids,
-which sums rows, packs nothing per call; the ints are a second
-4·V² bytes for V variants.
+``lcs_length`` runs the same kernel on a one-trace pack. Rows are built
+in one row-major ``array`` of ``FIELD`` ints, mirrored by slice copies,
+then each is kept as one int of those 4-byte fields (``packed``): the
+matrix's one store, 4·V² bytes, which K-Medoids sums and ``row`` reads.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ from typing import NamedTuple, Sequence
 
 from .eventlog import Trace
 
+FIELD = "i"  # a matrix entry: a 4-byte int in native order, as array and memoryview.cast read it
 _TWICE_POPCOUNT = bytes(2 * bin(byte).count("1") for byte in range(256))  # byte -> twice its set bits
 
 
@@ -101,16 +100,19 @@ def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
 
 
 class DistanceMatrix(NamedTuple):
-    """Symmetric edit distances: ``entries[i][j]`` between variants i and j.
+    """Symmetric edit distances between variants, ``row(i)[j]`` for i and j.
 
-    ``packed[i]`` is row i's bytes read as one int, field j (4 bytes, in
-    native order) holding ``entries[i][j]``; ``clustering.kmedoids``
-    sums these rows times counts.
+    ``packed[i]`` is row i's bytes read as one int, field j (a ``FIELD``)
+    holding d(i, j); ``clustering.kmedoids`` sums these rows times counts.
     """
 
     variant_index: tuple[Trace, ...]
-    entries: tuple[array, ...]
     packed: tuple[int, ...]
+
+    def row(self, i: int) -> memoryview:
+        """Distances from variant i, one int per variant in matrix order."""
+        size = len(self.packed) * array(FIELD).itemsize
+        return memoryview(self.packed[i].to_bytes(size, sys.byteorder)).cast(FIELD)
 
 
 def distance_matrix(variant_list: Sequence[Trace]) -> DistanceMatrix:
@@ -127,7 +129,7 @@ def distance_matrix(variant_list: Sequence[Trace]) -> DistanceMatrix:
     for s in start:
         is_bound[s] = 1
     last_first = [len(t) for t in reversed(traces)]
-    flat = array("i", [0]) * (n * n)  # row-major: entry (i, j) at i * n + j
+    flat = array(FIELD, [0]) * (n * n)  # row-major: entry (i, j) at i * n + j
     for i, a in enumerate(traces[:-1]):
         s = start[i]
         v = _sweep(a, pack, pack.full & ((1 << 8 * s) - 1))  # traces i + 1..n - 1
@@ -135,10 +137,10 @@ def distance_matrix(variant_list: Sequence[Trace]) -> DistanceMatrix:
         sums = accumulate(v.to_bytes(s, "little").translate(_TWICE_POPCOUNT), initial=0)
         bounds = list(compress(sums, is_bound[: s + 1]))
         len_a = len(a)
-        row = array("i", [len_a - len_b + hi - lo for len_b, lo, hi in zip(last_first, bounds, bounds[1:])])
+        row = array(FIELD, [len_a - len_b + hi - lo for len_b, lo, hi in zip(last_first, bounds, bounds[1:])])
         row.reverse()  # read out from trace n - 1 down to trace i + 1
         flat[i * n + i + 1 : (i + 1) * n] = row  # (i, j) for j > i
         flat[(i + 1) * n + i :: n] = row  # mirrored: (j, i), down column i
-    entries = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-    packed = tuple(int.from_bytes(row, sys.byteorder) for row in entries)
-    return DistanceMatrix(variant_index=traces, entries=entries, packed=packed)
+    rows = memoryview(flat)
+    packed = tuple(int.from_bytes(rows[i * n : (i + 1) * n], sys.byteorder) for i in range(n))
+    return DistanceMatrix(variant_index=traces, packed=packed)

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import protomine
 from protomine import (
     EventLog,
     conformance,
+    distance_matrix,
     export_pnml,
     export_xes,
     flower_net,
@@ -30,7 +32,7 @@ from protomine.builtin_models import MODELS, choice_parallel_net
 from protomine.cli import main
 from protomine.protoselect import _perturb
 
-from .conftest import reference_simulate_trace
+from .conftest import random_trace, reference_simulate_trace
 
 
 @pytest.fixture
@@ -196,6 +198,26 @@ class TestDiscover:
         assert run("discover", "--in", small_log_path, "--k", "2", "--dump-distances", "--out", out) == 0
         assert len(calls) == 1
         assert (out / "distances.csv").is_file()
+
+    def test_distance_dump_streams_its_rows(self, tmp_path):
+        # one row is in memory at a time, plus the csv module's fixed
+        # 128 KiB record buffer, so the peak stays well below the file
+        rng = random.Random(800)
+        found = set()
+        while len(found) < 800:
+            found.add(random_trace(rng, "abcd", 12))
+        matrix, path = distance_matrix(sorted(found)), tmp_path / "distances.csv"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cli._dump_distances(matrix, path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
+        with open(path, newline="") as handle:
+            rows = [[int(d) for d in row[1:]] for row in list(csv.reader(handle))[1:]]
+        assert rows == [matrix.row(i).tolist() for i in range(len(found))]
 
     def test_deterministic_outputs(self, small_log_path, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"

@@ -19,10 +19,11 @@ def brute_force_best_medoids(variant_counts, k):
     """Exhaustive search over all medoid subsets, minimal weighted cost."""
     traces = [t for t, _ in variant_counts]
     matrix = distance_matrix(traces)
+    rows = [matrix.row(i) for i in range(len(traces))]
     best_cost, best = None, None
     for combo in itertools.combinations(range(len(traces)), k):
         cost = sum(
-            count * min(matrix.entries[i][j] for j in combo)
+            count * min(rows[i][j] for j in combo)
             for i, (_, count) in enumerate(variant_counts)
         )
         if best_cost is None or cost < best_cost:
@@ -113,7 +114,7 @@ class TestKMedoids:
             # every member sits with its nearest medoid, ties to the lowest index
             position = {t: i for i, t in enumerate(matrix.variant_index)}
             for trace in traces:
-                row = [matrix.entries[position[trace]][position[m]] for m in clustering.medoids]
+                row = [matrix.row(position[trace])[position[m]] for m in clustering.medoids]
                 assigned = clustering.assignment[trace]
                 assert row[assigned] == min(row)
                 assert assigned == row.index(min(row))
@@ -223,7 +224,7 @@ class TestKMedoids:
         variant_counts = [(("a", "b", "c"), 1), (("a",), 2)]
         clustering = kmedoids(variant_counts, 1, matrix)
         assert clustering.medoids == (("a",),)
-        assert clustering.total_cost == matrix.entries[2][0] == 2
+        assert clustering.total_cost == matrix.row(2)[0] == 2
         assert clustering.assignment == {("a", "b", "c"): 0, ("a",): 0}
 
     def test_variant_missing_from_matrix_rejected(self):

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from array import array
 
 import pytest
@@ -53,16 +54,16 @@ class TestEditDistance:
 class TestDistanceMatrix:
     def test_single_variant(self):
         m = distance_matrix([("a",)])
-        assert [list(row) for row in m.entries] == [[0]]
+        assert [list(m.row(i)) for i in range(1)] == [[0]]
 
     def test_single_insertion(self):
         m = distance_matrix([("a",), ("a", "b")])
-        assert [list(row) for row in m.entries] == [[0, 1], [1, 0]]
+        assert [list(m.row(i)) for i in range(2)] == [[0, 1], [1, 0]]
 
     def test_swapped_pair(self):
         # lcs of ab/ba is 1, so distance is 2 + 2 - 2
         m = distance_matrix([("a", "b"), ("b", "a")])
-        assert m.entries[0][1] == 2
+        assert m.row(0)[1] == 2
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -77,12 +78,33 @@ class TestDistanceMatrix:
         traces = list({random_trace(rng, "abc", 8) for _ in range(20)})
         m = distance_matrix(traces)
         n = len(traces)
+        rows = [m.row(i) for i in range(n)]
         for i in range(n):
-            assert m.entries[i][i] == 0
+            assert rows[i][i] == 0
             for j in range(n):
-                assert m.entries[i][j] == m.entries[j][i]
+                assert rows[i][j] == rows[j][i]
                 for k in range(n):
-                    assert m.entries[i][j] <= m.entries[i][k] + m.entries[k][j]
+                    assert rows[i][j] <= rows[i][k] + rows[k][j]
+
+    def test_matrix_is_held_once(self):
+        # the rows are kept only as packed ints, 4 bytes an entry (and a
+        # few per cent of int overhead); the row-major buffer they are
+        # read from, another 4 bytes an entry, is gone once it returns
+        rng = random.Random(400)
+        found = set()
+        while len(found) < 400:
+            found.add(random_trace(rng, "abcd", 12))
+        traces = sorted(found)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            m = distance_matrix(traces)
+            held, peak = (size - before for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert held <= 4.5 * len(traces) ** 2
+        assert peak <= 8.75 * len(traces) ** 2
+        assert m.row(len(traces) - 1)[0] == insert_delete_dp(traces[-1], traces[0])
 
 
 # labels sharing prefixes catch a kernel that matches on joined strings
@@ -117,15 +139,17 @@ class TestBitParallelKernel:
         assert set(BYTE_BOUND_LENGTHS) <= set(map(len, traces))
         rng.shuffle(traces)  # segments of every width next to each other in the pack
         m = distance_matrix(traces)
-        assert all(isinstance(row, array) and row.itemsize == 4 for row in m.entries)
-        assert [len(row) for row in m.entries] == [len(traces)] * len(traces)
-        # each packed row reads back, 4 bytes a field, as that row of entries
+        rows = [m.row(i) for i in range(len(traces))]
+        assert [len(row) for row in rows] == [len(traces)] * len(traces)
+        # each packed row decodes, 4 bytes a field, to the row that row(i) reads
         width = 4 * len(traces)
-        assert [array("i", row.to_bytes(width, sys.byteorder)) for row in m.packed] == list(m.entries)
+        assert [array("i", row.to_bytes(width, sys.byteorder)).tolist() for row in m.packed] == [
+            row.tolist() for row in rows
+        ]
         for i, a in enumerate(traces):
             for j in range(i, len(traces)):
                 b = traces[j]
-                assert m.entries[i][j] == m.entries[j][i] == insert_delete_dp(a, b)
+                assert rows[i][j] == rows[j][i] == insert_delete_dp(a, b)
                 assert lcs_length(a, b) == lcs_oracle(a, b) == lcs_length(b, a)
 
     @settings(deadline=None)
@@ -139,8 +163,9 @@ class TestBitParallelKernel:
     def test_matrix_matches_direct_dp(self, traces):
         m = distance_matrix(traces)
         for i, a in enumerate(traces):
+            row = m.row(i)
             for j, b in enumerate(traces):
-                assert m.entries[i][j] == insert_delete_dp(a, b)
+                assert row[j] == insert_delete_dp(a, b)
 
     @settings(deadline=None)
     @given(hyp_traces, hyp_traces, hyp_traces)
