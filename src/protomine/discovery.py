@@ -26,8 +26,9 @@ net with alignment cost zero. It also means every cut reads only the DFG's
 edges and its start and end activities, which depend on which variants
 occur, not on how often: counts reach no cut.
 
-Discovery is deterministic: all internal orderings are fixed
-lexicographically, so logs with the same variants give identical nets.
+Discovery is deterministic, and the net does not depend on edge order:
+no cut reads the order of the DFG's edges or of its start and end
+activities, so logs with the same variants give identical nets.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _dfg_from_table(table: Mapping[Trace, int]) -> DirectlyFollowsGraph:
     starts: dict[str, int] = {}
     ends: dict[str, int] = {}
     nodes: set[str] = set()
-    for trace, count in sorted(table.items()):
+    for trace, count in table.items():
         nodes.update(trace)
         if not trace:
             continue

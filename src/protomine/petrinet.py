@@ -162,8 +162,7 @@ class CompiledNet:
     which hash in constant time where a vector rehashes every count.
 
     One table, ``moves``, lists per id the ``(transition, label,
-    successor id)`` triple of every enabled transition, and one table
-    holds the silent closure of each single id. Both are filled on
+    successor id)`` triple of every enabled transition. It is filled on
     demand and kept for every later query, so all alignments and the
     precision replay on one net share that work; the memo grows with the
     states the searches visit and lives as long as the net, as do the memos
@@ -185,7 +184,6 @@ class CompiledNet:
         self._ids: dict[tuple[int, ...], int] = {}
         self._vectors: list[tuple[int, ...]] = []  # id -> count vector
         self._moves: list[list[Move] | None] = []  # id -> moves, None until asked
-        self._closures: dict[int, frozenset[int]] = {}
         self.alignments: dict[tuple, dict] = {}
         self.shortest: dict[int, int] = {}
         self.initial = self.state_id(net.initial_marking)
@@ -233,32 +231,20 @@ class CompiledNet:
     def silent_closure(self, sids: Iterable[int], budget: int) -> set[int]:
         """All marking ids reachable from the given ones by silent firings only.
 
-        The union of the memoised closures of each start id. Raises
-        BudgetExceeded when the closure grows past ``budget`` states; a
-        start set that is itself larger than the budget is not an overrun.
+        One search from the whole start set over the memoised moves.
+        Raises BudgetExceeded when the closure grows past ``budget``
+        states; the size is checked only as the set grows, so a start set
+        that is itself larger than the budget is not an overrun.
         """
-        start = set(sids)
-        limit = max(budget, len(start))
-        closure = set(start)
-        for sid in start:
-            closure |= self._single_closure(sid, limit, budget)
-            if len(closure) > limit:
-                raise BudgetExceeded("silent closure", budget)
-        return closure
-
-    def _single_closure(self, sid: int, limit: int, budget: int) -> frozenset[int]:
-        closure = self._closures.get(sid)
-        if closure is None:
-            seen = {sid}
-            frontier = [sid]
-            while frontier:
-                for _, label, nxt in self.moves(frontier.pop()):
-                    if label is None and nxt not in seen:
-                        seen.add(nxt)
-                        if len(seen) > limit:
-                            raise BudgetExceeded("silent closure", budget)
-                        frontier.append(nxt)
-            closure = self._closures[sid] = frozenset(seen)
+        closure = set(sids)
+        frontier = list(closure)
+        for sid in frontier:  # grows as the search reaches new ids
+            for _, label, nxt in self.moves(sid):
+                if label is None and nxt not in closure:
+                    closure.add(nxt)
+                    if len(closure) > budget:
+                        raise BudgetExceeded("silent closure", budget)
+                    frontier.append(nxt)
         return closure
 
 

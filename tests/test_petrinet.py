@@ -255,6 +255,27 @@ class TestCompiledNetAgainstReference:
         end = compiled.state_id(Marking.of(["p_out"]))
         assert compiled.silent_closure([end], 0) == {end}
 
+    def test_closure_budget_boundary_on_random_start_sets(self):
+        # a budget of the closure's size holds it; one less overruns,
+        # unless the start set alone is that large, and so does a budget
+        # below the start set's size when the set grows
+        rng = random.Random(11)
+        for net in differential_nets():
+            compiled = net.compiled
+            markings = reachable_markings(net, bound=40)
+            for _ in range(8):
+                start = rng.sample(markings, rng.randint(1, min(3, len(markings))))
+                expected = reference_silent_closure(net, start)
+                n = len(expected)
+                sids = [compiled.state_id(m) for m in start]
+                assert {compiled.marking(s) for s in compiled.silent_closure(sids, n)} == expected
+                if len(start) < n:
+                    for budget in (n - 1, len(start) - 1):
+                        with pytest.raises(BudgetExceeded, match=f"^silent closure exceeded its state budget of {budget}$"):
+                            compiled.silent_closure(sids, budget)
+                else:
+                    assert {compiled.marking(s) for s in compiled.silent_closure(sids, n - 1)} == expected
+
     def test_marking_with_unknown_place_rejected(self):
         with pytest.raises(ValueError, match="unknown places"):
             single_transition_net().compiled.state_id(Marking.of({"zz": 1}))
