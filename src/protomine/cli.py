@@ -189,7 +189,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     rows: list[list[str]] = []
     failures: list[str] = []
-    nets = []  # each distinct net scored so far, whose compiled form keeps its alignments
+    scored = []  # (net, report) for each distinct net scored so far
 
     def add_row(method: str, report, n: int) -> None:
         f1 = f_beta(report.precision, report.fitness, 1.0)
@@ -199,12 +199,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     def score_baseline(selected):
         net = discover(EventLog({t: log.count(t) for t in selected}))
         # baselines often rediscover a net already scored (the flower of a
-        # log whose variants are all kept, say); scoring the held equal net
-        # reuses its alignments, move table and silent closures
-        held = next((seen for seen in nets if seen == net), None)
-        if held is None:
-            nets.append(net)
-        return compute_report(log, held or net, selected, args.beta, args.align_budget, args.lang_budget)
+        # log whose variants are all kept, say); a row prints no score that
+        # depends on the selection (log_coverage), so that net's report serves
+        report = next((held for seen, held in scored if seen == net), None)
+        if report is None:
+            report = compute_report(log, net, selected, args.beta, args.align_budget, args.lang_budget)
+            scored.append((net, report))
+        return report
 
     n_selected = None
     try:
@@ -213,8 +214,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             align_budget=args.align_budget, closure_budget=args.lang_budget,
         )
         n_selected = len(result.prototypes)
-        nets.append(result.model)
         # the loop already scored its returned model against the whole log
+        scored.append((result.model, result.best_report))
         add_row("prototypes", result.best_report, n_selected)
     except Exception as exc:  # flagged, remaining methods still run
         failures.append(f"prototypes: {_message(exc)}")

@@ -91,14 +91,11 @@ def alignment_cost(
 
 
 def shortest_visible_path(net: PetriNet, budget: int = DEFAULT_ALIGN_BUDGET) -> int:
-    """Fewest visible labels of an accepted word: the empty trace's cost, kept on the net per budget."""
-    memo = net.compiled.shortest
-    if budget not in memo:
-        try:
-            memo[budget] = alignment_cost((), net, budget).cost
-        except BudgetExceeded:
-            raise BudgetExceeded(f"shortest path search on {net!r}", budget) from None
-    return memo[budget]
+    """Fewest visible labels of an accepted word: the empty trace's alignment cost."""
+    try:
+        return alignment_cost((), net, budget).cost
+    except BudgetExceeded:
+        raise BudgetExceeded(f"shortest path search on {net!r}", budget) from None
 
 
 def _events(trace: Trace) -> str:

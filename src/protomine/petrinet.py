@@ -165,10 +165,10 @@ class CompiledNet:
     successor id)`` triple of every enabled transition. It is filled on
     demand and kept for every later query, so all alignments and the
     precision replay on one net share that work; the memo grows with the
-    states the searches visit and lives as long as the net, as do the memos
-    of ``conformance``: ``alignments`` and ``shortest``. Ids depend
-    on the order earlier searches reached the markings, so a search may
-    use them only as identities, never to order states.
+    states the searches visit and lives as long as the net, as does
+    ``alignments``, the memo of ``conformance``. Ids depend on the order
+    earlier searches reached the markings, so a search may use them only
+    as identities, never to order states.
     """
 
     def __init__(self, net: PetriNet):
@@ -185,7 +185,6 @@ class CompiledNet:
         self._vectors: list[tuple[int, ...]] = []  # id -> count vector
         self._moves: list[list[Move] | None] = []  # id -> moves, None until asked
         self.alignments: dict[tuple, dict] = {}
-        self.shortest: dict[int, int] = {}
         self.initial = self.state_id(net.initial_marking)
         self.final = self.state_id(net.final_marking)
 

@@ -339,15 +339,17 @@ class TestCompare:
             assert run("compare", "--in", log_path, "--k", "2", "--seed", "4", "--out", out) == 0
         assert (first / "compare.csv").read_bytes() == (second / "compare.csv").read_bytes()
 
-    def test_each_distinct_net_is_aligned_once(self, tmp_path, monkeypatch):
+    def test_each_distinct_net_is_scored_once(self, tmp_path, monkeypatch):
         # on this flower log the random and nothing baselines rediscover the selected model
         log = gen_synthetic(flower_net("abc"), 150, 0.2, seed=1)
         log_path = tmp_path / "flower.xes"
         log_path.write_bytes(export_xes(log))
-        nets = []  # the selected model, then each baseline's net
+        nets, selections = [], []  # the selected model, then each baseline's net and prototypes
         aligned, built = [], []  # the nets of each full-log search and of each CompiledNet built
         loop_aligned = []  # the full-log searches made by the selection loop
+        scored = []  # the nets cmd_compare passes to compute_report
         discover, search, compile_net = cli.discover, conformance._align_trie, petrinet.CompiledNet.__init__
+        score = cli.compute_report
 
         def select(*args, **kwargs):
             result = select_incremental(*args, **kwargs)
@@ -359,6 +361,7 @@ class TestCompare:
 
         def rediscover(prototype_log):
             nets.append(discover(prototype_log))
+            selections.append(list(prototype_log.variants))
             return nets[-1]
 
         def counted_search(trie, net, budget):
@@ -370,10 +373,15 @@ class TestCompare:
             built.append(net)
             compile_net(compiled, net)
 
+        def counted_score(whole_log, net, *args):
+            scored.append(net)
+            return score(whole_log, net, *args)
+
         monkeypatch.setattr(conformance, "_align_trie", counted_search)
         monkeypatch.setattr(petrinet.CompiledNet, "__init__", counted_build)
         monkeypatch.setattr(cli, "select_incremental", select)
         monkeypatch.setattr(cli, "discover", rediscover)
+        monkeypatch.setattr(cli, "compute_report", counted_score)
         assert run("compare", "--in", log_path, "--k", "2", "--out", tmp_path / "c") == 0
         distinct = []
         for net in nets:
@@ -381,11 +389,25 @@ class TestCompare:
                 distinct.append(net)
         assert len(nets) == 4 and len(distinct) < len(nets)  # the property this log exercises
         assert loop_aligned
-        # the model's alignments are reused; every other distinct net is
-        # compiled and aligned once, and a baseline equal to a scored net
-        # is scored on that net's object
+        # the model's report is reused; every other distinct net is
+        # compiled, aligned and scored once, and a baseline equal to a
+        # scored net gets that net's report
+        assert [id(net) for net in scored] == [id(net) for net in distinct[1:]]
         assert [id(net) for net in aligned] == [id(net) for net in distinct[1:]]
         assert [id(net) for net in built] == [id(net) for net in distinct[1:]]
+        # a reused row prints what a fresh score of the baseline's own net prints
+        with open(tmp_path / "c" / "compare.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["method"] for row in rows] == ["prototypes", "frequency", "random", "nothing"]
+        reused = [i for i, net in enumerate(nets) if i and net in nets[:i]]
+        assert reused
+        for i in reused:
+            fresh = score(log, nets[i], selections[i - 1], 1.0)
+            f1 = conformance.f_beta(fresh.precision, fresh.fitness, 1.0)
+            printed = [f"{x:.6f}" for x in (f1, fresh.f_beta, fresh.fitness, fresh.precision)]
+            printed += [str(fresh.size), str(fresh.cardoso)]
+            keys = ("f1", "f_beta", "fitness", "precision", "size", "cardoso")
+            assert [rows[i][key] for key in keys] == printed, rows[i]["method"]
 
     def test_prototypes_row_matches_discover_report(self, tmp_path):
         log_path = tmp_path / "noisy.xes"
