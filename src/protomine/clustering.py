@@ -13,17 +13,17 @@ always gives the same clustering.
 
 The medoid update is the costly step, O(m²) per cluster of m members.
 It runs on packed integers, as ``tracedist`` does: each member's matrix
-row is one int with one fixed-width field per matrix column, and times
-its count it holds that row's weighted distances. The sum of the
-members' ints holds in field j the weighted cost of variant j as the
-medoid, every candidate at once, and one ``to_bytes`` reads them all.
-A field's sum is at most the total weight times the largest distance,
-twice the longest variant, so while that bound is below 2**31 the
-fields are the 4-byte entries of the matrix's one store
-(``DistanceMatrix.packed``), and no field carries into the next; below
-2**63 they widen to 8 bytes, packed once per call. A pool whose bound
-reaches 2**63, a total weight of 2**62 divided by the longest variant's
-length, raises ValueError.
+row is one int with one fixed-width field per matrix column. The sum of
+the members' rows, each times its count as it is added, holds in field j
+the weighted cost of variant j as the medoid, every candidate at once,
+and one ``to_bytes`` reads them all. A field's sum is at most the total
+weight times the largest distance, twice the longest variant, so while
+that bound is below 2**31 the fields are the 4-byte entries of the
+matrix's one store (``DistanceMatrix.packed``), read in place, and no
+field carries into the next; below 2**63 they widen to 8 bytes, each
+pool row repacked once per call. A pool whose bound reaches 2**63, a
+total weight of 2**62 divided by the longest variant's length, raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -86,11 +86,11 @@ def kmedoids(
         raise ValueError("variant list contains duplicates")
     gather = _gatherer(positions)  # row -> distances to the given variants
     column = lambda i: gather(matrix.row(positions[i]))  # the matrix is symmetric: a row is its column
-    # field j of packed[i] holds counts[i] * d(i, j), as wide as an item of code
+    # field j of rows[i] holds d(i, j), as wide as an item of code
     if code == FIELD:
-        packed = list(map(mul, counts, map(matrix.packed.__getitem__, positions)))
+        rows = list(map(matrix.packed.__getitem__, positions))
     else:
-        packed = [c * int.from_bytes(array(code, matrix.row(p)), sys.byteorder) for c, p in zip(counts, positions)]
+        rows = [int.from_bytes(array(code, matrix.row(p)), sys.byteorder) for p in positions]
     size = len(matrix.variant_index) * array(code).itemsize
 
     # farthest-point init: start at the most frequent variant, then
@@ -115,7 +115,8 @@ def kmedoids(
             if not members:  # unreachable for metric distances; keep medoid
                 continue
             # field j of the sum is variant j's weighted cost as the medoid
-            costs = sum(map(packed.__getitem__, members)).to_bytes(size, sys.byteorder)
+            weighted = map(mul, map(counts.__getitem__, members), map(rows.__getitem__, members))
+            costs = sum(weighted).to_bytes(size, sys.byteorder)
             candidates = _gatherer([positions[i] for i in members])(memoryview(costs).cast(code))
             best_cost = min(candidates)  # the first least cost wins: ties keep the lowest index
             medoid_idx[c] = members[candidates.index(best_cost)]

@@ -20,6 +20,12 @@ the sub-log's alphabet. Each cut is taken over one relation or fixpoint:
   fixpoint where every one left is entered only from end activities and
   left only for start activities.
 
+Trees are normalised as they are mined: ``_node`` builds each node from
+children already in normal form, so no second pass walks the tree.
+Any-star, a node accepting every word over its alphabet and replaced by
+the flat flower, is read from the children's shapes, since in normal
+form such a tree is tau or a flat flower.
+
 No infrequency filtering is applied, which yields the central guarantee
 used downstream: every trace of the input log replays on the discovered
 net with alignment cost zero. It also means every cut reads only the DFG's
@@ -100,6 +106,9 @@ class ProcessTree(namedtuple("ProcessTree", "operator label children")):
         if self.operator is None:
             return "tau" if self.label is None else self.label
         return f"{self.operator}({', '.join(map(repr, self.children))})"
+
+
+_TAU = ProcessTree()
 
 
 def leaf(label: str) -> ProcessTree:
@@ -252,10 +261,10 @@ def _split_by_projection(traces: set[Trace], parts: list[frozenset[str]]) -> lis
 
 # each cut, in the order tried, with the splitter of its parts and its operator
 _CUTS = (
-    (_xor_cut, _split_runs, xor),
-    (_sequence_cut, _split_by_projection, seq),
-    (_parallel_cut, _split_by_projection, parallel),
-    (_loop_cut, _split_runs, loop),
+    (_xor_cut, _split_runs, "xor"),
+    (_sequence_cut, _split_by_projection, "seq"),
+    (_parallel_cut, _split_by_projection, "and"),
+    (_loop_cut, _split_runs, "loop"),
 )
 
 
@@ -266,7 +275,7 @@ def discover_tree(log: EventLog) -> ProcessTree:
     """Discover a process tree; every log trace is replayable on it."""
     if len(log) == 0:
         raise ValueError("cannot discover a model from an empty log")
-    return simplify_tree(_discover(set(log.variants)))
+    return _discover(set(log.variants))
 
 
 def tree_alphabet(tree: ProcessTree) -> frozenset[str]:
@@ -276,101 +285,83 @@ def tree_alphabet(tree: ProcessTree) -> frozenset[str]:
     return frozenset().union(*(tree_alphabet(c) for c in tree.children))
 
 
-def _accepts_empty(tree: ProcessTree) -> bool:
+def _skips_and_singletons(tree: ProcessTree) -> tuple[bool, bool]:
+    """Whether the tree accepts the empty word, and each of its letters as a one-letter word."""
     if tree.operator is None:
-        return tree.label is None
-    if tree.operator == "xor":
-        return any(_accepts_empty(c) for c in tree.children)
+        return tree.label is None, True  # {a} for a visible leaf, vacuous for tau
     if tree.operator == "loop":
-        return _accepts_empty(tree.children[0])
-    return all(_accepts_empty(c) for c in tree.children)  # seq, and
-
-
-def _covers_singletons(tree: ProcessTree) -> bool:
-    """True when every alphabet letter occurs as a one-letter word of the tree."""
-    if tree.operator is None:
-        return True  # {a} for a visible leaf, vacuous for tau
+        skips, singletons = _skips_and_singletons(tree.children[0])
+        return skips, skips and singletons and all(_skips_and_singletons(c)[1] for c in tree.children[1:])
+    traits = [_skips_and_singletons(c) for c in tree.children]
     if tree.operator == "xor":
-        return all(_covers_singletons(c) for c in tree.children)
-    if tree.operator == "loop":
-        return _accepts_empty(tree.children[0]) and all(
-            _covers_singletons(c) for c in tree.children
-        )
+        return any(s for s, _ in traits), all(o for _, o in traits)
     # seq/and: a lone letter needs every sibling to be skippable
-    return all(_covers_singletons(c) and _accepts_empty(c) for c in tree.children)
+    return all(s for s, _ in traits), all(s and o for s, o in traits)
 
 
-def _is_anystar(tree: ProcessTree) -> bool:
-    """True when the tree's language is every word over its own alphabet."""
-    if tree.operator is None:
-        return tree.label is None  # tau accepts exactly the empty word
-    if tree.operator == "loop":
+def _star_alphabet(tree: ProcessTree) -> frozenset[str] | None:
+    """The alphabet of a normal-form tau or flat flower, else None."""
+    if tree == _TAU:
+        return frozenset()
+    if tree.operator == "loop" and tree.children[0] == _TAU and all(c.operator is None for c in tree.children):
+        return frozenset(c.label for c in tree.children[1:])
+    return None
+
+
+def _node(operator: str, children: list[ProcessTree]) -> ProcessTree:
+    """The normal form of an operator over children already in normal form.
+
+    Flattens nested seq/xor/and, drops redundant taus and repeated choice
+    branches, collapses a lone child, and turns a node accepting every
+    word over its alphabet into the flat flower over it (tau if letterless).
+    """
+    if operator == "loop":
         # the loop stars its parts: redo children only need their letters
         # available as one-letter words
-        return _is_anystar(tree.children[0]) and all(
-            _covers_singletons(c) for c in tree.children[1:]
+        star = _star_alphabet(children[0]) is not None and all(
+            _skips_and_singletons(c)[1] for c in children[1:]
         )
-    if not all(_is_anystar(c) for c in tree.children):
-        return False
-    if tree.operator == "and":
-        return True
-    union = tree_alphabet(tree)
-    if tree.operator == "xor":
-        return any(tree_alphabet(c) == union for c in tree.children)
-    # seq of any-star children collapses only around one non-trivial child
-    nontrivial = [c for c in tree.children if tree_alphabet(c)]
-    return len(nontrivial) <= 1
+    else:
+        children = [g for c in children for g in (c.children if c.operator == operator else (c,))]
+        if operator == "xor":
+            children = list(dict.fromkeys(children))
+            if _TAU in children and any(c != _TAU and _skips_and_singletons(c)[0] for c in children):
+                children.remove(_TAU)
+        else:  # the empty word is the identity of concatenation and shuffle
+            children = [c for c in children if c != _TAU] or [_TAU]
+        if len(children) == 1:
+            return children[0]
+        # stars shuffle to a star, and choose one when a branch holds every
+        # letter; seq children have letters, and a* b* is not {a,b}*
+        alphabets = list(map(_star_alphabet, children))
+        star = operator != "seq" and None not in alphabets and (
+            operator == "and" or frozenset().union(*alphabets) in alphabets
+        )
+    if not star:
+        return ProcessTree(operator=operator, children=tuple(children))
+    alphabet = frozenset().union(*map(tree_alphabet, children))
+    return flower(alphabet) if alphabet else _TAU
 
 
 def simplify_tree(tree: ProcessTree) -> ProcessTree:
-    """Language-preserving normalisation of a process tree.
+    """Language-preserving normalisation of an arbitrary process tree.
 
-    Flattens nested seq/xor/and, drops redundant silent children, and
-    replaces any subtree accepting every word over its alphabet by the
-    flat flower. Discovery output on unstructured logs otherwise nests
-    parallel and loop gadgets whose state space is exponentially larger
-    than the flower with the same language, which hurts both alignment
-    search and the simplicity metrics.
+    Unnormalised trees on unstructured logs nest parallel and loop gadgets
+    whose state space is exponentially larger than the flower with the same
+    language, which hurts both alignment search and the simplicity metrics.
+    The miner builds its trees in this normal form through the same ``_node``.
     """
     if tree.operator is None:
         return tree
-    children = [simplify_tree(c) for c in tree.children]
-
-    if tree.operator in ("seq", "xor", "and"):
-        flat: list[ProcessTree] = []
-        for child in children:
-            if child.operator == tree.operator:
-                flat.extend(child.children)
-            else:
-                flat.append(child)
-        children = flat
-
-    is_tau = lambda c: c.operator is None and c.label is None
-    if tree.operator in ("seq", "and"):
-        # the empty word is the identity of concatenation and shuffle
-        children = [c for c in children if not is_tau(c)] or [silent_leaf()]
-    elif tree.operator == "xor":
-        children = list(dict.fromkeys(children))
-        if any(not is_tau(c) and _accepts_empty(c) for c in children):
-            children = [c for c in children if not is_tau(c)]
-
-    if tree.operator != "loop" and len(children) == 1:
-        result = children[0]
-    else:
-        result = ProcessTree(operator=tree.operator, children=tuple(children))
-
-    if _is_anystar(result):
-        alphabet = tree_alphabet(result)
-        return flower(alphabet) if alphabet else silent_leaf()
-    return result
+    return _node(tree.operator, [simplify_tree(c) for c in tree.children])
 
 
 def _discover(traces: set[Trace]) -> ProcessTree:
     nonempty = traces - {()}
     if not nonempty:
-        return silent_leaf()
+        return _TAU
     if nonempty != traces:
-        return xor(silent_leaf(), _discover(nonempty))
+        return _node("xor", [_TAU, _discover(nonempty)])
     alphabet = sorted({a for t in traces for a in t})
     if traces == {(alphabet[0],)}:
         return leaf(alphabet[0])
@@ -378,7 +369,7 @@ def _discover(traces: set[Trace]) -> ProcessTree:
     graph = _dfg_from_table(dict.fromkeys(traces, 1))
     for cut, split, operator in _CUTS:
         if parts := cut(graph):
-            return operator(*(_discover(s) for s in split(traces, parts)))
+            return _node(operator, [_discover(s) for s in split(traces, parts)])
     return flower(alphabet)
 
 

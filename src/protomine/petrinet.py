@@ -323,6 +323,7 @@ def parse_pnml(document: bytes) -> PetriNet:
 
     Tags match in any namespace or in none, and ``<page>`` and ``<net>``
     containers nest to any depth. Of repeated children the first counts.
+    Arcs have unit weight: an ``<inscription>`` other than 1 is rejected.
     """
     import xml.etree.ElementTree as ET
 
@@ -376,6 +377,11 @@ def parse_pnml(document: bytes) -> PetriNet:
                 source, target = child.get("source"), child.get("target")
                 if source is None or target is None:
                     raise ValueError("arc without source/target")
+                weight = first_text(child, "{*}inscription")
+                if weight is not None and weight.strip() != "1":
+                    raise ValueError(
+                        f"arc {source!r} -> {target!r} has weight {weight.strip()!r}: only unit-weight arcs are supported"
+                    )
                 arcs.append((source, target))
             elif kind == "finalmarkings":
                 for ref in child.iterfind("*/{*}place"):

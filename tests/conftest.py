@@ -27,6 +27,9 @@ enumerates a net's short words for the brute-force oracles; it walks the
 compiled move table, which ``TestCompiledNetAgainstReference`` checks
 against the reference interpreter. ``reference_reachability`` searches
 the DFG from every node, where the miner closes it by Warshall's rule.
+``reference_simplify_tree`` normalises a finished tree with any-star
+predicates that walk every subtree, where the library builds each node in
+normal form from its children's shapes.
 ``silent_only_net``, which accepts only the empty word, is a net only the
 tests use.
 """
@@ -48,7 +51,7 @@ import pytest
 from protomine import AlignmentResult, BudgetExceeded, Marking, PetriNet, choice_parallel_net
 from protomine.conformance import DEFAULT_ALIGN_BUDGET
 from protomine.eventlog import _NOT_XML, XES_NAMESPACE, CsvColumns, EventLog, LogFormatError, Trace, _timestamp_kind, variants
-from protomine.discovery import ProcessTree, leaf, parallel, seq, tree_to_net, xor
+from protomine.discovery import ProcessTree, flower, leaf, parallel, seq, silent_leaf, tree_to_net, xor
 from protomine.petrinet import PNML_NAMESPACE, PTNET_TYPE
 
 
@@ -302,6 +305,107 @@ def random_acyclic_tree(rng: random.Random, max_leaves: int = 6) -> ProcessTree:
     if tree.operator is None:  # ensure at least one operator level sometimes
         return tree
     return tree
+
+
+# the process-tree normaliser as it was before the miner built its
+# trees in normal form: every node simplified after the whole tree was
+# built, any-star decided by walking each subtree
+
+
+def _reference_tree_alphabet(tree: ProcessTree) -> frozenset[str]:
+    """All activity labels occurring in the tree."""
+    if tree.operator is None:
+        return frozenset() if tree.label is None else frozenset((tree.label,))
+    return frozenset().union(*(_reference_tree_alphabet(c) for c in tree.children))
+
+
+def _reference_accepts_empty(tree: ProcessTree) -> bool:
+    if tree.operator is None:
+        return tree.label is None
+    if tree.operator == "xor":
+        return any(_reference_accepts_empty(c) for c in tree.children)
+    if tree.operator == "loop":
+        return _reference_accepts_empty(tree.children[0])
+    return all(_reference_accepts_empty(c) for c in tree.children)  # seq, and
+
+
+def _reference_covers_singletons(tree: ProcessTree) -> bool:
+    """True when every alphabet letter occurs as a one-letter word of the tree."""
+    if tree.operator is None:
+        return True  # {a} for a visible leaf, vacuous for tau
+    if tree.operator == "xor":
+        return all(_reference_covers_singletons(c) for c in tree.children)
+    if tree.operator == "loop":
+        return _reference_accepts_empty(tree.children[0]) and all(
+            _reference_covers_singletons(c) for c in tree.children
+        )
+    # seq/and: a lone letter needs every sibling to be skippable
+    return all(_reference_covers_singletons(c) and _reference_accepts_empty(c) for c in tree.children)
+
+
+def _reference_is_anystar(tree: ProcessTree) -> bool:
+    """True when the tree's language is every word over its own alphabet."""
+    if tree.operator is None:
+        return tree.label is None  # tau accepts exactly the empty word
+    if tree.operator == "loop":
+        # the loop stars its parts: redo children only need their letters
+        # available as one-letter words
+        return _reference_is_anystar(tree.children[0]) and all(
+            _reference_covers_singletons(c) for c in tree.children[1:]
+        )
+    if not all(_reference_is_anystar(c) for c in tree.children):
+        return False
+    if tree.operator == "and":
+        return True
+    union = _reference_tree_alphabet(tree)
+    if tree.operator == "xor":
+        return any(_reference_tree_alphabet(c) == union for c in tree.children)
+    # seq of any-star children collapses only around one non-trivial child
+    nontrivial = [c for c in tree.children if _reference_tree_alphabet(c)]
+    return len(nontrivial) <= 1
+
+
+def reference_simplify_tree(tree: ProcessTree) -> ProcessTree:
+    """Language-preserving normalisation of a process tree.
+
+    Flattens nested seq/xor/and, drops redundant silent children, and
+    replaces any subtree accepting every word over its alphabet by the
+    flat flower. Discovery output on unstructured logs otherwise nests
+    parallel and loop gadgets whose state space is exponentially larger
+    than the flower with the same language, which hurts both alignment
+    search and the simplicity metrics.
+    """
+    if tree.operator is None:
+        return tree
+    children = [reference_simplify_tree(c) for c in tree.children]
+
+    if tree.operator in ("seq", "xor", "and"):
+        flat: list[ProcessTree] = []
+        for child in children:
+            if child.operator == tree.operator:
+                flat.extend(child.children)
+            else:
+                flat.append(child)
+        children = flat
+
+    is_tau = lambda c: c.operator is None and c.label is None
+    if tree.operator in ("seq", "and"):
+        # the empty word is the identity of concatenation and shuffle
+        children = [c for c in children if not is_tau(c)] or [silent_leaf()]
+    elif tree.operator == "xor":
+        children = list(dict.fromkeys(children))
+        if any(not is_tau(c) and _reference_accepts_empty(c) for c in children):
+            children = [c for c in children if not is_tau(c)]
+
+    if tree.operator != "loop" and len(children) == 1:
+        result = children[0]
+    else:
+        result = ProcessTree(operator=tree.operator, children=tuple(children))
+
+    if _reference_is_anystar(result):
+        alphabet = _reference_tree_alphabet(result)
+        return flower(alphabet) if alphabet else silent_leaf()
+    return result
 
 
 def count_activity_leaves(tree: ProcessTree) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -202,6 +203,26 @@ class TestKMedoids:
                 assert fields(clustering) == reference_kmedoids(variant_counts, k)
                 costs.append(clustering.total_cost)
         assert max(costs) >= 1 << 31
+
+    def test_reads_pool_rows_without_a_weighted_copy(self):
+        # the medoid sums read the matrix's packed rows in place: a copy of
+        # the pool's rows would alone take the matrix's 4 * V**2 bytes
+        rng = random.Random(400)
+        found = set()
+        while len(found) < 400:
+            found.add(random_trace(rng, "abcd", 12))
+        pool = sorted(found)
+        matrix = distance_matrix(pool)
+        variant_counts = [(t, rng.randint(1, 5)) for t in pool]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            clustering = kmedoids(variant_counts, 2, matrix)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(pool) ** 2
+        assert len(clustering.medoids) == 2
 
     def test_pool_whose_costs_can_reach_2_to_the_63_rejected(self):
         matrix = distance_matrix([("a",), ("b",)])

@@ -18,9 +18,9 @@ from protomine import (
     variants,
 )
 from protomine.builtin_models import MODELS
-from protomine.discovery import ProcessTree, flower, leaf, loop, parallel, seq, silent_leaf, xor
+from protomine.discovery import ProcessTree, flower, leaf, loop, parallel, seq, silent_leaf, simplify_tree, xor
 
-from .conftest import language_upto, random_trace
+from .conftest import language_upto, random_trace, reference_simplify_tree
 
 
 class TestDfg:
@@ -219,3 +219,10 @@ class TestPinnedNets:
         for table in pinned_corpus():
             digest.update(export_pnml(discover(EventLog(table))))
         assert digest.hexdigest() == PINNED_DIGEST
+
+    def test_corpus_trees_are_in_normal_form(self):
+        # the miner builds every node in normal form: normalising its tree
+        # again, by either normaliser, changes nothing
+        for table in pinned_corpus():
+            tree = discover_tree(EventLog(table))
+            assert simplify_tree(tree) == tree == reference_simplify_tree(tree), table

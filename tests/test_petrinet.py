@@ -545,6 +545,29 @@ class TestPnml:
         with pytest.raises(ValueError, match=f"final marking of place 'p' is not an integer: '{text}'"):
             parse_pnml(f"<pnml><net><page></page>{final}</net></pnml>".encode())
 
+    def test_weighted_arc_is_rejected_naming_it(self):
+        # read as weight 1, the arc would leave a token in p0 and the final
+        # marking would be unreachable: the net would be scored wrongly
+        message = "^arc 'p0' -> 't' has weight '2': only unit-weight arcs are supported$"
+        with pytest.raises(ValueError, match=message):
+            parse_pnml(arc_weight_pnml("2"))
+
+    def test_unit_inscription_is_read(self):
+        assert parse_pnml(arc_weight_pnml("1")).arcs == frozenset({("p0", "t"), ("t", "p1")})
+
+
+def arc_weight_pnml(inscription: str) -> bytes:
+    """p0 holds 2 tokens, an arc with this inscription feeds t (label a), and t outputs to p1, the final marking."""
+    return (
+        "<pnml><net><page>"
+        "<place id='p0'><initialMarking><text>2</text></initialMarking></place><place id='p1'/>"
+        "<transition id='t'><name><text>a</text></name></transition>"
+        f"<arc id='a0' source='p0' target='t'><inscription><text>{inscription}</text></inscription></arc>"
+        "<arc id='a1' source='t' target='p1'/>"
+        "</page><finalmarkings><marking><place idref='p1'><text>1</text></place></marking></finalmarkings>"
+        "</net></pnml>"
+    ).encode()
+
 
 MISSING_IDREF = "final marking <place> without idref"
 

@@ -18,7 +18,7 @@ from protomine.discovery import (
     xor,
 )
 
-from .conftest import language_upto
+from .conftest import language_upto, reference_simplify_tree
 
 
 def random_tree(rng: random.Random, budget: int) -> ProcessTree:
@@ -44,6 +44,14 @@ class TestSimplifyTree:
             before = language_upto(tree_to_net(tree), 4, max_states=200_000)
             after = language_upto(tree_to_net(simplified), 4, max_states=200_000)
             assert before == after, (tree, simplified)
+
+    def test_matches_reference_exactly(self):
+        # node for node the normal form of the whole-tree normaliser, not
+        # only the same language
+        rng = random.Random(4242)
+        for _ in range(2500):
+            tree = random_tree(rng, rng.randint(1, 12))
+            assert simplify_tree(tree) == reference_simplify_tree(tree), tree
 
     def test_idempotent(self):
         rng = random.Random(77)
