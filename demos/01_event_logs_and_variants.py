@@ -8,6 +8,8 @@ count, which is the representation everything else in the library works
 on.
 """
 
+import io
+
 from protomine import CsvColumns, EventLog, export_xes, parse_csv, parse_xes, variants
 
 # build a log directly from raw traces: duplicates collapse into variants
@@ -26,8 +28,11 @@ print("activity universe:", sorted(log.activities))
 for trace, count in variants(log):
     print(f"  {count}x {' -> '.join(trace)}")
 
-# the same log survives an XES round trip unchanged
-document = export_xes(log)
+# the same log survives an XES round trip unchanged; export_xes writes
+# to a binary stream, a file or, here, an in-memory buffer
+buffer = io.BytesIO()
+export_xes(log, buffer)
+document = buffer.getvalue()
 print("\nXES document is", len(document), "bytes")
 assert parse_xes(document) == log
 

@@ -154,7 +154,8 @@ def cmd_discover(args: argparse.Namespace) -> int:
         _dump_distances(result.distances, out / "distances.csv")
     (out / "model.pnml").write_bytes(export_pnml(result.model))
     proto_log = EventLog({t: log.count(t) for t in result.prototypes})
-    (out / "prototypes.xes").write_bytes(export_xes(proto_log))
+    with (out / "prototypes.xes").open("wb") as handle:
+        export_xes(proto_log, handle)
     _write_json(out / "report.json", result.best_report.to_dict())
     _write_json(out / "history.json", [record.to_dict() for record in result.history])
     print(
@@ -255,7 +256,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     net = MODELS[args.model]()
     log = gen_synthetic(net, n_traces=args.n, noise_rate=args.noise, seed=args.seed)
-    (out / "log.xes").write_bytes(export_xes(log))
+    with (out / "log.xes").open("wb") as handle:
+        export_xes(log, handle)
     print(f"generated {log.total_traces} traces ({len(log)} variants) into {out / 'log.xes'}")
     return EXIT_OK
 

@@ -165,11 +165,14 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
     pushes each go to a stack of their own, and nothing pops from
     ``later`` before the rollover, so every stack receives its pushes in
     the same order as when they were made at once. A push left out is one
-    that would have popped stale: a free move reached its state at
-    ``cost`` meanwhile (an unreached state reads as ``cost + 1`` to a
-    free move, so an earlier cost-1 push changed no free move's test), or
-    its node settled. When every trace settles at ``cost``, no cost-1
-    move is pushed at all.
+    whose node settled meanwhile. When every trace settles at ``cost``,
+    no cost-1 move is pushed at all.
+
+    So every state is pushed once, at the cost it pops at: a move pushes
+    only a state not reached yet, free moves push at ``cost``, and the
+    cost-1 moves wait until every state of ``cost`` has popped. The
+    ``parent`` table is thus also the set of reached states, and no pop
+    is stale.
 
     Moves stay at a node or go down to its children, so the states along
     one trace's path are pushed only by states along that path.
@@ -195,13 +198,13 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
     # marking part -> its silent successors' and its visible (label, successor's) marking parts
     split: dict[int, tuple[list[int], list[tuple[str, int]]]] = {}
     start = compiled.initial * nodes
-    dist: dict[int, int] = {start: 0}
+    # every reached state, with the move that reached it
     parent: dict[int, tuple[int, str | None] | None] = {start: None}
     top = max(map(len, ordered))  # the depth of the deepest node
     now: list[list[int]] = [[] for _ in range(top + 2)]  # at cost, by depth
     later: list[list[int]] = [[] for _ in range(top + 2)]  # at cost + 1, by depth
     now[0].append(start)
-    level, cost, paid = 0, 0, 1
+    level = cost = 0
     # the states expanded at cost, in order, whose cost-1 moves are pushed at the rollover
     deferred: list[tuple[int, int, int, list[tuple[str, int]], dict[str, int]]] = []
     expanded = [0] * nodes
@@ -213,8 +216,6 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
             here, below = now[level], now[level + 1]
             while here:
                 state = here.pop()
-                if cost > dist[state]:
-                    continue
                 node = state % nodes
                 if not live[node]:
                     continue
@@ -255,8 +256,7 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
                 silent, visible = moves
                 for base in silent:
                     nxt = base + node
-                    if cost < dist.get(nxt, paid):
-                        dist[nxt] = cost
+                    if nxt not in parent:
                         parent[nxt] = (state, None)
                         here.append(nxt)
                 children = kids[node]
@@ -264,8 +264,7 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
                     child = children.get(label)
                     if child is not None and live[child]:  # synchronous
                         sync = base + child
-                        if cost < dist.get(sync, paid):
-                            dist[sync] = cost
+                        if sync not in parent:
                             parent[sync] = (state, label)
                             below.append(sync)
                 deferred.append((state, level, node, visible, children))
@@ -280,23 +279,21 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
             inserted = later[level]
             for label, base in visible:  # model-only (insertion)
                 nxt = base + node
-                if paid < dist.get(nxt, paid + 1):
-                    dist[nxt] = paid
+                if nxt not in parent:
                     parent[nxt] = (state, label)
                     inserted.append(nxt)
             deleted = later[level + 1]
             marking = state - node
             for child in children.values():  # trace-only (deletion)
                 nxt = marking + child
-                if live[child] and paid < dist.get(nxt, paid + 1):
-                    dist[nxt] = paid
+                if live[child] and nxt not in parent:
                     parent[nxt] = (state, None)
                     deleted.append(nxt)
         deferred.clear()
         if not any(later):
             raise ValueError("final marking is not reachable from the initial marking")
         now, later = later, now
-        level, cost, paid = top, paid, paid + 1
+        level, cost = top, cost + 1
 
 
 def _overrun(ordered: Sequence[Trace], budget: int) -> BudgetExceeded:

@@ -10,7 +10,10 @@ Supported file formats: an XES subset (``<trace>``/``<event>`` elements
 whose events carry a ``<string key="concept:name" value=.../>``
 attribute) and RFC-4180 CSV with a mandatory header row. The XES reader
 streams the document through expat and builds no element tree, so its
-memory follows the variant table rather than the document.
+memory follows the variant table rather than the document. The CSV
+reader holds no copy of the text: it decodes the document 8 KiB at a
+time. The XES writer writes to a binary stream in chunks, so it never
+holds the document either.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import re
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Mapping, NamedTuple, Sequence
 from xml.parsers import expat
 
 Trace = tuple[str, ...]
@@ -232,20 +235,31 @@ _ATTRIBUTE_ESCAPES = str.maketrans(
 _XES_EVENT = '\n    <event>\n      <string key="concept:name" value="{}" />\n    </event>'
 
 
-def export_xes(log: EventLog) -> bytes:
-    """Serialise a log to XES; parse_xes(export_xes(log)) == log.
+_CHUNK = 1 << 16  # bytes export_xes writes at a time, at least one block
+
+
+def export_xes(log: EventLog, stream: BinaryIO) -> None:
+    """Write a log as XES to a binary stream; parse_xes reads back the log.
 
     Writes ElementTree's bytes itself: those of ``ET.indent`` and a UTF-8
     ``write`` with declaration, one ``<trace>`` block per variant, repeated.
+    Each block is encoded once and written ``count`` times in chunks of
+    about 64 KiB, so memory follows the largest block, not the document.
     """
-    blocks = []
+    head = f"<?xml version='1.0' encoding='UTF-8'?>\n<log xes.version=\"1.0\" xmlns=\"{XES_NAMESPACE}\""
+    if not log:
+        stream.write(f"{head} />".encode())
+        return
+    stream.write(f"{head}>".encode())
     for trace, count in variants(log):
         events = "".join(_XES_EVENT.format(a.translate(_ATTRIBUTE_ESCAPES)) for a in trace)
-        blocks.append((f"\n  <trace>{events}\n  </trace>" if trace else "\n  <trace />") * count)
-    body = "".join(blocks)
-    head = f"<?xml version='1.0' encoding='UTF-8'?>\n<log xes.version=\"1.0\" xmlns=\"{XES_NAMESPACE}\""
-    text = f"{head}>{body}\n</log>" if body else f"{head} />"
-    return text.encode("utf-8", "xmlcharrefreplace")
+        text = f"\n  <trace>{events}\n  </trace>" if trace else "\n  <trace />"
+        block = text.encode("utf-8", "xmlcharrefreplace")
+        repeat = _CHUNK // len(block) or 1
+        while count > 0:
+            stream.write(block * min(count, repeat))
+            count -= repeat
+    stream.write(b"\n</log>")
 
 
 # what XML 1.0 forbids, which export_xes would write into a file parse_xes rejects; none of it
@@ -272,11 +286,8 @@ def _parse_seconds(text: str) -> float:
     return seconds
 
 
-def _timestamp_kind(value: object) -> str:
-    """The comparable kind of a parsed timestamp; kinds do not order together."""
-    if isinstance(value, float):
-        return "a number"
-    return "a naive ISO datetime" if value.tzinfo is None else "an ISO datetime with an offset"
+# the kinds of timestamp, which do not order together
+_NUMBER, _NAIVE, _AWARE = "a number", "a naive ISO datetime", "an ISO datetime with an offset"
 
 
 def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
@@ -290,17 +301,21 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
     LogFormatError, as does a mapped column that the header names more
     than once or not at all, an empty activity, an activity holding a
     character XML 1.0 forbids, or a document that is not UTF-8 text.
+
+    The rows are decoded 8 KiB at a time, and each case keeps its events
+    as one flat list of sort key and activity, not a tuple per event.
     """
     import csv
     from datetime import datetime
 
     body = document.removeprefix(b"\xef\xbb\xbf")  # Excel writes a byte-order mark
-    try:
-        text = body.decode("utf-8")
+    try:  # up front, so a bad line outranks every row error; the text is dropped at once
+        body.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = body[: exc.start].count(b"\n") + 1
         raise LogFormatError(f"line {line}: not UTF-8 text ({exc.reason})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    # newline="" leaves the line ends to csv, as StringIO(newline="") did
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(body), encoding="utf-8", newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -314,8 +329,8 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
     act_col = header.index(columns.activity)
     time_col = header.index(columns.timestamp) if columns.timestamp is not None else None
 
-    # case id -> list of (sort key, activity); cases keep first-appearance order
-    cases: dict[str, list[tuple[object, str]]] = {}
+    # case id -> its events as one flat list, sort key then activity; cases keep first-appearance order
+    cases: dict[str, list] = {}
     first_kind: tuple[int, str] | None = None  # (row, kind) of the first timestamp
     width = max(case_col, act_col, time_col or 0)  # a row needs more fields than this
     fromisoformat = datetime.fromisoformat
@@ -334,12 +349,13 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
             stamp = row[time_col]
             try:  # ISO-8601, with a trailing Z for UTC, or else a number of seconds
                 key = fromisoformat(stamp.strip().replace("Z", "+00:00"))
+                kind = _NAIVE if key.tzinfo is None else _AWARE
             except ValueError:
                 try:
                     key = _parse_seconds(stamp)
                 except LogFormatError as exc:
                     raise LogFormatError(f"row {rownum}: {exc}") from None
-            kind = _timestamp_kind(key)
+                kind = _NUMBER
             if first_kind is None:
                 first_kind = (rownum, kind)
             elif kind != first_kind[1]:
@@ -350,13 +366,11 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
         case = row[case_col]
         events = cases.get(case)
         if events is None:
-            cases[case] = [(key, activity)]
+            cases[case] = [key, activity]
         else:
-            events.append((key, activity))
+            events += key, activity
 
     by_key, activity_of = itemgetter(0), itemgetter(1)
-    traces = []
-    for events in cases.values():
-        events.sort(key=by_key)  # stable: file order breaks ties
-        traces.append(list(map(activity_of, events)))
-    return EventLog.from_traces(traces)
+    # each case's events paired up again and sorted stably by key, so file order breaks ties
+    pairs = (zip(events, events) for events in map(iter, cases.values()))
+    return EventLog.from_traces(map(activity_of, sorted(case, key=by_key)) for case in pairs)

@@ -323,7 +323,9 @@ def parse_pnml(document: bytes) -> PetriNet:
 
     Tags match in any namespace or in none, and ``<page>`` and ``<net>``
     containers nest to any depth. Of repeated children the first counts.
-    Arcs have unit weight: an ``<inscription>`` other than 1 is rejected.
+    Arcs have unit weight: an ``<inscription>`` other than 1 is rejected,
+    and so is a second arc with the same source and target, which would
+    stand for weight 2.
     """
     import xml.etree.ElementTree as ET
 
@@ -337,7 +339,7 @@ def parse_pnml(document: bytes) -> PetriNet:
 
     places: set[str] = set()
     transitions: dict[str, str | None] = {}
-    arcs: list[tuple[str, str]] = []
+    arcs: set[tuple[str, str]] = set()
     initial: dict[str, int] = {}
     final: dict[str, int] = {}
 
@@ -382,7 +384,11 @@ def parse_pnml(document: bytes) -> PetriNet:
                     raise ValueError(
                         f"arc {source!r} -> {target!r} has weight {weight.strip()!r}: only unit-weight arcs are supported"
                     )
-                arcs.append((source, target))
+                if (source, target) in arcs:
+                    raise ValueError(
+                        f"arc {source!r} -> {target!r} is given twice: only unit-weight arcs are supported"
+                    )
+                arcs.add((source, target))
             elif kind == "finalmarkings":
                 for ref in child.iterfind("*/{*}place"):
                     pid = ref.get("idref")

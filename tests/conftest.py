@@ -50,7 +50,7 @@ import pytest
 
 from protomine import AlignmentResult, BudgetExceeded, Marking, PetriNet, choice_parallel_net
 from protomine.conformance import DEFAULT_ALIGN_BUDGET
-from protomine.eventlog import _NOT_XML, XES_NAMESPACE, CsvColumns, EventLog, LogFormatError, Trace, _timestamp_kind, variants
+from protomine.eventlog import _NOT_XML, XES_NAMESPACE, CsvColumns, EventLog, LogFormatError, Trace, export_xes, variants
 from protomine.discovery import ProcessTree, flower, leaf, parallel, seq, silent_leaf, tree_to_net, xor
 from protomine.petrinet import PNML_NAMESPACE, PTNET_TYPE
 
@@ -582,6 +582,13 @@ def reference_export_xes(log: EventLog) -> bytes:
     return buf.getvalue()
 
 
+def xes_bytes(log: EventLog) -> bytes:
+    """The bytes export_xes writes for a log."""
+    stream = io.BytesIO()
+    export_xes(log, stream)
+    return stream.getvalue()
+
+
 def reference_export_pnml(net: PetriNet) -> bytes:
     """PNML bytes as ElementTree writes them, with a raw carriage return in text as ``&#13;``."""
     root = ET.Element("pnml", {"xmlns": PNML_NAMESPACE})
@@ -679,6 +686,12 @@ def _reference_timestamp(text: str) -> object:
     return seconds
 
 
+def _reference_timestamp_kind(value: object) -> str:
+    if isinstance(value, float):
+        return "a number"
+    return "a naive ISO datetime" if value.tzinfo is None else "an ISO datetime with an offset"
+
+
 def reference_parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
     """The CSV reader as it was before its row loop was tightened.
 
@@ -726,7 +739,7 @@ def reference_parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
                 key: object = _reference_timestamp(row[time_col])
             except LogFormatError as exc:
                 raise LogFormatError(f"row {rownum}: {exc}") from None
-            kind = _timestamp_kind(key)
+            kind = _reference_timestamp_kind(key)
             if first_kind is None:
                 first_kind = (rownum, kind)
             elif kind != first_kind[1]:
@@ -752,7 +765,7 @@ def reference_parse_pnml(document: bytes) -> PetriNet:
     containers are read recursively in document order; a place's first
     ``<initialMarking>`` and a transition's first ``<name>`` count, each
     with its first ``<text>``. A final-marking ``<place>`` without an
-    ``idref`` is skipped.
+    ``idref`` is skipped, and an arc given twice is rejected.
     """
 
     def find_child(element: ET.Element, name: str) -> ET.Element | None:
@@ -813,6 +826,8 @@ def reference_parse_pnml(document: bytes) -> PetriNet:
                 source, target = child.get("source"), child.get("target")
                 if source is None or target is None:
                     raise ValueError("arc without source/target")
+                if (source, target) in arcs:
+                    raise ValueError(f"arc {source!r} -> {target!r} is given twice: only unit-weight arcs are supported")
                 arcs.append((source, target))
             elif kind == "finalmarkings":
                 for marking_el in child:

@@ -19,7 +19,6 @@ from protomine import (
     conformance,
     distance_matrix,
     export_pnml,
-    export_xes,
     flower_net,
     gen_synthetic,
     parse_xes,
@@ -32,14 +31,14 @@ from protomine.builtin_models import MODELS, choice_parallel_net
 from protomine.cli import main
 from protomine.protoselect import _perturb
 
-from .conftest import random_trace, reference_simulate_trace
+from .conftest import random_trace, reference_simulate_trace, xes_bytes
 
 
 @pytest.fixture
 def small_log_path(tmp_path):
     log = gen_synthetic(three_group_net(), 60, 0.0, seed=1)
     path = tmp_path / "log.xes"
-    path.write_bytes(export_xes(log))
+    path.write_bytes(xes_bytes(log))
     return path
 
 
@@ -69,7 +68,7 @@ class TestGen:
             if rng.random() < 0.2:
                 trace = _perturb(trace, rng)
             traces.append(trace)
-        expected = export_xes(EventLog.from_traces(traces))
+        expected = xes_bytes(EventLog.from_traces(traces))
         assert (tmp_path / "log.xes").read_bytes() == expected
 
     def test_unknown_model(self, tmp_path):
@@ -170,7 +169,7 @@ class TestDiscover:
         # alone and "a" then "b" get different labels
         log = EventLog({("a b",): 3, ("a", "b"): 2, ("c\\", "d\\ e"): 1, (): 1})
         log_path, out = tmp_path / "log.xes", tmp_path / "run"
-        log_path.write_bytes(export_xes(log))
+        log_path.write_bytes(xes_bytes(log))
         assert run("discover", "--in", log_path, "--k", "1", "--dump-distances", "--out", out) == 0
         with open(out / "distances.csv", newline="") as handle:
             header, *rows = csv.reader(handle)
@@ -238,7 +237,7 @@ class TestEvaluate:
 
     def test_partial_fitness_value(self, tmp_path):
         log_path = tmp_path / "log.xes"
-        log_path.write_bytes(export_xes(parse_xes(
+        log_path.write_bytes(xes_bytes(parse_xes(
             b'<log><trace>'
             b'<event><string key="concept:name" value="a"/></event>'
             b'<event><string key="concept:name" value="e"/></event>'
@@ -306,7 +305,7 @@ class TestCompare:
     def test_four_method_rows(self, tmp_path):
         log_path = tmp_path / "noisy.xes"
         log = gen_synthetic(two_group_net(), 120, 0.1, seed=2)
-        log_path.write_bytes(export_xes(log))
+        log_path.write_bytes(xes_bytes(log))
         out = tmp_path / "cmp"
         assert run("compare", "--in", log_path, "--k", "2", "--out", out) == 0
         lines = (out / "compare.csv").read_text().strip().splitlines()
@@ -333,7 +332,7 @@ class TestCompare:
     def test_rerun_is_byte_identical(self, tmp_path):
         log_path = tmp_path / "noisy.xes"
         log = gen_synthetic(two_group_net(), 80, 0.15, seed=6)
-        log_path.write_bytes(export_xes(log))
+        log_path.write_bytes(xes_bytes(log))
         first, second = tmp_path / "c1", tmp_path / "c2"
         for out in (first, second):
             assert run("compare", "--in", log_path, "--k", "2", "--seed", "4", "--out", out) == 0
@@ -343,7 +342,7 @@ class TestCompare:
         # on this flower log the random and nothing baselines rediscover the selected model
         log = gen_synthetic(flower_net("abc"), 150, 0.2, seed=1)
         log_path = tmp_path / "flower.xes"
-        log_path.write_bytes(export_xes(log))
+        log_path.write_bytes(xes_bytes(log))
         nets, selections = [], []  # the selected model, then each baseline's net and prototypes
         aligned, built = [], []  # the nets of each full-log search and of each CompiledNet built
         loop_aligned = []  # the full-log searches made by the selection loop
@@ -411,7 +410,7 @@ class TestCompare:
 
     def test_prototypes_row_matches_discover_report(self, tmp_path):
         log_path = tmp_path / "noisy.xes"
-        log_path.write_bytes(export_xes(gen_synthetic(two_group_net(), 120, 0.1, seed=2)))
+        log_path.write_bytes(xes_bytes(gen_synthetic(two_group_net(), 120, 0.1, seed=2)))
         assert run("discover", "--in", log_path, "--k", "2", "--out", tmp_path / "d") == 0
         assert run("compare", "--in", log_path, "--k", "2", "--out", tmp_path / "c") == 0
         report = json.loads((tmp_path / "d" / "report.json").read_text())
@@ -513,7 +512,7 @@ class TestPipelines:
 
         log = gen_synthetic(three_group_net(), 20, 0.0, seed=9)
         packed = tmp_path / "log.xes.gz"
-        packed.write_bytes(gzip.compress(export_xes(log)))
+        packed.write_bytes(gzip.compress(xes_bytes(log)))
         out = tmp_path / "run"
         assert run("discover", "--in", packed, "--k", "1", "--out", out) == 0
         assert (out / "report.json").is_file()
@@ -531,14 +530,14 @@ class TestPipelines:
 
         log = gen_synthetic(three_group_net(), 20, 0.0, seed=9)
         log_path = tmp_path / "log.xes.gz"
-        log_path.write_bytes(damage(gzip.compress(export_xes(log))))
+        log_path.write_bytes(damage(gzip.compress(xes_bytes(log))))
         assert run("discover", "--in", log_path, "--k", "1", "--out", tmp_path / "run") == 1
         err = capsys.readouterr().err
         assert f"error: {log_path}: unreadable gzip data (" in err and reason in err
         model_path = tmp_path / "model.pnml.gz"
         model_path.write_bytes(damage(gzip.compress(export_pnml(three_group_net()))))
         plain_log = tmp_path / "log.xes"
-        plain_log.write_bytes(export_xes(log))
+        plain_log.write_bytes(xes_bytes(log))
         assert run("evaluate", "--in", plain_log, "--model", model_path, "--out", tmp_path / "eval") == 1
         err = capsys.readouterr().err
         assert f"error: {model_path}: unreadable gzip data (" in err and reason in err

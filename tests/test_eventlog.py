@@ -2,6 +2,7 @@ import csv
 import io
 import random
 import tracemalloc
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from protomine import CsvColumns, EventLog, LogFormatError, export_xes, parse_csv, parse_xes, variants
 from protomine.eventlog import XES_NAMESPACE
 
-from .conftest import random_trace, reference_export_xes, reference_parse_csv, reference_parse_xes, xml_char
+from .conftest import random_trace, reference_export_xes, reference_parse_csv, reference_parse_xes, xes_bytes, xml_char
 
 
 def xes_doc(traces):
@@ -90,7 +91,7 @@ class TestParseXes:
         # an element tree of the document peaks at about 13 times its size
         rng = random.Random(16)
         log = EventLog.from_traces(random_trace(rng, "abc", 12) for _ in range(2000))
-        document = export_xes(log)
+        document = xes_bytes(log)
         tracemalloc.start()
         try:
             parsed = parse_xes(document)
@@ -196,7 +197,7 @@ class TestXesRoundTrip:
     )
     def test_round_trip(self, table):
         log = EventLog(table)
-        assert parse_xes(export_xes(log)) == log
+        assert parse_xes(xes_bytes(log)) == log
 
     def test_trace_order_is_irrelevant(self):
         forward = xes_doc([["a", "b"], ["c"], ["a", "b"]])
@@ -226,14 +227,37 @@ class TestXesWriter:
             for _ in range(rng.randint(0, 5)):
                 table[tuple(rng.choices(XES_LABELS, k=rng.randint(0, 4)))] = rng.randint(1, 4)
             log = EventLog(table)
-            assert export_xes(log) == reference_export_xes(log)
+            assert xes_bytes(log) == reference_export_xes(log)
 
     @settings(max_examples=200, deadline=None)
     @given(xml_logs)
     def test_round_trip_over_xml_labels(self, log):
-        document = export_xes(log)
+        document = xes_bytes(log)
         assert document == reference_export_xes(log)
         assert parse_xes(document) == log
+
+    def test_peak_memory_stays_well_below_the_document(self):
+        # the writer encodes each variant's block once and writes it in
+        # chunks, so it never holds the document, which a string join would
+        rng = random.Random(4)
+        log = EventLog.from_traces(random_trace(rng, "abc", 12) for _ in range(3000))
+
+        class Counter:
+            size = 0
+
+            def write(self, data: bytes) -> int:
+                self.size += len(data)
+                return len(data)
+
+        sink = Counter()
+        tracemalloc.start()
+        try:
+            export_xes(log, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size == len(xes_bytes(log)) > 1_000_000
+        assert peak < sink.size / 4
 
 
 CSV_HEADER = "case,act,ts\n"
@@ -348,8 +372,8 @@ class TestParseCsv:
             return
         log = parse_csv(buf.getvalue().encode(), columns)
         assert log == EventLog({tuple(labels): 1} if labels else {})
-        assert export_xes(log) == reference_export_xes(log)
-        assert parse_xes(export_xes(log)) == log
+        assert xes_bytes(log) == reference_export_xes(log)
+        assert parse_xes(xes_bytes(log)) == log
 
     def test_timestamp_ties_keep_file_order(self):
         doc = (CSV_HEADER + "c1,a,5\nc1,b,5\nc1,c,1\n").encode()
@@ -362,6 +386,28 @@ class TestParseCsv:
         doc = (CSV_HEADER + f"c1,b,2\nc1,x,{value}\nc1,a,1\n").encode()
         with pytest.raises(LogFormatError, match=rf"^row 3: timestamp '{value}' is not a finite number$"):
             parse_csv(doc, CsvColumns(case_id="case", activity="act", timestamp="ts"))
+
+    def test_peak_memory_is_a_small_multiple_of_the_document(self):
+        # the text is decoded 8 KiB at a time, and a case's events are one
+        # flat list; a decoded copy of the text and a tuple per event peaked
+        # at about 12 times the document
+        rng = random.Random(3)
+        rows = []
+        for case in range(3000):
+            instant = datetime(2024, 1, 1) + timedelta(seconds=rng.randrange(10**7))
+            for _ in range(rng.randint(1, 6)):
+                instant += timedelta(seconds=rng.randint(1, 3600))
+                rows.append(f"case-{case},{rng.choice('abcdef')},{instant.isoformat()}\n")
+        rng.shuffle(rows)
+        document = (CSV_HEADER + "".join(rows)).encode()
+        tracemalloc.start()
+        try:
+            log = parse_csv(document, CsvColumns(case_id="case", activity="act", timestamp="ts"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log.total_traces == 3000
+        assert peak < 6 * len(document)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["c1", "c2", "c3"]), st.integers(-5, 5), st.booleans()),
@@ -429,6 +475,39 @@ class TestCsvReaderAgainstReference:
         document, mapping = case
         expected = read_outcome(lambda data: reference_parse_csv(data, mapping), document)
         assert read_outcome(lambda data: parse_csv(data, mapping), document) == expected
+
+
+    def test_line_ends_across_the_readers_8_kib_chunks(self):
+        # parse_csv decodes 8 KiB at a time: a CRLF split between two reads,
+        # lone CR line ends, and a quoted newline split between two reads
+        # must read as the reference reads the whole text
+        chunk = 8192
+
+        def rows_up_to(text: str, end: int, newline: str) -> str:
+            """text and rows ending in newline, the last padded to end at offset end."""
+            row = 0
+            while True:
+                head = f"c{row % 5},{'ab'[row % 2]},{row},"
+                room = end - len(text) - len(head) - len(newline)
+                if room < 40:
+                    return text + head + "n" * room + newline
+                text += head + "n" * 20 + newline
+                row += 1
+
+        text = rows_up_to("case,act,ts,note\r\n", chunk + 1, "\r\n")
+        assert text[chunk - 1 : chunk + 1] == "\r\n"
+        quoted = 'c2,"x\r\ny",9999,n\r'
+        text = rows_up_to(text, 2 * chunk - quoted.index("\n"), "\r")
+        text += quoted
+        assert text[2 * chunk - 1 : 2 * chunk + 1] == "\r\n"
+        text = rows_up_to(text, 3 * chunk, "\n")
+        document = text.encode()
+        mapping = CsvColumns("case", "act", "ts")
+        log = parse_csv(document, mapping)
+        assert "x\r\ny" in log.activities and log.total_traces == 5
+        assert read_outcome(lambda data: parse_csv(data, mapping), document) == read_outcome(
+            lambda data: reference_parse_csv(data, mapping), document
+        )
 
 
 class TestVariants:

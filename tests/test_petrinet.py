@@ -555,6 +555,16 @@ class TestPnml:
     def test_unit_inscription_is_read(self):
         assert parse_pnml(arc_weight_pnml("1")).arcs == frozenset({("p0", "t"), ("t", "p1")})
 
+    def test_repeated_arc_is_rejected_naming_it(self):
+        # two parallel arcs p0 -> t stand for weight 2: read as one unit
+        # arc, firing t would leave a token in p0, and p1 alone is final
+        document = arc_weight_pnml("1").replace(b"<arc id='a1'", b"<arc id='a2' source='p0' target='t'/><arc id='a1'")
+        message = "^arc 'p0' -> 't' is given twice: only unit-weight arcs are supported$"
+        with pytest.raises(ValueError, match=message):
+            parse_pnml(document)
+        with pytest.raises(ValueError, match=message):
+            reference_parse_pnml(document)
+
 
 def arc_weight_pnml(inscription: str) -> bytes:
     """p0 holds 2 tokens, an arc with this inscription feeds t (label a), and t outputs to p1, the final marking."""
@@ -580,9 +590,9 @@ def draw_pnml(data) -> tuple[bytes, bool]:
     ``<net>`` containers in a shuffled order. Elements may carry repeated
     ``<initialMarking>``, ``<name>`` and ``<text>`` children, and a
     missing or empty ``<text>``. A quarter of the documents also drop
-    attributes and hold markings that are no integers; reused ids, final
-    places without idref and subtrees no reader looks into turn up in
-    any of them.
+    attributes and hold markings that are no integers; reused ids, a
+    repeated arc, final places without idref and subtrees no reader looks
+    into turn up in any of them.
     """
     draw = data.draw
     some = st.integers(0, 2)
@@ -637,6 +647,7 @@ def draw_pnml(data) -> tuple[bytes, bool]:
             el("place", {"id": draw(st.sampled_from(places + ["t0"]))}),
             el("transition", {"id": draw(st.sampled_from(("t0", "p0")))}),
             el("toolspecific", {}, el("place", {"id": "ignored"})),
+            el("arc", {"source": "p0", "target": "t0"}),
             el("name", {}, el("text", {}, "net")),
         ))))
 
