@@ -208,7 +208,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             scored.append((net, report))
         return report
 
-    n_selected = None
+    n_selected = args.k
     try:
         result = select_incremental(
             log, k=args.k, beta=args.beta, max_iterations=args.max_iter,
@@ -220,8 +220,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         add_row("prototypes", result.best_report, n_selected)
     except Exception as exc:  # flagged, remaining methods still run
         failures.append(f"prototypes: {_message(exc)}")
-    if n_selected is None:
-        n_selected = min(args.k, len(log))
 
     for method, pick in (
         ("frequency", lambda: baseline_frequency(log, n_selected)),

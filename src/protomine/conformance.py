@@ -87,7 +87,10 @@ def alignment_cost(
     ``tests/conftest.py`` keeps as the oracle, so costs, projections and
     budget overruns are the oracle's.
     """
-    return _align_trie(prefix_trie([tuple(trace)]), net, budget)[0]
+    try:
+        return _align_trie(prefix_trie([tuple(trace)]), net, budget)[0]
+    except BudgetExceeded:
+        raise BudgetExceeded(f"alignment search of trace {_events(trace)}", budget) from None
 
 
 def shortest_visible_path(net: PetriNet, budget: int = DEFAULT_ALIGN_BUDGET) -> int:
@@ -228,7 +231,7 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
                         live[cursor] -= 1
                         cursor = up[cursor]
                     if spent > budget:
-                        raise _overrun(ordered, budget)
+                        raise BudgetExceeded("alignment search", budget)
                     projection: list[str] = []
                     step = parent[state]
                     while step is not None:
@@ -244,7 +247,7 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
                 expanded[node] += 1
                 total += 1
                 if total > limit or expanded[node] > budget:
-                    raise _overrun(ordered, budget)
+                    raise BudgetExceeded("alignment search", budget)
 
                 moves = split.get(marking)
                 if moves is None:
@@ -294,12 +297,6 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
             raise ValueError("final marking is not reachable from the initial marking")
         now, later = later, now
         level, cost = top, cost + 1
-
-
-def _overrun(ordered: Sequence[Trace], budget: int) -> BudgetExceeded:
-    """The error of a search over ``ordered`` that passed its budget per trace."""
-    what = f"trace {_events(ordered[0])}" if len(ordered) == 1 else f"{len(ordered)} traces"
-    return BudgetExceeded(f"alignment search of {what}", budget)
 
 
 def check_beta(beta: float) -> float:

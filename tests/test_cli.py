@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ import protomine
 from protomine import (
     EventLog,
     conformance,
+    discover,
     distance_matrix,
     export_pnml,
     flower_net,
@@ -31,7 +33,7 @@ from protomine.builtin_models import MODELS, choice_parallel_net
 from protomine.cli import main
 from protomine.protoselect import _perturb
 
-from .conftest import random_trace, reference_simulate_trace, xes_bytes
+from .conftest import insert_delete_dp, random_trace, reference_simulate_trace, xes_bytes
 
 
 @pytest.fixture
@@ -42,8 +44,31 @@ def small_log_path(tmp_path):
     return path
 
 
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """gen's seed-1 two-group and flower logs, each with the artifacts of discover --dump-distances on it."""
+    root = tmp_path_factory.mktemp("generated")
+    for model in ("two-group", "flower"):
+        out = root / model
+        assert run("gen", "--model", model, "--n", "200", "--noise", "0.2", "--seed", "1", "--out", out) == 0
+        assert run("discover", "--in", out / "log.xes", "--k", "2", "--dump-distances", "--out", out / "discover") == 0
+    return root
+
+
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def read_label(label):
+    """The trace of a distances.csv label: split at spaces no backslash escapes, then drop the escaping backslashes."""
+    return tuple(re.sub(r"\\(.)", r"\1", a) for a in re.findall(r"(?:\\.|[^ \\])+", label))
+
+
+def event_rows_csv(log):
+    """The log as CSV, one (case_id, activity) row per event, each case's rows in trace order."""
+    cases = (trace for trace, count in log.variants.items() for _ in range(count))
+    rows = (f"{case},{activity}\n" for case, trace in enumerate(cases) for activity in trace)
+    return ("case_id,activity\n" + "".join(rows)).encode()
 
 
 class TestGen:
@@ -173,12 +198,30 @@ class TestDiscover:
         assert run("discover", "--in", log_path, "--k", "1", "--dump-distances", "--out", out) == 0
         with open(out / "distances.csv", newline="") as handle:
             header, *rows = csv.reader(handle)
-        # split at spaces no backslash escapes, then drop the escaping backslashes
-        read = lambda label: tuple(re.sub(r"\\(.)", r"\1", a) for a in re.findall(r"(?:\\.|[^ \\])+", label))
-        labels = [read(label) for label in header[1:]]
-        assert labels == [read(row[0]) for row in rows]
+        labels = [read_label(label) for label in header[1:]]
+        assert labels == [read_label(row[0]) for row in rows]
         assert tuple(labels) == select_incremental(log, k=1).distances.variant_index
         assert header[1:].count("a b") == 1 and r"a\ b" in header
+
+    def test_distance_dump_entries_equal_the_insert_delete_dp(self, generated):
+        # the flower log's variants take packed-kernel segments of 1, 2 and
+        # 3 bytes, so this pins that kernel and the rows read back from the
+        # packed store end to end
+        for model in ("two-group", "flower"):
+            with open(generated / model / "discover" / "distances.csv", newline="") as handle:
+                header, *rows = csv.reader(handle)
+            traces = [read_label(label) for label in header[1:]]
+            assert len(set(traces)) == len(traces) == len(rows) > 1
+            if model == "flower":
+                assert {len(t) // 8 + 1 for t in traces} == {1, 2, 3}  # the property this log exercises
+            for a, row in zip(traces, rows):
+                assert read_label(row[0]) == a
+                assert [int(d) for d in row[1:]] == [insert_delete_dp(a, b) for b in traces], (model, a)
+
+    def test_model_is_the_miners_net_over_the_written_prototypes(self, generated):
+        out = generated / "two-group" / "discover"
+        prototypes = parse_xes((out / "prototypes.xes").read_bytes())
+        assert export_pnml(discover(prototypes)) == (out / "model.pnml").read_bytes()
 
     def test_distance_dump_builds_the_matrix_once(self, small_log_path, tmp_path, monkeypatch):
         calls = []
@@ -250,6 +293,45 @@ class TestEvaluate:
         report = json.loads((out / "report.json").read_text())
         assert report["fitness"] == pytest.approx(2 / 3)
 
+    def test_discovered_model_scores_as_discover_reported(self, generated, tmp_path):
+        # the net read back from model.pnml scores as the one discover wrote;
+        # only log_coverage differs, as evaluate has no prototypes
+        root = generated / "two-group"
+        model = root / "discover" / "model.pnml"
+        assert run("evaluate", "--in", root / "log.xes", "--model", model, "--out", tmp_path) == 0
+        reports = [json.loads((out / "report.json").read_text()) for out in (root / "discover", tmp_path)]
+        for report in reports:
+            del report["log_coverage"]
+        assert reports[0] == reports[1]
+
+    def test_lang_budget_bounds_each_silent_closure(self, generated, tmp_path, capsys):
+        # the closure after [a] holds two markings: a budget of 1 fails naming
+        # that prefix, and a budget of 2 scores the net as the default does
+        root = generated / "two-group"
+
+        def evaluate(out, *budget):
+            model = root / "discover" / "model.pnml"
+            return run("evaluate", "--in", root / "log.xes", "--model", model, *budget, "--out", tmp_path / out)
+
+        assert evaluate("1", "--lang-budget", "1") == 1
+        assert capsys.readouterr().err == (
+            "error: silent closure after prefix [a] (1 events) exceeded its state budget of 1\n"
+        )
+        assert evaluate("2", "--lang-budget", "2") == 0
+        assert evaluate("default") == 0
+        assert (tmp_path / "2" / "report.json").read_bytes() == (tmp_path / "default" / "report.json").read_bytes()
+
+    def test_align_budget_overrun_is_runtime_error_naming_the_trace(self, generated, tmp_path, capsys):
+        # the joint search overruns, and the per-trace searches that replace
+        # it name the first sorted variant over the budget
+        root = generated / "two-group"
+        model = root / "discover" / "model.pnml"
+        assert run("evaluate", "--in", root / "log.xes", "--model", model, "--align-budget", "1", "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "error: alignment search of trace [] (0 events) exceeded its state budget of 1\n"
+        )
+        assert not (tmp_path / "report.json").exists()
+
     def test_missing_model_file(self, small_log_path, tmp_path):
         assert run("evaluate", "--in", small_log_path, "--model", tmp_path / "no.pnml", "--out", tmp_path) == 2
 
@@ -301,6 +383,23 @@ class TestCompare:
         assert run("compare", "--in", small_log_path, "--k", "2", "--out", tmp_path / "cmp") == 1
         warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
         assert warnings == ["warning: method failed: prototypes: MemoryError"]
+        # with no prototypes, the frequency and random baselines keep --k variants
+        with open(tmp_path / "cmp" / "compare.csv", newline="") as handle:
+            selected = {row["method"]: row["n_selected"] for row in csv.DictReader(handle)}
+        assert selected["frequency"] == selected["random"] == "2"
+
+    def test_align_budget_overrun_fails_every_method(self, generated, tmp_path, capsys):
+        # a search that overruns keeps nothing on the net, so with a budget
+        # every search overruns, each method reports its own failure naming
+        # a trace, and compare.csv holds only the header
+        log_path, out = generated / "flower" / "log.xes", tmp_path / "cmp"
+        assert run("compare", "--in", log_path, "--k", "2", "--align-budget", "1", "--out", out) == 1
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 4
+        for method, warning in zip(("prototypes", "frequency", "random", "nothing"), warnings):
+            assert warning.startswith(f"warning: method failed: {method}: "), warning
+            assert "alignment search of trace [" in warning, warning
+        assert (out / "compare.csv").read_text() == "method,f1,f_beta,fitness,precision,size,cardoso,n_selected\n"
 
     def test_four_method_rows(self, tmp_path):
         log_path = tmp_path / "noisy.xes"
@@ -435,6 +534,46 @@ class TestCsvInput:
         assert run("discover", "--in", csv_path, "--k", "1", "--out", out) == 0
         assert (out / "model.pnml").is_file()
 
+    def test_csv_rows_give_the_xes_runs_artifacts(self, generated, tmp_path):
+        # the CSV reader feeds the loop the variant table the XES reader
+        # does, from rows in trace order, and from shuffled rows that it
+        # groups by case and sorts by --time-col; an empty trace has no row,
+        # so the XES side leaves it out too
+        log = parse_xes((generated / "two-group" / "log.xes").read_bytes())
+        log = EventLog({trace: count for trace, count in log.variants.items() if trace})
+        rng, timed = random.Random(1), []
+        cases = (trace for trace, count in log.variants.items() for _ in range(count))
+        for case, trace in enumerate(cases):
+            instant = datetime(2024, 1, 1, tzinfo=timezone.utc) + timedelta(seconds=rng.randrange(10**6))
+            for activity in trace:
+                instant += timedelta(seconds=rng.randint(1, 3600))  # strictly increasing within a case
+                timed.append([f"case-{case}", activity, instant.strftime("%Y-%m-%dT%H:%M:%SZ")])
+        rng.shuffle(timed)
+        with open(tmp_path / "shuffled.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)  # ends lines in CRLF, as Excel does
+            writer.writerow(["case_id", "activity", "timestamp"])
+            writer.writerows(timed)
+        crlf = (tmp_path / "shuffled.csv").read_bytes()
+        assert crlf.count(b"\r\n") == crlf.count(b"\n") > 1
+        (tmp_path / "shuffled-lf.csv").write_bytes(crlf.replace(b"\r\n", b"\n"))
+        (tmp_path / "ordered.csv").write_bytes(event_rows_csv(log))
+        (tmp_path / "log.xes").write_bytes(xes_bytes(log))
+
+        def artifacts(name, *options):
+            path, out = tmp_path / name, tmp_path / f"run-{name}"
+            assert run("discover", "--in", path, *options, "--k", "2", "--dump-distances", "--out", out) == 0
+            assert run("compare", "--in", path, *options, "--k", "2", "--out", out) == 0
+            names = ("report.json", "history.json", "model.pnml", "prototypes.xes", "distances.csv", "compare.csv")
+            return {artifact: (out / artifact).read_bytes() for artifact in names}
+
+        expected = artifacts("log.xes")
+        for name, options in (
+            ("ordered.csv", ()),
+            ("shuffled.csv", ("--time-col", "timestamp")),
+            ("shuffled-lf.csv", ("--time-col", "timestamp")),
+        ):
+            for artifact, data in artifacts(name, *options).items():
+                assert data == expected[artifact], (name, artifact)
 
     def test_label_xml_cannot_hold_is_runtime_error_naming_the_row(self, tmp_path, capsys):
         # the label would be written into a prototypes.xes that evaluate rejects
@@ -495,27 +634,36 @@ class TestPipelines:
 
     def test_cli_import_loads_no_dataclasses_or_fractions(self):
         # dataclasses brings inspect and its generated code, fractions brings
-        # decimal: a start-up cost every command would pay, measured from
-        # what the import adds, so modules site preloads do not count
+        # decimal: a start-up cost every command would pay; json, gzip,
+        # datetime, csv and xml.etree serve only some commands, which import
+        # them where they run. Measured from what the import adds under -S,
+        # so nothing a site hook preloads hides a module
         code = (
             "import sys\n"
             "before = set(sys.modules)\n"
             "import protomine.cli\n"
-            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & (set(sys.modules) - before)))\n"
+            "costly = {'dataclasses', 'inspect', 'fractions', 'decimal', 'json', 'gzip', 'datetime', 'csv'}\n"
+            "print(sorted(n for n in set(sys.modules) - before"
+            " if n.split('.')[0] in costly or n.startswith('xml.etree')))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(protomine.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
 
     def test_gzipped_xes_input(self, tmp_path):
+        # a gzipped log, XES or CSV, reads as the plain one: the same artifacts, byte for byte
         import gzip
 
         log = gen_synthetic(three_group_net(), 20, 0.0, seed=9)
-        packed = tmp_path / "log.xes.gz"
-        packed.write_bytes(gzip.compress(xes_bytes(log)))
-        out = tmp_path / "run"
-        assert run("discover", "--in", packed, "--k", "1", "--out", out) == 0
-        assert (out / "report.json").is_file()
+        artifacts = ("report.json", "history.json", "model.pnml", "prototypes.xes")
+        for name, data in (("log.xes", xes_bytes(log)), ("log.csv", event_rows_csv(log))):
+            runs = []
+            for path, content in ((tmp_path / name, data), (tmp_path / f"{name}.gz", gzip.compress(data))):
+                path.write_bytes(content)
+                out = tmp_path / f"run-{path.name}"
+                assert run("discover", "--in", path, "--k", "2", "--out", out) == 0
+                runs.append({artifact: (out / artifact).read_bytes() for artifact in artifacts})
+            assert runs[0] == runs[1], name
 
     @pytest.mark.parametrize(
         "damage, reason",
@@ -572,7 +720,7 @@ class TestLoadedModules:
     def test_discover_and_compare_load_only_what_they_run(self, small_log_path, tmp_path):
         loaded = modules_loaded("discover", "--in", small_log_path, "--k", "2", "--out", tmp_path / "d")
         assert "protomine.discovery" in loaded  # the check sees the command's own imports
-        assert not self.NEVER_IN_DISCOVER & loaded
+        assert not (self.NEVER_IN_DISCOVER | {"csv"}) & loaded  # csv writes only distances.csv here
         loaded = modules_loaded("compare", "--in", small_log_path, "--k", "2", "--out", tmp_path / "c")
         assert not (self.NEVER_IN_DISCOVER | {"json"}) & loaded
 
