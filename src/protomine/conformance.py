@@ -35,13 +35,8 @@ id-keyed table of moves.
 There is one alignment search, ``_align_trie`` (after prefix-alignments,
 van Zelst et al., IJDSA 2019), over a prefix trie: one trace's path for
 ``alignment_cost``, the log's trie of every variant, built once per log,
-for ``variant_alignments``. Restricted to one variant's path it pops in
-that variant's own order, so every cost, projection and budget overrun
-is that of aligning the variant alone.
-
-The search reads each marking's moves once and pushes its cost-1 moves
-only when a cost level is exhausted, so on a log whose variants all fit
-it pushes no cost-1 move, and elsewhere none that would pop stale.
+for ``variant_alignments``. Every cost, projection and budget overrun
+it gives a variant is that of aligning the variant alone.
 
 Log fitness is folded exactly in integers: the deviating variants'
 ``count * cost`` are summed per denominator ``len(trace) + shortest``,
@@ -147,29 +142,28 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
 
     Every move costs 0 or 1, so a state popped at ``cost`` pushes only
     at ``cost`` or ``cost + 1``, and the queue is a bucket queue (Dial,
-    1969) over those two costs: ``now`` holds one LIFO stack per trie
-    depth at ``cost``, ``later`` one per depth at ``cost + 1``. The cursor
-    ``level`` pops from the deepest stack of ``now``. A state there
-    pushes free moves only at ``level`` (silent) or ``level + 1``
-    (synchronous), so a synchronous push moves the cursor up, an emptied
-    stack moves it down, and when it passes depth 0 the two arrays swap
-    and it restarts at the deepest. The pop order is therefore ``(cost,
-    deepest first, newest push first)``, with moves pushed in ``moves``
-    order (silent, or synchronous then insertion, per transition; the
-    deletions last).
+    1969) over those two costs. It pops in the order ``(cost, deepest
+    first, newest push first)``, with moves pushed in ``moves`` order
+    (silent, or synchronous then insertion, per transition; the
+    deletions last). At ``cost`` that order needs one LIFO list, ``now``,
+    kept sorted by depth with the deepest on top: the state popped from
+    the top is at the deepest depth d in the list, and it pushes free
+    moves only at d (silent) and then at d + 1 (synchronous), so the
+    list stays sorted. At ``cost + 1``, ``later`` keeps one list per
+    depth, and when ``now`` runs empty they are joined shallow-first
+    into the next ``now``.
 
     A marking's moves are read once per search, on its first expansion,
     and split into its silent successors and its visible ``(label,
     successor)`` pairs, both times ``nodes``, so a state's move is one
-    add. The cost-1 pushes are deferred: each expansion is recorded, and
-    when ``now`` runs empty the records replay, in expansion order, the
-    insertions and deletions they would have pushed, before the queue is
-    tested for emptiness. Silent, synchronous, insertion and deletion
-    pushes each go to a stack of their own, and nothing pops from
-    ``later`` before the rollover, so every stack receives its pushes in
-    the same order as when they were made at once. A push left out is one
-    whose node settled meanwhile. When every trace settles at ``cost``,
-    no cost-1 move is pushed at all.
+    add. The cost-1 pushes are deferred: each expanded state is
+    recorded, and when ``now`` runs empty the records replay, in
+    expansion order, the insertions and deletions they would have
+    pushed, before the queue is tested for emptiness. Nothing pops from
+    ``later`` before the rollover, so each of its lists receives its
+    pushes in the same order as when they were made at once. A push left
+    out is one whose node settled meanwhile. When every trace settles at
+    ``cost``, no cost-1 move is pushed at all.
 
     So every state is pushed once, at the cost it pops at: a move pushes
     only a state not reached yet, free moves push at ``cost``, and the
@@ -191,7 +185,7 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
     unsettled raises ValueError. This is the hot loop of every
     log-versus-model score.
     """
-    ordered, up, kids, ends = trie.traces, trie.up, trie.kids, trie.ends
+    ordered, up, kids, ends, depth = trie.traces, trie.up, trie.kids, trie.ends, trie.depth
     nodes = len(up)
     live = trie.live.copy()  # unsettled traces at or below each node
 
@@ -203,100 +197,93 @@ def _align_trie(trie: PrefixTrie, net: PetriNet, budget: int) -> list[AlignmentR
     start = compiled.initial * nodes
     # every reached state, with the move that reached it
     parent: dict[int, tuple[int, str | None] | None] = {start: None}
-    top = max(map(len, ordered))  # the depth of the deepest node
-    now: list[list[int]] = [[] for _ in range(top + 2)]  # at cost, by depth
-    later: list[list[int]] = [[] for _ in range(top + 2)]  # at cost + 1, by depth
-    now[0].append(start)
-    level = cost = 0
-    # the states expanded at cost, in order, whose cost-1 moves are pushed at the rollover
-    deferred: list[tuple[int, int, int, list[tuple[str, int]], dict[str, int]]] = []
+    now = [start]  # at cost, sorted by depth, the deepest on top
+    later: list[list[int]] = [[] for _ in range(max(depth) + 2)]  # at cost + 1, by depth
+    cost = 0
+    deferred: list[int] = []  # the states expanded at cost, in order, whose cost-1 moves wait
     expanded = [0] * nodes
     total, limit = 0, budget * len(ordered)
     results: list[AlignmentResult | None] = [None] * len(ordered)
 
     while True:
-        while level >= 0:
-            here, below = now[level], now[level + 1]
-            while here:
-                state = here.pop()
-                node = state % nodes
+        while now:
+            state = now.pop()
+            node = state % nodes
+            if not live[node]:
+                continue
+            marking = state - node
+            if marking == final and ends[node] >= 0:
+                spent = 0
+                cursor = node
+                while cursor >= 0:
+                    spent += expanded[cursor]
+                    live[cursor] -= 1
+                    cursor = up[cursor]
+                if spent > budget:
+                    raise BudgetExceeded("alignment search", budget)
+                projection: list[str] = []
+                step = parent[state]
+                while step is not None:
+                    prev, label = step
+                    if label is not None:
+                        projection.append(label)
+                    step = parent[prev]
+                results[ends[node]] = AlignmentResult(cost, tuple(reversed(projection)))
+                if not live[0]:  # the root counts every unsettled trace
+                    return results
                 if not live[node]:
                     continue
-                marking = state - node
-                if marking == final and ends[node] >= 0:
-                    spent = 0
-                    cursor = node
-                    while cursor >= 0:
-                        spent += expanded[cursor]
-                        live[cursor] -= 1
-                        cursor = up[cursor]
-                    if spent > budget:
-                        raise BudgetExceeded("alignment search", budget)
-                    projection: list[str] = []
-                    step = parent[state]
-                    while step is not None:
-                        prev, label = step
-                        if label is not None:
-                            projection.append(label)
-                        step = parent[prev]
-                    results[ends[node]] = AlignmentResult(cost, tuple(reversed(projection)))
-                    if not live[0]:  # the root counts every unsettled trace
-                        return results
-                    if not live[node]:
-                        continue
-                expanded[node] += 1
-                total += 1
-                if total > limit or expanded[node] > budget:
-                    raise BudgetExceeded("alignment search", budget)
+            expanded[node] += 1
+            total += 1
+            if total > limit or expanded[node] > budget:
+                raise BudgetExceeded("alignment search", budget)
 
-                moves = split.get(marking)
-                if moves is None:
-                    row = moves_of(marking // nodes)
-                    moves = split[marking] = (
-                        [succ * nodes for _, label, succ in row if label is None],
-                        [(label, succ * nodes) for _, label, succ in row if label is not None],
-                    )
-                silent, visible = moves
-                for base in silent:
-                    nxt = base + node
-                    if nxt not in parent:
-                        parent[nxt] = (state, None)
-                        here.append(nxt)
-                children = kids[node]
-                for label, base in visible:
-                    child = children.get(label)
-                    if child is not None and live[child]:  # synchronous
-                        sync = base + child
-                        if sync not in parent:
-                            parent[sync] = (state, label)
-                            below.append(sync)
-                deferred.append((state, level, node, visible, children))
-                if below:  # empty before this state popped: level was the deepest
-                    level += 1
-                    break
-            else:
-                level -= 1
-        for state, level, node, visible, children in deferred:
+            moves = split.get(marking)
+            if moves is None:
+                row = moves_of(marking // nodes)
+                moves = split[marking] = (
+                    [succ * nodes for _, label, succ in row if label is None],
+                    [(label, succ * nodes) for _, label, succ in row if label is not None],
+                )
+            silent, visible = moves
+            for base in silent:
+                nxt = base + node
+                if nxt not in parent:
+                    parent[nxt] = (state, None)
+                    now.append(nxt)
+            children = kids[node]
+            for label, base in visible:
+                child = children.get(label)
+                if child is not None and live[child]:  # synchronous
+                    sync = base + child
+                    if sync not in parent:
+                        parent[sync] = (state, label)
+                        now.append(sync)
+            deferred.append(state)
+        for state in deferred:
+            node = state % nodes
             if not live[node]:  # settled since: a state here would pop only to be skipped
                 continue
-            inserted = later[level]
-            for label, base in visible:  # model-only (insertion)
+            marking = state - node
+            inserted = later[depth[node]]
+            for label, base in split[marking][1]:  # model-only (insertion)
                 nxt = base + node
                 if nxt not in parent:
                     parent[nxt] = (state, label)
                     inserted.append(nxt)
-            deleted = later[level + 1]
-            marking = state - node
-            for child in children.values():  # trace-only (deletion)
+            deleted = later[depth[node] + 1]
+            for child in kids[node].values():  # trace-only (deletion)
                 nxt = marking + child
                 if live[child] and nxt not in parent:
                     parent[nxt] = (state, None)
                     deleted.append(nxt)
         deferred.clear()
-        if not any(later):
+        for bucket in later:  # shallow first, so the deepest ends on top
+            now += bucket
+            bucket.clear()
+        if not now:
             raise ValueError("final marking is not reachable from the initial marking")
-        now, later = later, now
-        level, cost = top, cost + 1
+        cost += 1
 
 
 def check_beta(beta: float) -> float:
@@ -432,11 +419,7 @@ def _escaping_edges_precision(
     steps: dict[tuple[int, str], int] = {}
 
     trie = prefix_trie(projected)
-    up, kids = trie.up, trie.kids
-    label_of: list[str] = [""] * len(up)  # per node, the label of the edge into it
-    for children in kids:
-        for label, child in children.items():
-            label_of[child] = label
+    up, kids, edge = trie.up, trie.kids, trie.edge
 
     def closure(node: int, start: Iterable[int]) -> int:
         try:
@@ -444,7 +427,7 @@ def _escaping_edges_precision(
         except BudgetExceeded:
             prefix = []
             while node > 0:
-                prefix.append(label_of[node])
+                prefix.append(edge[node])
                 node = up[node]
             raise BudgetExceeded(
                 f"silent closure after prefix {_events(tuple(reversed(prefix)))}", closure_budget
@@ -460,7 +443,7 @@ def _escaping_edges_precision(
 
     states = [closure(0, [compiled.initial])]
     for node in range(1, len(up)):
-        key = (states[up[node]], label_of[node])
+        key = (states[up[node]], edge[node])
         reached = steps.get(key)
         if reached is None:
             before, label = key

@@ -112,12 +112,14 @@ class PrefixTrie(NamedTuple):
     kids: list[dict[str, int]]  # per node, its children by label
     ends: list[int]  # per node, the index in traces of the trace ending there, or -1
     live: list[int]  # per node, the traces ending at or below it
+    depth: list[int]  # per node, the length of its prefix
+    edge: list[str]  # per node, the label of the edge into it ("" at the root)
 
 
 def prefix_trie(traces: Iterable[Trace]) -> PrefixTrie:
     """The prefix trie of distinct traces, which it sorts."""
     ordered = tuple(sorted(traces))
-    up, kids, ends, live = [-1], [{}], [-1], [len(ordered)]
+    up, kids, ends, live, depth, edge = [-1], [{}], [-1], [len(ordered)], [0], [""]
     for index, trace in enumerate(ordered):
         node = 0
         for label in trace:
@@ -128,10 +130,12 @@ def prefix_trie(traces: Iterable[Trace]) -> PrefixTrie:
                 kids.append({})
                 ends.append(-1)
                 live.append(0)
+                depth.append(depth[node] + 1)
+                edge.append(label)
             node = child
             live[node] += 1
         ends[node] = index
-    return PrefixTrie(ordered, up, kids, ends, live)
+    return PrefixTrie(ordered, up, kids, ends, live, depth, edge)
 
 
 def variants(log: EventLog) -> list[tuple[Trace, int]]:

@@ -102,6 +102,10 @@ class TestGen:
     def test_invalid_noise(self, tmp_path):
         assert run("gen", "--model", "flower", "--n", "1", "--noise", "2", "--out", tmp_path) == 2
 
+    def test_negative_trace_count(self, tmp_path, capsys):
+        assert run("gen", "--model", "flower", "--n", "-1", "--out", tmp_path / "d") == 2
+        assert "error: --n must be non-negative" in capsys.readouterr().err
+
     def test_help_lists_the_built_in_models(self, capsys):
         # the parser names the models without importing builtin_models
         assert cli.GEN_MODELS == tuple(sorted(MODELS))
@@ -737,6 +741,16 @@ class TestLoadedModules:
         env = {**os.environ, "PYTHONPATH": str(Path(protomine.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
+
+
+class TestConsoleScript:
+    def test_protomine_script_is_cli_main(self):
+        # a plain text scan of pyproject.toml: Python 3.10 has no tomllib
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        target = re.fullmatch(r'protomine = "([\w.]+):(\w+)"', scripts.strip())
+        assert target, scripts
+        assert getattr(importlib.import_module(target[1]), target[2]) is cli.main
 
 
 class TestLazyExports:

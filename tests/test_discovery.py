@@ -49,6 +49,8 @@ class TestProcessTree:
             ProcessTree(operator="nope", children=(leaf("a"), leaf("b")))
         with pytest.raises(ValueError):
             ProcessTree(label="a", children=(leaf("b"),))
+        with pytest.raises(ValueError, match="operator nodes carry no label"):
+            ProcessTree("seq", "a", (leaf("a"), leaf("b")))
 
     def test_repr_reads_like_a_term(self):
         tree = seq(leaf("a"), xor(leaf("b"), silent_leaf()))

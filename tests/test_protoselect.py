@@ -89,6 +89,8 @@ class TestSelectIncremental:
             select_incremental(log, k=2)
         with pytest.raises(ValueError):
             select_incremental(log, k=0)
+        with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+            select_incremental(log, k=1, max_iterations=0)
 
     @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf, 1e200])
     def test_beta_without_a_finite_square_rejected(self, beta):
@@ -279,3 +281,15 @@ class TestGenSynthetic:
     def test_noise_rate_validated(self):
         with pytest.raises(ValueError):
             gen_synthetic(choice_parallel_net(), 10, 1.5, seed=0)
+
+    def test_negative_trace_count_rejected(self):
+        with pytest.raises(ValueError, match="n_traces must be non-negative"):
+            gen_synthetic(choice_parallel_net(), -1, 0.0, seed=0)
+
+    def test_walks_that_dead_end_raise(self):
+        # t moves the token to p2, where no walk can reach the final marking p1
+        net = PetriNet(
+            ["p0", "p1", "p2"], {"t": "t"}, [("p0", "t"), ("t", "p2")], Marking.of({"p0": 1}), Marking.of({"p1": 1})
+        )
+        with pytest.raises(RuntimeError, match="simulation repeatedly failed to reach the final marking"):
+            gen_synthetic(net, 1, 0.0, seed=0)
