@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 # the defining submodule of every public name
 _EXPORTS = {
     "builtin_models": ("MODELS", "choice_parallel_net", "flower_net", "three_group_net", "two_group_net"),
-    "clustering": ("Clustering", "kmedoids"),
     "conformance": (
         "AlignmentResult", "QualityReport", "alignment_cost", "compute_report", "f_beta",
         "shortest_visible_path", "variant_alignments",
@@ -32,7 +31,7 @@ _EXPORTS = {
         "IterationRecord", "SelectionResult", "baseline_frequency", "baseline_random", "gen_synthetic",
         "select_incremental",
     ),
-    "tracedist": ("DistanceMatrix", "distance_matrix", "edit_distance", "lcs_length"),
+    "tracedist": ("Clustering", "DistanceMatrix", "distance_matrix", "edit_distance", "kmedoids", "lcs_length"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

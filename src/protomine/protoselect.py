@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .clustering import kmedoids
 from .conformance import (
     DEFAULT_ALIGN_BUDGET,
     DEFAULT_CLOSURE_BUDGET,
@@ -33,7 +32,7 @@ from .conformance import (
 from .discovery import discover
 from .eventlog import EventLog, Trace, variants
 from .petrinet import PetriNet
-from .tracedist import DistanceMatrix, distance_matrix
+from .tracedist import DistanceMatrix, distance_matrix, kmedoids
 
 STOP_NO_IMPROVEMENT = "no_improvement"
 STOP_NO_DEVIATING_TRACES = "no_deviating_traces"

@@ -30,12 +30,17 @@ the DFG from every node, where the miner closes it by Warshall's rule.
 ``reference_simplify_tree`` normalises a finished tree with any-star
 predicates that walk every subtree, where the library builds each node in
 normal form from its children's shapes.
+``reference_select_incremental`` composes the distance, K-Medoids,
+alignment and precision oracles into the whole selection loop, with
+``discover`` (which ``TestPinnedNets`` pins) its one library step, and
+``reference_compare`` rescores every ``compare`` baseline from them.
 ``silent_only_net``, which accepts only the empty word, is a net only the
 tests use.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import io
 import math
@@ -44,15 +49,17 @@ import re
 import xml.etree.ElementTree as ET
 from collections import deque
 from datetime import datetime
+from fractions import Fraction
 from typing import Sequence
 
 import pytest
 
 from protomine import AlignmentResult, BudgetExceeded, Marking, PetriNet, choice_parallel_net
-from protomine.conformance import DEFAULT_ALIGN_BUDGET
+from protomine.conformance import DEFAULT_ALIGN_BUDGET, DEFAULT_CLOSURE_BUDGET, QualityReport
 from protomine.eventlog import _NOT_XML, XES_NAMESPACE, CsvColumns, EventLog, LogFormatError, Trace, export_xes, variants
-from protomine.discovery import ProcessTree, flower, leaf, parallel, seq, silent_leaf, tree_to_net, xor
+from protomine.discovery import ProcessTree, discover, flower, leaf, parallel, seq, silent_leaf, tree_to_net, xor
 from protomine.petrinet import PNML_NAMESPACE, PTNET_TYPE
+from protomine.protoselect import IterationRecord
 
 
 @pytest.fixture
@@ -220,7 +227,7 @@ def _first_best(values, better) -> int:
 
 
 def reference_kmedoids(variant_counts, k: int, distance=insert_delete_dp) -> dict:
-    """K-Medoids as the clustering module describes it, one loop per step.
+    """K-Medoids as ``tracedist.kmedoids`` describes it, one loop per step.
 
     Farthest-point initialisation from the most frequent variant, then
     Lloyd rounds (assign to the nearest medoid, move each medoid to the
@@ -564,6 +571,145 @@ def reference_escaping_edges_precision(net: PetriNet, projected, closure_budget:
     if enabled_total == 0:
         return 1.0
     return 1.0 - escaping_total / enabled_total
+
+
+def reference_report(
+    log: EventLog,
+    net: PetriNet,
+    prototypes,
+    beta: float,
+    align_budget: int = DEFAULT_ALIGN_BUDGET,
+    closure_budget: int = DEFAULT_CLOSURE_BUDGET,
+) -> tuple[QualityReport, dict[Trace, AlignmentResult]]:
+    """A net's report against a log, and each variant's alignment, from the reference oracles.
+
+    Every variant gets its own ``reference_alignment_cost``; the shortest
+    word is the empty trace's (at the default budget, as the library's
+    is). Fitness is the exact rational ``1 - sum(count * cost / (len +
+    shortest)) / total`` rounded once; precision replays the projections
+    with ``reference_escaping_edges_precision``. F_beta, size and the
+    Cardoso metric are written out here.
+    """
+    table = log.variants
+    total = sum(table.values())
+    alignments = {t: reference_alignment_cost(t, net, align_budget) for t in table}
+    shortest = reference_alignment_cost((), net).cost
+    deviation = sum(
+        (Fraction(count * alignments[t].cost, len(t) + shortest) for t, count in table.items() if alignments[t].cost),
+        Fraction(0),
+    )
+    fitness = float(1 - deviation / total)
+    projected: dict[Trace, int] = {}
+    for t, count in table.items():
+        word = alignments[t].model_projection
+        projected[word] = projected.get(word, 0) + count
+    precision = reference_escaping_edges_precision(net, projected, closure_budget)
+    b2 = beta * beta
+    weighted = b2 * precision + fitness
+    fan_out: dict[str, int] = {}
+    for source, _ in net.arcs:
+        fan_out[source] = fan_out.get(source, 0) + 1
+    report = QualityReport(
+        fitness=fitness,
+        precision=precision,
+        f_beta=0.0 if weighted == 0 else (1 + b2) * (precision * fitness) / weighted,
+        beta=beta,
+        size=len(net.places) + len(net.transitions) + len(net.arcs),
+        cardoso=sum(d - 1 for d in fan_out.values()),
+        log_coverage=sum(count for t, count in table.items() if t in prototypes) / total,
+        model_trace_coverage=sum(count for t, count in table.items() if alignments[t].cost == 0) / total,
+    )
+    return report, alignments
+
+
+def _ranked(log: EventLog) -> list[tuple[Trace, int]]:
+    """The variant table by descending count, ties lexicographic."""
+    return sorted(log.variants.items(), key=lambda item: (-item[1], item[0]))
+
+
+@functools.lru_cache(maxsize=4)  # reference_compare re-reads the loop a test has just checked
+def reference_select_incremental(
+    log: EventLog,
+    k: int,
+    beta: float,
+    max_iterations: int = 20,
+    align_budget: int = DEFAULT_ALIGN_BUDGET,
+    closure_budget: int = DEFAULT_CLOSURE_BUDGET,
+) -> tuple[PetriNet, tuple[Trace, ...], tuple[IterationRecord, ...], str]:
+    """The paper's selection loop in its plainest form: (model, prototypes, history, stop reason).
+
+    Each iteration clusters its pool with ``reference_kmedoids`` (every
+    variant first, then the variants the last model does not fit), adds
+    the medoids not yet selected, discovers a net from the prototypes and
+    scores it against the whole log with ``reference_report``. The loop
+    stops when an iteration's F_beta is not above the one before it, when
+    the model fits every variant, or after ``max_iterations``. The model
+    and prototypes are the best iteration's: the first with the highest
+    F_beta, which is the last one that improved.
+    """
+    ranked = _ranked(log)
+    pool = ranked
+    selected: list[Trace] = []
+    history: list[IterationRecord] = []
+    stop_reason = "iteration_cap"
+    for iteration in range(1, max_iterations + 1):
+        medoids = reference_kmedoids(pool, min(k, len(pool)))["medoids"]
+        added = tuple(m for m in medoids if m not in selected)
+        selected.extend(added)
+        net = discover(EventLog({t: log.count(t) for t in selected}))
+        report, alignments = reference_report(log, net, selected, beta, align_budget, closure_budget)
+        improved = not history or report.f_beta > history[-1].report.f_beta
+        history.append(IterationRecord(iteration, added, len(selected), report))
+        if not improved:
+            stop_reason = "no_improvement"
+            break
+        pool = [(t, c) for t, c in ranked if alignments[t].cost > 0]
+        if not pool:
+            stop_reason = "no_deviating_traces"
+            break
+    best = max(history, key=lambda record: record.report.f_beta)
+    prototypes = tuple(selected[: best.prototype_total])
+    model = discover(EventLog({t: log.count(t) for t in prototypes}))
+    return model, prototypes, tuple(history), stop_reason
+
+
+def reference_compare(
+    log: EventLog,
+    k: int,
+    seed: int,
+    beta: float = 1.0,
+    max_iterations: int = 20,
+    align_budget: int = DEFAULT_ALIGN_BUDGET,
+    closure_budget: int = DEFAULT_CLOSURE_BUDGET,
+) -> list[list[str]]:
+    """The four rows ``compare`` writes to compare.csv, below its header.
+
+    The prototypes row is ``reference_select_incremental``'s best report;
+    the frequency (the most frequent variants), random (a seeded sample)
+    and nothing (every variant) baselines keep as many variants as it
+    selected, and each baseline's net is discovered and scored afresh.
+    """
+    _, prototypes, history, _ = reference_select_incremental(
+        log, k, beta, max_iterations, align_budget, closure_budget
+    )
+    ranked = [t for t, _ in _ranked(log)]
+    n = len(prototypes)
+    scored = [("prototypes", max(history, key=lambda record: record.report.f_beta).report, n)]
+    for method, selected in (
+        ("frequency", ranked[:n]),
+        ("random", random.Random(seed).sample(ranked, n)),
+        ("nothing", ranked),
+    ):
+        net = discover(EventLog({t: log.count(t) for t in selected}))
+        report, _ = reference_report(log, net, selected, beta, align_budget, closure_budget)
+        scored.append((method, report, len(selected)))
+    rows = []
+    for method, report, n_selected in scored:
+        p, f = report.precision, report.fitness
+        f1 = 0.0 if p + f == 0 else 2 * (p * f) / (p + f)
+        scores = [f"{x:.6f}" for x in (f1, report.f_beta, f, p)]
+        rows.append([method, *scores, str(report.size), str(report.cardoso), str(n_selected)])
+    return rows
 
 
 def reference_export_xes(log: EventLog) -> bytes:

@@ -542,3 +542,11 @@ class TestEventLog:
         log = EventLog.from_traces([["a"], ["a"], ["b"]])
         assert log.variants == {("a",): 2, ("b",): 1}
 
+    def test_value_semantics(self):
+        same = EventLog({("b",): 1, ("a",): 2}), EventLog.from_traces([["a"], ["b"], ["a"]])
+        assert hash(same[0]) == hash(same[1])
+        assert len(set(same)) == 1
+        assert (EventLog({("a",): 1}) == 1) is False
+        assert (EventLog({("a",): 1}) != 1) is True
+        assert repr(EventLog({("a", "b"): 2, ("c",): 3})) == "EventLog(2 variants, 5 traces)"
+

@@ -714,6 +714,10 @@ class TestPnmlReader:
 
 
 class TestValidation:
+    def test_a_net_equals_only_nets(self):
+        assert (two_group_net() == 1) is False
+        assert two_group_net() == two_group_net()
+
     @pytest.mark.parametrize("label", ["", 7])
     def test_label_is_a_non_empty_string_or_silent(self, label):
         with pytest.raises(ValueError, match="transition labels must be non-empty or silent"):

@@ -1,7 +1,10 @@
+import csv
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import protomine.eventlog as eventlog_module
@@ -17,14 +20,16 @@ from protomine import (
     choice_parallel_net,
     compute_report,
     distance_matrix,
+    export_xes,
     gen_synthetic,
     select_incremental,
     three_group_net,
     two_group_net,
     variants,
 )
+from protomine.cli import main
 
-from .conftest import reference_kmedoids
+from .conftest import reference_compare, reference_kmedoids, reference_select_incremental
 from .test_clustering import fields
 
 THREE_GROUP_LOG = EventLog(
@@ -221,6 +226,42 @@ class TestLoopClustering:
         assert all(matrix is result.distances for _, _, matrix, _ in calls)
         for pool, k, _, clustering in calls:
             assert fields(clustering) == reference_kmedoids(pool, k)
+
+
+class TestWholeLoopAgainstReference:
+    """The loop and compare's rows, against the per-layer oracles composed in the plainest form."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        st.dictionaries(
+            st.lists(st.sampled_from("abcd"), max_size=6).map(tuple),
+            st.integers(1, 6),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from([0.5, 1.0, 2.0]),
+        st.integers(0, 3),
+    )
+    # at k = 1 the second model's F_beta equals the first's: the loop stops there
+    @example({("a",): 4, ("c", "b", "c"): 2}, 0.5, 0)
+    def test_select_incremental_and_compare_rows_equal_the_reference(self, table, beta, seed):
+        log = EventLog(table)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.xes"
+            with path.open("wb") as handle:
+                export_xes(log, handle)
+            for k in range(1, min(3, len(log)) + 1):
+                result = select_incremental(log, k, beta)
+                model, prototypes, history, stop_reason = reference_select_incremental(log, k, beta)
+                assert result.prototypes == prototypes
+                assert result.history == history
+                assert result.stop_reason == stop_reason
+                assert result.model == model
+                out = Path(tmp) / f"k{k}"
+                argv = ["compare", "--in", path, "--k", k, "--beta", beta, "--seed", seed, "--out", out]
+                assert main([str(a) for a in argv]) == 0
+                with open(out / "compare.csv", newline="") as handle:
+                    assert list(csv.reader(handle))[1:] == reference_compare(log, k, seed, beta)
 
 
 class TestBaselines:
