@@ -33,7 +33,7 @@ from .conformance import (
 from .discovery import discover
 from .eventlog import CsvColumns, EventLog, LogFormatError, export_xes, parse_csv, parse_xes, variants
 from .petrinet import export_pnml
-from .protoselect import baseline_frequency, baseline_random, select_incremental
+from .protoselect import SelectionResult, baseline_frequency, baseline_random, select_incremental
 from .tracedist import DistanceMatrix
 
 EXIT_OK = 0
@@ -138,26 +138,27 @@ def _dump_distances(matrix: DistanceMatrix, path: Path) -> None:
     _write_csv(path, ["variant", *labels], ([label, *matrix.row(i)] for i, label in enumerate(labels)))
 
 
+def _select(args: argparse.Namespace, log: EventLog) -> SelectionResult:
+    """select_incremental on the log with the run options of discover and compare."""
+    return select_incremental(
+        log, k=args.k, beta=args.beta, max_iterations=args.max_iter,
+        align_budget=args.align_budget, closure_budget=args.lang_budget,
+    )
+
+
 def cmd_discover(args: argparse.Namespace) -> int:
     log = _load_log(args)
     _check_k(args, log)
     out = _out_dir(args)
-    result = select_incremental(
-        log,
-        k=args.k,
-        beta=args.beta,
-        max_iterations=args.max_iter,
-        align_budget=args.align_budget,
-        closure_budget=args.lang_budget,
-    )
+    result = _select(args, log)
     if args.dump_distances:
         _dump_distances(result.distances, out / "distances.csv")
     (out / "model.pnml").write_bytes(export_pnml(result.model))
     proto_log = EventLog({t: log.count(t) for t in result.prototypes})
     with (out / "prototypes.xes").open("wb") as handle:
         export_xes(proto_log, handle)
-    _write_json(out / "report.json", result.best_report.to_dict())
-    _write_json(out / "history.json", [record.to_dict() for record in result.history])
+    _write_json(out / "report.json", result.best_report._asdict())
+    _write_json(out / "history.json", [{**r._asdict(), "report": r.report._asdict()} for r in result.history])
     print(
         f"selected {len(result.prototypes)} prototypes in {len(result.history)} iterations "
         f"({result.stop_reason}); artifacts in {out}"
@@ -178,7 +179,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = compute_report(
         log, net, [], args.beta, budget=args.align_budget, closure_budget=args.lang_budget
     )
-    _write_json(out / "report.json", report.to_dict())
+    _write_json(out / "report.json", report._asdict())
     print(f"fitness {report.fitness:.4f}, precision {report.precision:.4f}; report in {out}")
     return EXIT_OK
 
@@ -210,10 +211,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     n_selected = args.k
     try:
-        result = select_incremental(
-            log, k=args.k, beta=args.beta, max_iterations=args.max_iter,
-            align_budget=args.align_budget, closure_budget=args.lang_budget,
-        )
+        result = _select(args, log)
         n_selected = len(result.prototypes)
         # the loop already scored its returned model against the whole log
         scored.append((result.model, result.best_report))

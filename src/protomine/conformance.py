@@ -74,7 +74,9 @@ def alignment_cost(
     transition (free), fire a visible transition without consuming input
     (cost 1, an insertion), or skip the next input activity (cost 1, a
     deletion). Raises BudgetExceeded naming the trace when over ``budget`` states
-    expand, and ValueError when the final marking is not reachable.
+    expand, and ValueError when the states run out before the final
+    marking. An unbounded net never runs out: there an unreachable final
+    marking raises BudgetExceeded.
 
     This is ``_align_trie`` on the one-path trie of the trace, where a
     node is a trace position: it pops in the order ``(cost, events left,
@@ -323,9 +325,6 @@ class QualityReport(NamedTuple):
     log_coverage: float
     model_trace_coverage: float
 
-    def to_dict(self) -> dict[str, float | int]:
-        return self._asdict()
-
 
 def compute_report(
     log: EventLog,
@@ -345,9 +344,11 @@ def compute_report(
 
     The alignments are ``variant_alignments``', reused when that net was
     aligned before. An empty log, or a prototype that is not a variant of
-    the log, raises ValueError. The shortest model word is found before
-    any variant is aligned, so a net whose final marking is unreachable
-    fails fast with ValueError.
+    the log, raises ValueError. The shortest model word is found first,
+    at ``DEFAULT_ALIGN_BUDGET`` whatever ``budget`` is, so a bounded net
+    whose final marking is unreachable raises ValueError before any
+    variant is aligned; an unbounded one raises BudgetExceeded ("shortest
+    path search ...") only after ``DEFAULT_ALIGN_BUDGET`` states.
     """
     table = log.variants
     total = log.total_traces

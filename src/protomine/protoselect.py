@@ -5,10 +5,10 @@ whole log in the first iteration, the variants the last model does not
 fit after that), adds the medoids to the prototype set, discovers a model
 from the prototype log and scores it against the whole log. The loop
 stops on the first iteration whose F_beta does not strictly improve on
-the one before (no_improvement), when the model fits every variant
-(no_deviating_traces), or at the iteration cap (iteration_cap). It has
-one exit: after the loop, the model and prototypes of the best
-iteration are returned with the whole history.
+the best record, the last improving iteration (no_improvement), when the
+model fits every variant (no_deviating_traces), or at the iteration cap
+(iteration_cap). It has one exit: after the loop, the best record's
+model, prototypes and report are returned with the whole history.
 
 Termination is guaranteed without any cap: an iteration that adds no
 prototype rediscovers the same model, scores the same F_beta and stops,
@@ -47,27 +47,23 @@ class IterationRecord(NamedTuple):
     prototype_total: int
     report: QualityReport
 
-    def to_dict(self) -> dict:
-        return {**self._asdict(), "report": self.report.to_dict()}
-
 
 class SelectionResult(NamedTuple):
-    """Final model, its prototypes, and the full iteration history.
+    """The best iteration's model, prototypes and report, and the full iteration history.
 
-    ``distances`` is the variant distance matrix the loop clustered on,
-    held once, for callers to reuse. The model keeps its alignments itself:
-    scored again on this log and budget, it is not aligned again.
+    ``best_report`` is the report of the last improving iteration, which
+    first reached the highest F_beta of the history. ``distances`` is the
+    variant distance matrix the loop clustered on, held once, for callers
+    to reuse. The model keeps its alignments itself: scored again on this
+    log and budget, it is not aligned again.
     """
 
     model: PetriNet
     prototypes: tuple[Trace, ...]
+    best_report: QualityReport
     history: tuple[IterationRecord, ...]
     stop_reason: str
     distances: DistanceMatrix
-
-    @property
-    def best_report(self) -> QualityReport:
-        return max(self.history, key=lambda r: r.report.f_beta).report
 
 
 def select_incremental(
@@ -98,6 +94,7 @@ def select_incremental(
     pool = ordered
     selected: list[Trace] = []
     history: list[IterationRecord] = []
+    best: tuple[PetriNet, IterationRecord] | None = None  # the last improving iteration
     stop_reason = STOP_ITERATION_CAP
     for iteration in range(1, max_iterations + 1):
         medoids = kmedoids(pool, min(k, len(pool)), matrix).medoids
@@ -110,17 +107,20 @@ def select_incremental(
             report = compute_report(log, net, selected, beta, align_budget, closure_budget)
         except Exception as exc:
             raise RuntimeError(f"prototype selection failed at iteration {iteration}: {exc}") from exc
-        history.append(IterationRecord(iteration, added, len(selected), report))
-        if len(history) > 1 and report.f_beta <= history[-2].report.f_beta:
+        record = IterationRecord(iteration, added, len(selected), report)
+        history.append(record)
+        if best and report.f_beta <= best[1].report.f_beta:
             stop_reason = STOP_NO_IMPROVEMENT
             break
-        model, kept = net, len(selected)
+        best = net, record
         pool = [(t, c) for t, c in ordered if alignments[t].cost > 0]  # fitness < 1, exactly
         if not pool:
             stop_reason = STOP_NO_DEVIATING_TRACES
             break
 
-    return SelectionResult(model, tuple(selected[:kept]), tuple(history), stop_reason, matrix)
+    model, record = best
+    prototypes = tuple(selected[: record.prototype_total])
+    return SelectionResult(model, prototypes, record.report, tuple(history), stop_reason, matrix)
 
 
 def baseline_frequency(log: EventLog, n: int) -> list[Trace]:

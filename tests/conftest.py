@@ -100,13 +100,17 @@ def reference_fire(net: PetriNet, marking: Marking, transition: str) -> Marking:
     return Marking.of(counts)
 
 
-def reference_silent_closure(net: PetriNet, markings) -> set[Marking]:
-    """Every marking reachable from the given ones by silent firings only."""
+def reference_silent_closure(net: PetriNet, markings, enabled=None) -> set[Marking]:
+    """Every marking reachable from the given ones by silent firings only.
+
+    ``enabled(marking)``, when given, stands in for ``reference_enabled``.
+    """
+    enabled = enabled or functools.partial(reference_enabled, net)
     closure = set(markings)
     frontier = list(closure)
     while frontier:
         marking = frontier.pop()
-        for t in reference_enabled(net, marking):
+        for t in enabled(marking):
             if net.label(t) is None:
                 nxt = reference_fire(net, marking, t)
                 if nxt not in closure:
@@ -541,8 +545,11 @@ def reference_escaping_edges_precision(net: PetriNet, projected, closure_budget:
             if i < len(word):
                 observed[prefix].add(word[i])
 
+    # each marking's enabled transitions, found once per call
+    enabled = functools.cache(functools.partial(reference_enabled, net))
+
     def closure(start: set[Marking]) -> set[Marking]:
-        result = reference_silent_closure(net, start)
+        result = reference_silent_closure(net, start, enabled)
         if len(result) > max(closure_budget, len(start)):
             raise BudgetExceeded("silent closure", closure_budget)
         return result
@@ -553,7 +560,7 @@ def reference_escaping_edges_precision(net: PetriNet, projected, closure_budget:
             marking_sets[prefix] = closure({
                 reference_fire(net, marking, t)
                 for marking in marking_sets[prefix[:-1]]
-                for t in reference_enabled(net, marking)
+                for t in enabled(marking)
                 if net.label(t) == prefix[-1]
             })
 
@@ -563,7 +570,7 @@ def reference_escaping_edges_precision(net: PetriNet, projected, closure_budget:
         enabled_labels = {
             net.label(t)
             for marking in marking_sets[prefix]
-            for t in reference_enabled(net, marking)
+            for t in enabled(marking)
             if net.label(t) is not None
         }
         escaping_total += w * len(enabled_labels - observed[prefix])

@@ -669,6 +669,22 @@ class TestPipelines:
                 runs.append({artifact: (out / artifact).read_bytes() for artifact in artifacts})
             assert runs[0] == runs[1], name
 
+    def test_gzipped_model_input(self, tmp_path):
+        # evaluate reads a gzipped model as the plain one: the same report.json, byte for byte
+        import gzip
+
+        log_path = tmp_path / "log.xes"
+        log_path.write_bytes(xes_bytes(gen_synthetic(choice_parallel_net(), 30, 0.3, seed=2)))
+        pnml = export_pnml(choice_parallel_net())
+        reports = []
+        for path, content in ((tmp_path / "model.pnml", pnml), (tmp_path / "model.pnml.gz", gzip.compress(pnml))):
+            path.write_bytes(content)
+            out = tmp_path / f"eval-{path.name}"
+            assert run("evaluate", "--in", log_path, "--model", path, "--out", out) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["fitness"] < 1.0  # the noisy log deviates from the model
+
     @pytest.mark.parametrize(
         "damage, reason",
         [

@@ -765,7 +765,7 @@ class TestQualityReport:
     def test_report_fields_and_json_names(self, fixture_net):
         log = EventLog({("a", "b", "d", "e"): 1, ("a", "e"): 1})
         report = compute_report(log, fixture_net, [("a", "b", "d", "e")], beta=2.0)
-        payload = report.to_dict()
+        payload = report._asdict()
         assert list(payload) == [
             "fitness",
             "precision",

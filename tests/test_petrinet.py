@@ -356,6 +356,20 @@ class TestShortestVisiblePath:
         with pytest.raises(ValueError, match="not reachable"):
             shortest_visible_path(net)
 
+    def test_unreachable_final_on_an_unbounded_net_overruns_the_budget(self):
+        # t puts the token back on p1 and one more on p2 at each firing, so
+        # the markings never run out: the search stops at its budget
+        net = PetriNet(
+            places=["p1", "p2", "p3"],
+            transitions={"t": "a"},
+            arcs=[("p1", "t"), ("t", "p1"), ("t", "p2")],
+            initial_marking=Marking.of({"p1": 1}),
+            final_marking=Marking.of({"p3": 1}),
+        )
+        with pytest.raises(BudgetExceeded, match=r"^shortest path search on PetriNet\(") as info:
+            shortest_visible_path(net, budget=10)
+        assert info.value.budget == 10
+
     def test_budget_error_names_the_search(self, fixture_net):
         shape = rf"PetriNet\({len(fixture_net.places)} places, {len(fixture_net.transitions)} transitions, "
         with pytest.raises(BudgetExceeded, match=rf"^shortest path search on {shape}") as info:

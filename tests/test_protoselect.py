@@ -231,7 +231,7 @@ class TestLoopClustering:
 class TestWholeLoopAgainstReference:
     """The loop and compare's rows, against the per-layer oracles composed in the plainest form."""
 
-    @settings(deadline=None, max_examples=25)
+    @settings(deadline=None, max_examples=50)
     @given(
         st.dictionaries(
             st.lists(st.sampled_from("abcd"), max_size=6).map(tuple),
