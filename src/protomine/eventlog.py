@@ -154,7 +154,8 @@ def parse_xes(document: bytes) -> EventLog:
     memory follows the variant table, not the document.
 
     Raises LogFormatError, first for malformed XML (with expat's line and
-    column), then for a root other than ``<log>``, then for the first event
+    column) or an XML declaration naming an encoding Python cannot
+    decode, then for a root other than ``<log>``, then for the first event
     without a non-empty name (with its trace index): the last two are
     raised only once the whole document has parsed.
     """
@@ -222,9 +223,11 @@ def parse_xes(document: bytes) -> EventLog:
     parser.ExternalEntityRefHandler = lambda context, *ids: undefined_entity(
         next(part for part in context.split("\f") if part in external)
     )
+    # expat asks Python's codecs for a declared encoding it does not know itself: an unknown or
+    # non-text codec raises LookupError ("unknown encoding: bogus"), a multi-byte one ValueError
     try:
         parser.Parse(document, True)
-    except expat.ExpatError as exc:
+    except (expat.ExpatError, LookupError, ValueError) as exc:
         raise LogFormatError(f"malformed XES XML: {exc}") from exc
     if problem is not None:
         raise LogFormatError(problem)
@@ -304,7 +307,8 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
     datetimes with a UTC offset. The first row of another kind raises
     LogFormatError, as does a mapped column that the header names more
     than once or not at all, an empty activity, an activity holding a
-    character XML 1.0 forbids, or a document that is not UTF-8 text.
+    character XML 1.0 forbids, a line the csv module rejects (a field over
+    its 131072-character limit) or a document that is not UTF-8 text.
 
     The rows are decoded 8 KiB at a time, and each case keeps its events
     as one flat list of sort key and activity, not a tuple per event.
@@ -324,6 +328,8 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
         header = next(reader)
     except StopIteration:
         raise LogFormatError("CSV document has no header row") from None
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise LogFormatError(f"line {reader.line_num}: {exc}") from None
 
     for name in columns:
         if name is not None and header.count(name) != 1:
@@ -339,40 +345,43 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
     width = max(case_col, act_col, time_col or 0)  # a row needs more fields than this
     fromisoformat = datetime.fromisoformat
     key: object = 0  # every row's sort key when no timestamp column is mapped
-    for rownum, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) <= width:
-            raise LogFormatError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
-        activity = row[act_col]
-        if not activity:
-            raise LogFormatError(f"row {rownum}: empty activity")
-        if not activity.isprintable() and re.search(_NOT_XML, activity):
-            raise LogFormatError(f"row {rownum}: activity {activity!r} holds a character XML 1.0 forbids")
-        if time_col is not None:
-            stamp = row[time_col]
-            try:  # ISO-8601, with a trailing Z for UTC, or else a number of seconds
-                key = fromisoformat(stamp.strip().replace("Z", "+00:00"))
-                kind = _NAIVE if key.tzinfo is None else _AWARE
-            except ValueError:
-                try:
-                    key = _parse_seconds(stamp)
-                except LogFormatError as exc:
-                    raise LogFormatError(f"row {rownum}: {exc}") from None
-                kind = _NUMBER
-            if first_kind is None:
-                first_kind = (rownum, kind)
-            elif kind != first_kind[1]:
-                raise LogFormatError(
-                    f"row {rownum}: timestamp {stamp!r} is {kind}, but the column's "
-                    f"first timestamp (row {first_kind[0]}) is {first_kind[1]}"
-                )
-        case = row[case_col]
-        events = cases.get(case)
-        if events is None:
-            cases[case] = [key, activity]
-        else:
-            events += key, activity
+    try:  # around the loop, not in it, so a row costs no extra work
+        for rownum, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) <= width:
+                raise LogFormatError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
+            activity = row[act_col]
+            if not activity:
+                raise LogFormatError(f"row {rownum}: empty activity")
+            if not activity.isprintable() and re.search(_NOT_XML, activity):
+                raise LogFormatError(f"row {rownum}: activity {activity!r} holds a character XML 1.0 forbids")
+            if time_col is not None:
+                stamp = row[time_col]
+                try:  # ISO-8601, with a trailing Z for UTC, or else a number of seconds
+                    key = fromisoformat(stamp.strip().replace("Z", "+00:00"))
+                    kind = _NAIVE if key.tzinfo is None else _AWARE
+                except ValueError:
+                    try:
+                        key = _parse_seconds(stamp)
+                    except LogFormatError as exc:
+                        raise LogFormatError(f"row {rownum}: {exc}") from None
+                    kind = _NUMBER
+                if first_kind is None:
+                    first_kind = (rownum, kind)
+                elif kind != first_kind[1]:
+                    raise LogFormatError(
+                        f"row {rownum}: timestamp {stamp!r} is {kind}, but the column's "
+                        f"first timestamp (row {first_kind[0]}) is {first_kind[1]}"
+                    )
+            case = row[case_col]
+            events = cases.get(case)
+            if events is None:
+                cases[case] = [key, activity]
+            else:
+                events += key, activity
+    except csv.Error as exc:
+        raise LogFormatError(f"line {reader.line_num}: {exc}") from None
 
     by_key, activity_of = itemgetter(0), itemgetter(1)
     # each case's events paired up again and sorted stably by key, so file order breaks ties

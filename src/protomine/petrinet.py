@@ -329,9 +329,9 @@ def parse_pnml(document: bytes) -> PetriNet:
     """
     import xml.etree.ElementTree as ET
 
-    try:
+    try:  # LookupError: the XML declaration names an encoding Python's codecs do not know
         root = ET.fromstring(document)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError) as exc:
         raise ValueError(f"malformed PNML XML: {exc}") from exc
     net_el = root if _local(root.tag) == "net" else root.find("{*}net")
     if net_el is None:

@@ -455,6 +455,10 @@ def reference_alignment_cost(
     start = (net.initial_marking, 0)
     goal_pos = len(trace)
 
+    @functools.cache  # per call: each marking's firings, in transition order, played once
+    def firings(marking: Marking) -> list[tuple[str | None, Marking]]:
+        return [(net.label(t), reference_fire(net, marking, t)) for t in sorted(reference_enabled(net, marking))]
+
     dist: dict[tuple[Marking, int], int] = {start: 0}
     parent: dict = {start: None}
     heap: list = [(0, 0, 0, start)]
@@ -480,9 +484,7 @@ def reference_alignment_cost(
             raise BudgetExceeded(f"alignment search of trace [{shown}] ({goal_pos} events)", budget)
 
         moves: list[tuple[tuple, int, str | None]] = []
-        for t in sorted(reference_enabled(net, marking)):
-            label = net.label(t)
-            fired = reference_fire(net, marking, t)
+        for label, fired in firings(marking):
             if label is None:
                 moves.append(((fired, pos), 0, None))
             else:
@@ -795,7 +797,7 @@ def reference_parse_xes(document: bytes) -> EventLog:
     """
     try:
         root = ET.fromstring(document)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:  # the last two: a declared encoding
         raise LogFormatError(f"malformed XES XML: {exc}") from exc
     if _local(root.tag) != "log":
         raise LogFormatError(f"expected <log> root element, got <{_local(root.tag)}>")
@@ -865,6 +867,8 @@ def reference_parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
         header = next(reader)
     except StopIteration:
         raise LogFormatError("CSV document has no header row") from None
+    except csv.Error as exc:
+        raise LogFormatError(f"line {reader.line_num}: {exc}") from None
 
     for name in columns:
         if name is not None and header.count(name) != 1:
@@ -876,7 +880,14 @@ def reference_parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
 
     cases: dict[str, list[tuple[object, str]]] = {}
     first_kind: tuple[int, str] | None = None
-    for rownum, row in enumerate(reader, start=2):
+
+    def rows():
+        try:
+            yield from enumerate(reader, start=2)
+        except csv.Error as exc:
+            raise LogFormatError(f"line {reader.line_num}: {exc}") from None
+
+    for rownum, row in rows():
         if not row:
             continue
         if len(row) <= max(case_col, act_col, time_col or 0):
@@ -929,7 +940,7 @@ def reference_parse_pnml(document: bytes) -> PetriNet:
 
     try:
         root = ET.fromstring(document)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError) as exc:  # LookupError: an unknown declared encoding
         raise ValueError(f"malformed PNML XML: {exc}") from exc
     net_el = root if _local(root.tag) == "net" else find_child(root, "net")
     if net_el is None:

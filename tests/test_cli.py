@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tomllib
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -761,12 +762,10 @@ class TestLoadedModules:
 
 class TestConsoleScript:
     def test_protomine_script_is_cli_main(self):
-        # a plain text scan of pyproject.toml: Python 3.10 has no tomllib
-        text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
-        scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
-        target = re.fullmatch(r'protomine = "([\w.]+):(\w+)"', scripts.strip())
-        assert target, scripts
-        assert getattr(importlib.import_module(target[1]), target[2]) is cli.main
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        module, _, name = scripts["protomine"].partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.main
 
 
 class TestLazyExports:

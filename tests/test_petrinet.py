@@ -726,6 +726,12 @@ class TestPnmlReader:
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_pnml(f"<pnml><net><page>{element}</page></net></pnml>".encode())
 
+    def test_unknown_declared_encoding_is_malformed(self):
+        document = b"<?xml version='1.0' encoding='bogus'?><pnml><net/></pnml>"
+        for read in (parse_pnml, reference_parse_pnml):
+            with pytest.raises(ValueError, match="^malformed PNML XML: unknown encoding: bogus$"):
+                read(document)
+
 
 class TestValidation:
     def test_a_net_equals_only_nets(self):
