@@ -9,11 +9,23 @@ materialised. Logs are immutable after construction and safe to share.
 Supported file formats: an XES subset (``<trace>``/``<event>`` elements
 whose events carry a ``<string key="concept:name" value=.../>``
 attribute) and RFC-4180 CSV with a mandatory header row. The XES reader
-streams the document through expat and builds no element tree, so its
-memory follows the variant table rather than the document. The CSV
-reader holds no copy of the text: it decodes the document 8 KiB at a
-time. The XES writer writes to a binary stream in chunks, so it never
-holds the document either.
+builds no element tree, and takes one of two paths. A document in the
+plain shape that ``export_xes`` and common XES writers produce is
+checked by one expat pass with no element handlers and read from its
+bytes by C-level scans, with no Python call per element. The plain
+shape: a ``<log`` root; no declared encoding but UTF-8 (any case) and
+no UTF-16/32 byte-order mark; no ``&``; no ``<!`` and no ``<?`` past
+the declaration; no ``xmlns:`` and no ``<xml:``; every ``<trace`` tag a
+bare ``<trace>`` or empty ``<trace/>`` child of the root; every
+``<event`` tag a bare ``<event>`` child of a trace, whose first child
+is ``<string key="concept:name" value="...">`` (key first, double
+quotes, no tab, CR or LF in the value); no element but an event holding
+children inside a trace. Any other document is read by expat's
+handlers, one Python call per element. Both paths give the same log and
+the same errors, and memory follows the variant table, not the
+document. The CSV reader holds no copy of the text: it decodes the
+document 8 KiB at a time. The XES writer writes to a binary stream in
+chunks, so it never holds the document either.
 """
 
 from __future__ import annotations
@@ -143,22 +155,125 @@ def variants(log: EventLog) -> list[tuple[Trace, int]]:
     return sorted(log.variants.items(), key=lambda item: (-item[1], item[0]))
 
 
+def _xml_error(exc: Exception, document: bytes) -> str:
+    """The words of an XML reader's error on a document, with a multi-byte encoding named.
+
+    expat asks Python's codecs for a declared encoding it does not know itself: an unknown or
+    non-text codec raises LookupError ("unknown encoding: bogus"), a multi-byte one a ValueError
+    that leaves the name out, so it is read back from the declaration, which the first ">" ends.
+    """
+    if isinstance(exc, ValueError):
+        # a UTF-16 declaration reads as ASCII once its zero bytes go
+        declaration = document[: document.find(b">") + 1].replace(b"\x00", b"")
+        declared = re.search(rb"encoding\s*=\s*[\"']([^\"']*)", declaration)
+        if declared is not None:
+            return f"multi-byte encoding not supported: {declared[1].decode('latin-1')}"
+    return str(exc)
+
+
 def parse_xes(document: bytes) -> EventLog:
-    """Parse an XES document into an event log, in one streaming pass.
+    """Parse an XES document into an event log, without building an element tree.
 
     One trace per ``<trace>`` child of the ``<log>`` root, activities taken
     from each ``<event>`` child's first ``<string key="concept:name">``
     child in document order. Other elements and attributes are skipped,
-    and so are elements at other depths. expat's handlers count each
-    variant as its ``</trace>`` closes, so no element tree is built and
-    memory follows the variant table, not the document.
+    and so are elements at other depths. A document in the plain shape
+    (see the module docstring) is read by ``_read_plain_xes``, any other
+    by ``_read_xes``; both give the same log.
 
     Raises LogFormatError, first for malformed XML (with expat's line and
     column) or an XML declaration naming an encoding Python cannot
     decode, then for a root other than ``<log>``, then for the first event
     without a non-empty name (with its trace index): the last two are
-    raised only once the whole document has parsed.
+    raised only once the whole document has parsed. Only ``_read_xes``
+    raises, so every message is the same on both paths.
     """
+    counts = _read_plain_xes(document)
+    return _read_xes(document) if counts is None else EventLog(counts)
+
+
+# the plain path's patterns, compiled on first use through re's cache, so a run that reads only
+# CSV never compiles them. The prolog: an optional UTF-8 byte-order mark and XML declaration, with
+# the encoding it declares, then the <log root; any other start, UTF-16 or UTF-32 included, is
+# not plain. A declaration holds no "?" or ">" before its "?>", so a scan stops at the first
+_PLAIN_PROLOG = rb"(?:\xef\xbb\xbf)?(?:<\?xml\s(?:[^?>]*?encoding\s*=\s*[\"']([^\"']*))?[^?>]*\?>)?\s*<log[\s/>]"
+# a plain event: its first child names it, in a value attribute-value normalisation leaves as
+# written, and its first end tag is its own
+_PLAIN_EVENT = rb'<event>[^<]*<string key="concept:name" value="([^"\t\r\n]+)"[^<]*(?:<[^/][^<]*)*</event>'
+
+
+def _read_plain_xes(document: bytes) -> dict[Trace, int] | None:
+    """The variant counts of a document in the plain shape, else None; read from the bytes.
+
+    C-level scans read the document itself: per trace, one ``find`` for its
+    end and one ``findall`` for its names. A trace holding an ``<event`` the
+    pattern does not read ends the scan there, so a log whose events are
+    named by a later child costs about one trace before the handler reader
+    runs. Once the scans find the plain shape, one expat pass with no
+    element handlers must find the document well-formed.
+
+    Why the counts prove the depths: an element's ancestors close after
+    it. Each event's ``</event>`` is the first end tag past its start, and
+    no other ``<event`` lies in a trace's span, so events do not nest. Past
+    the first trace, the only end tags are the events' own, the traces' own
+    and one more, which must be the root's ``</log>``: so every trace is a
+    child of the root, every event a child of its trace, and every other
+    element in a trace is empty.
+    """
+    prolog = re.match(_PLAIN_PROLOG, document)
+    if prolog is None or prolog[1] is not None and prolog[1].lower() != b"utf-8":
+        return None
+    find, count, body = document.find, document.count, prolog.end()
+    # "!" and "?" are single bytes, which memchr finds far faster than the pairs; the pairs are
+    # scanned for only where they occur
+    if (
+        b"&" in document
+        or b"!" in document and b"<!" in document
+        or find(b"?", body) != -1 and find(b"<?", body) != -1
+    ):
+        return None
+    names = re.compile(_PLAIN_EVENT).findall
+    counts: dict[tuple[bytes, ...], int] = {}
+    empty = 0  # traces written as an empty tag, which have no end tag
+    first = at = find(b"<trace", body)
+    end = body
+    while at != -1:
+        if find(b"<event", end, at) != -1:  # an event outside a trace
+            return None
+        if document.startswith(b"<trace>", at):
+            end = find(b"</trace>", at)
+            if end == -1:
+                return None
+            trace = tuple(names(document, at, end))
+            if len(trace) != count(b"<event", at, end):
+                return None
+        elif document.startswith((b"<trace/>", b"<trace />"), at):
+            trace, end = (), find(b">", at) + 1
+            empty += 1
+        else:
+            return None
+        counts[trace] = counts.get(trace, 0) + 1
+        at = find(b"<trace", end)
+    traces = sum(counts.values())
+    events = sum(len(trace) * n for trace, n in counts.items())
+    if (
+        find(b"<event", end) != -1
+        or traces != count(b"<trace")
+        or traces and count(b"</", first) != events + traces - empty + 1
+        or b"xmlns:" in document
+        or b"<xml:" in document
+    ):
+        return None
+    try:
+        expat.ParserCreate(namespace_separator="}").Parse(document, True)
+    except expat.ExpatError:
+        return None
+    return {tuple(name.decode() for name in trace): n for trace, n in counts.items()}
+
+
+def _read_xes(document: bytes) -> EventLog:
+    """Any XES document, read in one pass by expat's handlers, which count each variant as its
+    ``</trace>`` closes; ``parse_xes`` states what it reads and raises."""
     parser = expat.ParserCreate(namespace_separator="}")
     counts: dict[Trace, int] = {}
     problem: str | None = None  # the first wrong root or nameless event
@@ -223,12 +338,10 @@ def parse_xes(document: bytes) -> EventLog:
     parser.ExternalEntityRefHandler = lambda context, *ids: undefined_entity(
         next(part for part in context.split("\f") if part in external)
     )
-    # expat asks Python's codecs for a declared encoding it does not know itself: an unknown or
-    # non-text codec raises LookupError ("unknown encoding: bogus"), a multi-byte one ValueError
     try:
         parser.Parse(document, True)
     except (expat.ExpatError, LookupError, ValueError) as exc:
-        raise LogFormatError(f"malformed XES XML: {exc}") from exc
+        raise LogFormatError(f"malformed XES XML: {_xml_error(exc, document)}") from exc
     if problem is not None:
         raise LogFormatError(problem)
     return EventLog(counts)

@@ -30,7 +30,7 @@ from functools import cached_property
 from operator import add
 from typing import Iterable, Mapping, NamedTuple
 
-from .eventlog import _ATTRIBUTE_ESCAPES
+from .eventlog import _ATTRIBUTE_ESCAPES, _xml_error
 
 PNML_NAMESPACE = "http://www.pnml.org/version-2009/grammar/pnml"
 PTNET_TYPE = "http://www.pnml.org/version-2009/grammar/ptnet"
@@ -329,10 +329,10 @@ def parse_pnml(document: bytes) -> PetriNet:
     """
     import xml.etree.ElementTree as ET
 
-    try:  # LookupError: the XML declaration names an encoding Python's codecs do not know
+    try:  # LookupError and ValueError: the XML declaration names an encoding expat cannot read
         root = ET.fromstring(document)
-    except (ET.ParseError, LookupError) as exc:
-        raise ValueError(f"malformed PNML XML: {exc}") from exc
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        raise ValueError(f"malformed PNML XML: {_xml_error(exc, document)}") from exc
     net_el = root if _local(root.tag) == "net" else root.find("{*}net")
     if net_el is None:
         raise ValueError("PNML document has no <net> element")

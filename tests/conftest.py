@@ -783,6 +783,14 @@ def xml_char(c: str) -> bool:
     return cp in (0x9, 0xA, 0xD) or 0x20 <= cp <= 0xD7FF or 0xE000 <= cp <= 0xFFFD or cp >= 0x10000
 
 
+def _reference_xml_error(exc: Exception, document: bytes) -> str:
+    """ElementTree's words, with the name of a declared multi-byte encoding, which expat leaves out."""
+    # the first encoding attribute is the declaration's; a UTF-16 one reads once its zero bytes go
+    text = document.decode("latin-1").replace("\0", "")
+    declared = re.search(r"encoding\s*=\s*[\"']([^\"']*)", text) if isinstance(exc, ValueError) else None
+    return str(exc) if declared is None else f"multi-byte encoding not supported: {declared[1]}"
+
+
 def _local(tag: str) -> str:
     """Tag name with any XML namespace stripped."""
     return tag.rsplit("}", 1)[-1]
@@ -798,7 +806,7 @@ def reference_parse_xes(document: bytes) -> EventLog:
     try:
         root = ET.fromstring(document)
     except (ET.ParseError, LookupError, ValueError) as exc:  # the last two: a declared encoding
-        raise LogFormatError(f"malformed XES XML: {exc}") from exc
+        raise LogFormatError(f"malformed XES XML: {_reference_xml_error(exc, document)}") from exc
     if _local(root.tag) != "log":
         raise LogFormatError(f"expected <log> root element, got <{_local(root.tag)}>")
 
@@ -940,8 +948,8 @@ def reference_parse_pnml(document: bytes) -> PetriNet:
 
     try:
         root = ET.fromstring(document)
-    except (ET.ParseError, LookupError) as exc:  # LookupError: an unknown declared encoding
-        raise ValueError(f"malformed PNML XML: {exc}") from exc
+    except (ET.ParseError, LookupError, ValueError) as exc:  # the last two: a declared encoding
+        raise ValueError(f"malformed PNML XML: {_reference_xml_error(exc, document)}") from exc
     net_el = root if _local(root.tag) == "net" else find_child(root, "net")
     if net_el is None:
         raise ValueError("PNML document has no <net> element")

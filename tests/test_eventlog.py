@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import re
 import tracemalloc
 from datetime import datetime, timedelta
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protomine import CsvColumns, EventLog, LogFormatError, export_xes, parse_csv, parse_xes, variants
-from protomine.eventlog import XES_NAMESPACE
+from protomine.eventlog import XES_NAMESPACE, _read_plain_xes, _read_xes
 
 from .conftest import random_trace, reference_export_xes, reference_parse_csv, reference_parse_xes, xes_bytes, xml_char
 
@@ -87,11 +88,16 @@ class TestParseXes:
         with pytest.raises(LogFormatError, match=r"^expected <log> root element, got <events>$"):
             parse_xes(b"<events><trace><event/></trace></events>")
 
-    def test_peak_memory_follows_the_variants_not_the_document(self):
-        # an element tree of the document peaks at about 13 times its size
+    @pytest.mark.parametrize("comment", [False, True], ids=["plain path", "handler path"])
+    def test_peak_memory_follows_the_variants_not_the_document(self, comment):
+        # an element tree of the document peaks at about 13 times its size; one comment
+        # sends the document past the plain path to expat's handlers
         rng = random.Random(16)
         log = EventLog.from_traces(random_trace(rng, "abc", 12) for _ in range(2000))
         document = xes_bytes(log)
+        if comment:
+            document = document.replace(b"<log", b"<!-- c --><log", 1)
+        assert (_read_plain_xes(document) is None) == comment
         tracemalloc.start()
         try:
             parsed = parse_xes(document)
@@ -158,6 +164,135 @@ def xes_documents(draw):
     return document.encode()
 
 
+# what the plain path reads: labels without markup or whitespace that attribute-value
+# normalisation would change, and the attributes, elements and spacing common writers add
+PLAIN_LABELS = ["a", "b", "c d", "it's", "x>y", "é", "活动", "\U0001f600"]
+EVENT_EXTRAS = [
+    '<date key="time:timestamp" value="2024-03-01T10:00:00Z"/>', '<string key="org:resource" value="r 1" />',
+    '<string key="lifecycle:transition" value="complete"/>', '<int key="n" value="7"/>',
+]
+TRACE_ATTRIBUTES = ['<string key="concept:name" value="case-1"/>', '<date key="time:timestamp" value="2024-03-01"/>']
+LOG_HEADER = ['<extension name="Concept" prefix="concept" uri="http://www.xes-standard.org/concept.xesext"/>',
+              '<global scope="event">\n<string key="concept:name" value="__INVALID__"/></global>',
+              '<classifier name="Activity" keys="concept:name"/>', '<string key="concept:name" value="log"/>']
+EVENT_NAME = re.compile(r'(<event>\s*<string) key="concept:name" value="([^"]*)"')
+
+
+def _first_event_name(form):
+    """A break that respells the first event's name string: form maps its opening and value to new text."""
+    return lambda document, draw: EVENT_NAME.sub(lambda m: form(m[1], m[2], draw), document, count=1)
+
+
+def _insert(text, *tags):
+    """A break that inserts text before the first occurrence of one of tags, by default </log>."""
+    def insert(document, draw):
+        tag = draw(st.sampled_from(tags or ("</log>",)))
+        return document.replace(tag, draw(text) + tag, 1)
+    return insert
+
+
+def _rename_root(document, draw):
+    root = draw(st.sampled_from(["events", "logs"]))
+    return document.replace("<log", f"<{root}", 1).replace("</log>", f"</{root}>")
+
+
+def _declare(document, draw):
+    encoding = draw(st.sampled_from(["ISO-8859-1", "US-ASCII", "UTF-16", "UTF-7", "bogus"]))
+    return re.sub(r"^(<\?xml[^>]*\?>)?", f'<?xml version="1.0" encoding="{encoding}"?>', document, count=1)
+
+
+def _prefixed(prefix):
+    """A break that writes an event or a trace with a prefix, which the handler reader reads by its local name."""
+    def prefixed(document, draw):
+        if draw(st.booleans()):
+            return document.replace("<event>", f"<{prefix}event>", 1).replace("</event>", f"</{prefix}event>", 1)
+        tag, before = draw(st.sampled_from([(f"<{prefix}trace/>", "</log>"), (f"<{prefix}event/>", "</trace>")]))
+        return document.replace(before, tag + before, 1)
+    return prefixed
+
+
+# each condition of the plain shape, broken one way at a time; a break that finds nothing to
+# change (an event-level one on a log without events) leaves the document plain
+BREAKS = {
+    "declared encoding": _declare,
+    "character reference": _first_event_name(lambda head, value, draw: f'{head} key="concept:name" value="{value}'
+                                             + draw(st.sampled_from(["&amp;", "&#65;", "&lt;"])) + '"'),
+    "comment": _insert(st.just('<!-- <trace><event><string key="concept:name" value="z"/></event></trace> -->')),
+    "CDATA": _insert(st.just('<![CDATA[<event><string key="concept:name" value="z"/></event>]]>'), "</trace>"),
+    "DOCTYPE": lambda document, draw: re.sub(r"^(<\?xml[^>]*\?>)?", lambda m: m[0] + "<!DOCTYPE log>", document,
+                                             count=1),
+    "processing instruction": _insert(
+        st.just('<?pi <trace><event><string key="concept:name" value="z"/></event></trace>?>')
+    ),
+    "xmlns prefix": lambda document, draw: _prefixed("x:")(document.replace("<log", '<log xmlns:x="urn:x"', 1), draw),
+    "xml prefix": _prefixed("xml:"),
+    "root": _rename_root,
+    "trace tag": lambda document, draw: re.sub(r"<trace( ?/)?>", lambda m: draw(
+        st.sampled_from(['<trace id="t"', "<trace\n"])) + (m[1] or "").strip() + ">", document, count=1),
+    "event tag": _insert(st.sampled_from(["<event/>", '<event id="e"><string key="concept:name" value="e"/></event>']),
+                         "</trace>"),
+    "non-empty trace child": _insert(st.sampled_from([
+        '<list key="l"><string key="concept:name" value="z"/></list>',
+        '<list key="l"><event><string key="concept:name" value="z"/></event></list>',
+    ]), "</trace>"),
+    "nested event": _insert(st.just('<event><string key="concept:name" value="n"/></event>'), "</event>"),
+    "first child": lambda document, draw: document.replace("<event>", '<event><int key="n" value="1"/>', 1),
+    "attribute form": _first_event_name(lambda head, value, draw: draw(st.sampled_from([
+        f'{head} value="{value}" key="concept:name"', f"{head} key='concept:name' value='{value}'",
+        f'{head}  key="concept:name" value="{value}"', f'{head} key="concept:name" value = "{value}"',
+    ]))),
+    "value whitespace": _first_event_name(lambda head, value, draw: f'{head} key="concept:name" value="{value}'
+                                          + draw(st.sampled_from(["\t", "\r", "\n", "\r\n"])) + 'x"'),
+    "empty value": _first_event_name(lambda head, value, draw: f'{head} key="concept:name" value=""'),
+    "event outside a trace": _insert(
+        st.sampled_from(['<event><string key="concept:name" value="o"/></event>', "<event/>"]), "</log>", "<trace"
+    ),
+    "deep trace": _insert(st.sampled_from([
+        '<global scope="trace"><trace><event><string key="concept:name" value="g"/></event></trace></global>',
+        "<trace/>",
+    ]), "</trace>"),
+    # a cut anywhere up to the root's end tag, so a trailing newline alone is never the cut
+    "malformed": lambda document, draw: document[: draw(st.integers(0, document.rindex("</log>")))],
+}
+
+
+@st.composite
+def plain_xes_documents(draw, name):
+    """Documents in the shape the plain path reads, with the condition name breaks broken.
+
+    Gives the document and whether the break changed it; name is a key of BREAKS, "UTF-16" or None.
+    """
+    space = st.sampled_from(["", "\n", "\n  ", " "])
+
+    def children(opening, parts, closing):
+        return opening + "".join(draw(space) + part for part in parts) + draw(space) + closing
+
+    def event():
+        name = f'<string key="concept:name" value="{draw(st.sampled_from(PLAIN_LABELS))}"/>'
+        return children("<event>", [name, *draw(st.lists(st.sampled_from(EVENT_EXTRAS), max_size=3))], "</event>")
+
+    def trace():
+        parts = draw(st.lists(st.sampled_from(TRACE_ATTRIBUTES), max_size=2))
+        parts += [event() for _ in range(draw(st.integers(0, 3)))]
+        if not parts and draw(st.booleans()):
+            return draw(st.sampled_from(["<trace/>", "<trace />"]))
+        return children("<trace>", parts, "</trace>")
+
+    quote = draw(st.sampled_from(['"', "'"]))
+    encoding = draw(st.sampled_from(["", "UTF-8", "utf-8"]))
+    declaration = draw(st.sampled_from(["", f"<?xml version={quote}1.0{quote}"
+                                        + (f" encoding={quote}{encoding}{quote}" if encoding else "") + "?>\n"]))
+    root = draw(st.sampled_from(["<log>", f'<log xes.version="1.0" xmlns="{XES_NAMESPACE}">']))
+    parts = draw(st.lists(st.sampled_from(LOG_HEADER), max_size=3)) + [trace() for _ in range(draw(st.integers(0, 4)))]
+    plain = declaration + children(root, parts, "</log>") + draw(st.sampled_from(["", "\n"]))
+    document = plain
+    if name == "UTF-16":
+        return plain.encode(draw(st.sampled_from(["utf-16", "utf-16-le"]))), True
+    if name is not None:
+        document = BREAKS[name](plain, draw)
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + document.encode(), document != plain
+
+
 def read_outcome(reader, document):
     """The variants in first-seen order, or the LogFormatError message."""
     try:
@@ -185,16 +320,45 @@ class TestStreamingReader:
         expected = f"malformed XES XML: undefined entity {error}"
         assert read_outcome(parse_xes, document) == read_outcome(reference_parse_xes, document) == expected
 
+    @pytest.mark.parametrize("codec", ["utf-8", "utf-16"])
     @pytest.mark.parametrize("encoding, error", [
         ("bogus", "unknown encoding: bogus"),
         ("rot13", "'rot13' is not a text encoding; use codecs.decode() to handle arbitrary codecs"),
-        ("UTF-7", "multi-byte encodings are not supported"),
+        ("UTF-7", "multi-byte encoding not supported: UTF-7"),
+        ("utf-32", "multi-byte encoding not supported: utf-32"),
+        ("shift_jis", "multi-byte encoding not supported: shift_jis"),
     ])
-    def test_declared_encoding_python_cannot_decode_is_malformed(self, encoding, error):
-        # expat hands an encoding it does not know to Python's codecs
-        document = f"<?xml version='1.0' encoding='{encoding}'?><log/>".encode()
+    def test_declared_encoding_python_cannot_decode_is_malformed(self, encoding, error, codec):
+        # expat hands an encoding it does not know to Python's codecs, and its error on a
+        # multi-byte one leaves the name out; a UTF-16 document declares it in UTF-16
+        document = f"<?xml version='1.0' encoding='{encoding}'?><log/>".encode(codec)
         expected = f"malformed XES XML: {error}"
         assert read_outcome(parse_xes, document) == read_outcome(reference_parse_xes, document) == expected
+
+    @pytest.mark.parametrize("name", [*sorted(BREAKS), "UTF-16", None])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_plain_path_reads_as_both_readers(self, name, data):
+        # the plain path runs exactly when no condition is broken, and every reader gives
+        # the same variants in the same order, or the same error
+        document, broken = data.draw(plain_xes_documents(name))
+        assert (_read_plain_xes(document) is None) == broken
+        expected = read_outcome(reference_parse_xes, document)
+        assert read_outcome(_read_xes, document) == read_outcome(parse_xes, document) == expected
+
+    def test_export_and_the_bench_shape_take_the_plain_path(self):
+        # the two shapes the speed-up is for: export_xes's, and a trace-level concept:name
+        # with a <date> after each event's name, as the benchmark's inputs write
+        log = EventLog({("a", "b c"): 2, (): 1, ("it's", "é"): 1})
+        bench = (
+            '<?xml version="1.0" encoding="UTF-8"?>\n<log xes.version="1.0" xmlns="http://www.xes-standard.org/">\n'
+            '  <trace>\n    <string key="concept:name" value="case-000017"/>\n'
+            '    <event>\n      <string key="concept:name" value="a"/>\n'
+            '      <date key="time:timestamp" value="2024-03-01T10:00:00Z"/>\n    </event>\n  </trace>\n</log>\n'
+        ).encode()
+        for document, expected in [(xes_bytes(log), log), (bench, EventLog({("a",): 1}))]:
+            plain = _read_plain_xes(document)
+            assert plain is not None and EventLog(plain) == expected
 
 
 class TestXesRoundTrip:
