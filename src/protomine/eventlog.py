@@ -206,10 +206,12 @@ def _read_plain_xes(document: bytes) -> dict[Trace, int] | None:
     """The variant counts of a document in the plain shape, else None; read from the bytes.
 
     C-level scans read the document itself: per trace, one ``find`` for its
-    end and one ``findall`` for its names. A trace holding an ``<event`` the
-    pattern does not read ends the scan there, so a log whose events are
-    named by a later child costs about one trace before the handler reader
-    runs. Once the scans find the plain shape, one expat pass with no
+    end and one ``findall`` for its names, which must number its ``<event``
+    tags. A trace holding an ``<event`` the pattern does not read ends the
+    scan there, so a log whose events are named by a later child costs
+    about one trace before the handler reader runs. So the document's
+    ``<event`` count equals the names exactly when no event lies outside a
+    trace. Once the scans find the plain shape, one expat pass with no
     element handlers must find the document well-formed.
 
     Why the counts prove the depths: an element's ancestors close after
@@ -236,10 +238,7 @@ def _read_plain_xes(document: bytes) -> dict[Trace, int] | None:
     counts: dict[tuple[bytes, ...], int] = {}
     empty = 0  # traces written as an empty tag, which have no end tag
     first = at = find(b"<trace", body)
-    end = body
     while at != -1:
-        if find(b"<event", end, at) != -1:  # an event outside a trace
-            return None
         if document.startswith(b"<trace>", at):
             end = find(b"</trace>", at)
             if end == -1:
@@ -257,7 +256,7 @@ def _read_plain_xes(document: bytes) -> dict[Trace, int] | None:
     traces = sum(counts.values())
     events = sum(len(trace) * n for trace, n in counts.items())
     if (
-        find(b"<event", end) != -1
+        events != count(b"<event")  # an event outside a trace
         or traces != count(b"<trace")
         or traces and count(b"</", first) != events + traces - empty + 1
         or b"xmlns:" in document
@@ -395,17 +394,6 @@ class CsvColumns(NamedTuple):
     timestamp: str | None = None
 
 
-def _parse_seconds(text: str) -> float:
-    """A timestamp that is not ISO-8601: a plain finite number of seconds, else LogFormatError."""
-    try:
-        seconds = float(text.strip())
-    except ValueError:
-        raise LogFormatError(f"unparsable timestamp {text!r}") from None
-    if not math.isfinite(seconds):  # NaN would unorder the sort, and 1e400 reads as inf
-        raise LogFormatError(f"timestamp {text!r} is not a finite number")
-    return seconds
-
-
 # the kinds of timestamp, which do not order together
 _NUMBER, _NAIVE, _AWARE = "a number", "a naive ISO datetime", "an ISO datetime with an offset"
 
@@ -415,9 +403,11 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
 
     Events are grouped by the case id column. Within a case they are
     ordered by the timestamp column when one is mapped, otherwise by file
-    order; timestamp ties keep file order (stable sort). A timestamp
-    column must hold a single kind: numbers, naive ISO datetimes, or ISO
-    datetimes with a UTC offset. The first row of another kind raises
+    order; timestamp ties keep file order (stable sort). A timestamp is
+    what ``datetime.fromisoformat`` reads, ``Z`` for UTC included, or else
+    a finite number. A timestamp column must hold a single kind: numbers,
+    naive ISO datetimes, or ISO datetimes with a UTC offset. A timestamp
+    that is neither, or the first row of another kind, raises
     LogFormatError, as does a mapped column that the header names more
     than once or not at all, an empty activity, an activity holding a
     character XML 1.0 forbids, a line the csv module rejects (a field over
@@ -471,14 +461,16 @@ def parse_csv(document: bytes, columns: CsvColumns) -> EventLog:
                 raise LogFormatError(f"row {rownum}: activity {activity!r} holds a character XML 1.0 forbids")
             if time_col is not None:
                 stamp = row[time_col]
-                try:  # ISO-8601, with a trailing Z for UTC, or else a number of seconds
-                    key = fromisoformat(stamp.strip().replace("Z", "+00:00"))
+                try:  # ISO-8601, or else a number of seconds, which float strips of whitespace itself
+                    key = fromisoformat(stamp.strip())
                     kind = _NAIVE if key.tzinfo is None else _AWARE
                 except ValueError:
                     try:
-                        key = _parse_seconds(stamp)
-                    except LogFormatError as exc:
-                        raise LogFormatError(f"row {rownum}: {exc}") from None
+                        key = float(stamp)
+                    except ValueError:
+                        raise LogFormatError(f"row {rownum}: unparsable timestamp {stamp!r}") from None
+                    if not math.isfinite(key):  # NaN would unorder the sort, and 1e400 reads as inf
+                        raise LogFormatError(f"row {rownum}: timestamp {stamp!r} is not a finite number")
                     kind = _NUMBER
                 if first_kind is None:
                     first_kind = (rownum, kind)

@@ -837,7 +837,7 @@ def reference_parse_xes(document: bytes) -> EventLog:
 def _reference_timestamp(text: str) -> object:
     normalized = text.strip()
     try:
-        return datetime.fromisoformat(normalized.replace("Z", "+00:00"))
+        return datetime.fromisoformat(normalized)
     except ValueError:
         pass
     try:

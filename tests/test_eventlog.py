@@ -191,6 +191,14 @@ def _insert(text, *tags):
     return insert
 
 
+def _event_outside_a_trace(document, draw):
+    """A break that puts an event before the first trace, after it (between two traces when there
+    are two) or before the root's end tag."""
+    event = draw(st.sampled_from(['<event><string key="concept:name" value="o"/></event>', "<event/>"]))
+    where = draw(st.sampled_from([r"(?=<trace)", r"</trace>|<trace ?/>", r"(?=</log>)"]))
+    return re.sub(where, lambda m: m[0] + event, document, count=1)
+
+
 def _rename_root(document, draw):
     root = draw(st.sampled_from(["events", "logs"]))
     return document.replace("<log", f"<{root}", 1).replace("</log>", f"</{root}>")
@@ -244,9 +252,7 @@ BREAKS = {
     "value whitespace": _first_event_name(lambda head, value, draw: f'{head} key="concept:name" value="{value}'
                                           + draw(st.sampled_from(["\t", "\r", "\n", "\r\n"])) + 'x"'),
     "empty value": _first_event_name(lambda head, value, draw: f'{head} key="concept:name" value=""'),
-    "event outside a trace": _insert(
-        st.sampled_from(['<event><string key="concept:name" value="o"/></event>', "<event/>"]), "</log>", "<trace"
-    ),
+    "event outside a trace": _event_outside_a_trace,
     "deep trace": _insert(st.sampled_from([
         '<global scope="trace"><trace><event><string key="concept:name" value="g"/></event></trace></global>',
         "<trace/>",
@@ -572,15 +578,17 @@ class TestParseCsv:
         ("2024-03-01 10:00:00", r"\(row 2\) is a naive ISO datetime$"),
         ("2024-03-01", r"\(row 2\) is a naive ISO datetime$"),
         ("1709287200.5", r"\(row 2\) is a number$"),
+        (" 1709287200.5 ", r"\(row 2\) is a number$"),
         ("nan", r"^row 2: timestamp 'nan' is not a finite number$"),
         ("inf", r"^row 2: timestamp 'inf' is not a finite number$"),
         ("1e400", r"^row 2: timestamp '1e400' is not a finite number$"),
         ("garbage", r"^row 2: unparsable timestamp 'garbage'$"),
+        ("2024-03-01Z", r"^row 2: unparsable timestamp '2024-03-01Z'$"),
     ])
     def test_timestamp_forms(self, stamp, outcome):
-        # the grammar is Python 3.11's fromisoformat after Z -> +00:00, or else a finite number, on
-        # every supported interpreter. A form read at row 2 is named by its kind at the first later
-        # row of another kind: the number at row 3, or else the naive datetime at row 4
+        # the grammar is Python 3.11's fromisoformat, or else a finite number, on every supported
+        # interpreter. A form read at row 2 is named by its kind at the first later row of another
+        # kind: the number at row 3, or else the naive datetime at row 4
         doc = (CSV_HEADER + f"c1,a,{stamp}\nc1,b,0\nc1,c,2024-01-01\n").encode()
         with pytest.raises(LogFormatError, match=outcome):
             parse_csv(doc, CsvColumns(case_id="case", activity="act", timestamp="ts"))

@@ -4,12 +4,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import protomine.eventlog as eventlog_module
 import protomine.protoselect as protoselect_module
 from protomine import (
+    CsvColumns,
     EventLog,
     discover,
     Marking,
@@ -22,6 +23,7 @@ from protomine import (
     distance_matrix,
     export_xes,
     gen_synthetic,
+    parse_csv,
     parse_xes,
     select_incremental,
     three_group_net,
@@ -30,7 +32,13 @@ from protomine import (
 )
 from protomine.cli import main
 
-from .conftest import reference_compare, reference_kmedoids, reference_parse_xes, reference_select_incremental
+from .conftest import (
+    reference_compare,
+    reference_kmedoids,
+    reference_parse_csv,
+    reference_parse_xes,
+    reference_select_incremental,
+)
 from .test_clustering import fields
 
 THREE_GROUP_LOG = EventLog(
@@ -242,20 +250,49 @@ def loop_tables(labels):
     return st.dictionaries(st.one_of(short, short, short, long).map(tuple), st.integers(1, 6), min_size=1, max_size=12)
 
 
+def write_csv_log(path, table):
+    """The table as CSV rows with a timestamp column, interleaved across cases and last events first."""
+    cases = [trace for trace, count in table.items() for _ in range(count)]
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["case_id", "activity", "timestamp"])
+        for position in reversed(range(max(map(len, cases)))):
+            writer.writerows(
+                [f"case-{case}", trace[position], f"2024-03-01T10:00:{position:02d}Z"]
+                for case, trace in enumerate(cases)
+                if position < len(trace)
+            )
+
+
 class TestWholeLoopAgainstReference:
-    """The loop and compare's rows from XES bytes, against the per-layer oracles composed in the plainest form."""
+    """The loop and compare's rows from XES or CSV bytes, against the per-layer oracles composed in the plainest form."""
 
     @settings(deadline=None, max_examples=50)
-    @given(st.sampled_from(LOOP_ALPHABETS).flatmap(loop_tables), st.sampled_from([0.5, 1.0, 2.0]), st.integers(0, 3))
+    @given(
+        st.sampled_from(LOOP_ALPHABETS).flatmap(loop_tables),
+        st.sampled_from([0.5, 1.0, 2.0]),
+        st.integers(0, 3),
+        st.sampled_from(["xes", "csv"]),
+    )
     # at k = 1 the second model's F_beta equals the first's: the loop stops there
-    @example({("a",): 4, ("c", "b", "c"): 2}, 0.5, 0)
-    def test_select_incremental_and_compare_rows_equal_the_reference(self, table, beta, seed):
+    @example({("a",): 4, ("c", "b", "c"): 2}, 0.5, 0, "xes")
+    def test_select_incremental_and_compare_rows_equal_the_reference(self, table, beta, seed, form):
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "log.xes"
-            with path.open("wb") as handle:
-                export_xes(EventLog(table), handle)
-            document = path.read_bytes()
-            log, oracle_log = parse_xes(document), reference_parse_xes(document)
+            path = Path(tmp) / f"log.{form}"
+            if form == "xes":
+                with path.open("wb") as handle:
+                    export_xes(EventLog(table), handle)
+                options = []
+                document = path.read_bytes()
+                log, oracle_log = parse_xes(document), reference_parse_xes(document)
+            else:
+                table = {trace: count for trace, count in table.items() if trace}  # no CSV row holds ()
+                assume(table)
+                write_csv_log(path, table)
+                options = ["--time-col", "timestamp"]
+                document, columns = path.read_bytes(), CsvColumns("case_id", "activity", "timestamp")
+                log, oracle_log = parse_csv(document, columns), reference_parse_csv(document, columns)
+            assert oracle_log == EventLog(table)
             for k in range(1, min(3, len(oracle_log)) + 1):
                 result = select_incremental(log, k, beta)
                 model, prototypes, history, stop_reason = reference_select_incremental(oracle_log, k, beta)
@@ -264,7 +301,7 @@ class TestWholeLoopAgainstReference:
                 assert result.stop_reason == stop_reason
                 assert result.model == model
                 out = Path(tmp) / f"k{k}"
-                argv = ["compare", "--in", path, "--k", k, "--beta", beta, "--seed", seed, "--out", out]
+                argv = ["compare", "--in", path, *options, "--k", k, "--beta", beta, "--seed", seed, "--out", out]
                 assert main([str(a) for a in argv]) == 0
                 with open(out / "compare.csv", newline="") as handle:
                     assert list(csv.reader(handle))[1:] == reference_compare(oracle_log, k, seed, beta)
